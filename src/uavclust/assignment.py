@@ -10,10 +10,9 @@ from .model import UavId, UavNode, Vehicle, VehicleId
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """Vehicle -> (UAV, SNR) partition plus per-UAV member counts."""
+    """Vehicle -> (UAV, SNR) partition."""
 
     by_vehicle: Dict[VehicleId, Tuple[UavId, float]]
-    counts: Dict[UavId, int]
 
     def members_of(self, uav_id: UavId):
         return sorted(v for v, (u, _) in self.by_vehicle.items() if u == uav_id)
@@ -31,15 +30,13 @@ def assign(vehicles: Sequence[Vehicle], uavs: Sequence[UavNode],
     if not vehicles:
         raise ValueError("assign: need at least one vehicle")
     by_vehicle: Dict[VehicleId, Tuple[UavId, float]] = {}
-    counts: Dict[UavId, int] = {u.id: 0 for u in uavs}
     for v in vehicles:
         best_uav = None
         best_snr = -1.0
         for u in sorted(uavs, key=lambda n: n.id):
             d = channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h, v.pos.x, v.pos.y)
-            snr = channel.a2g_snr(True, u.tx_power, channel.a2g_gain(d, g0), noise)
+            snr = channel.a2g_snr(u.tx_power, channel.a2g_gain(d, g0), noise)
             if snr > best_snr:
                 best_uav, best_snr = u.id, snr
         by_vehicle[v.id] = (best_uav, best_snr)
-        counts[best_uav] += 1
-    return AssignmentMatrix(by_vehicle=by_vehicle, counts=counts)
+    return AssignmentMatrix(by_vehicle=by_vehicle)

@@ -6,18 +6,8 @@ numpy Generator so callers own all randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LinkSample:
-    """One evaluated link: distance, power gain ratio and SNR ratio."""
-
-    distance: float
-    gain: float
-    snr: float
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -38,12 +28,10 @@ def a2g_gain(d: float, g0: float) -> float:
     return g0 / (d * d)
 
 
-def a2g_snr(assigned: bool, p_uav: float, gain: float, noise: float) -> float:
-    """A2G SNR; zero for an unassigned link."""
+def a2g_snr(p_uav: float, gain: float, noise: float) -> float:
+    """A2G SNR of a UAV-vehicle link."""
     if noise <= 0.0:
         raise ValueError(f"a2g_snr: noise power must be positive, got {noise}")
-    if not assigned:
-        return 0.0
     return p_uav * gain / noise
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -63,9 +64,15 @@ def _execute_run(task: Tuple[SimConfig, RunSeeds, str, str, int]) -> str:
     return path
 
 
+def _read_runs(paths: Sequence[str]) -> List[metrics.TraceRun]:
+    """Parse each trace once into its header and run metrics."""
+    return [(header, metrics.run_metrics(events))
+            for header, events in map(trace.read_trace, paths)]
+
+
 def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
-                    out_dir: str, workers: int) -> Dict[str, List[str]]:
-    """Fan out all (scheme, run) tasks; returns trace paths per scheme."""
+                    out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
+    """Fan out all (scheme, run) tasks; returns the parsed runs per scheme."""
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     plan = seed_plan(config.seed, runs, schemes)
     tasks = [(config, plan[k][scheme], _trace_path(out_dir, scheme, k),
@@ -77,7 +84,8 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     else:
         for task in tasks:
             _execute_run(task)
-    return {scheme: [_trace_path(out_dir, scheme, k) for k in range(runs)]
+    return {scheme: _read_runs([_trace_path(out_dir, scheme, k)
+                                for k in range(runs)])
             for scheme in schemes}
 
 
@@ -95,22 +103,21 @@ def _likelihood_params(config: SimConfig) -> metrics.LikelihoodParams:
         gauss_var=config.gauss_var)
 
 
-def _aggregate_scheme(paths: Sequence[str]) -> metrics.AggregateMetrics:
-    return metrics.aggregate_traces([trace.read_trace(p) for p in paths])
-
-
 def _write_aggregates(out_dir: str, config: SimConfig,
-                      per_scheme: Dict[str, metrics.AggregateMetrics],
-                      runs: int) -> None:
+                      runs: Dict[str, List[metrics.TraceRun]]
+                      ) -> Dict[str, metrics.AggregateMetrics]:
+    """Write aggregate.<scheme>.txt; digest and seed come from the trace headers."""
+    per_scheme = {s: metrics.aggregate_traces(r) for s, r in runs.items()}
     scores = None
     if len(per_scheme) > 1:
         scores = metrics.compare_schemes(per_scheme, _likelihood_params(config))
     for scheme, agg in sorted(per_scheme.items()):
+        header = runs[scheme][0][0]
         lines = [
             f"scheme: {scheme}",
-            f"config_digest: {config.digest()}",
-            f"runs: {runs}",
-            f"seed_base: {config.seed}",
+            f"config_digest: {header['config']}",
+            f"runs: {agg.runs}",
+            f"seed_base: {header['seed']}",
             f"mean_total_reselections: {agg.mean_total!r}",
             f"mean_snr: {agg.mean_snr!r}",
             f"mean_degraded_selections: {agg.mean_degraded!r}",
@@ -124,20 +131,19 @@ def _write_aggregates(out_dir: str, config: SimConfig,
             lines.append(f"robustness_likelihood: {sc.likelihood!r}")
         _atomic_write(os.path.join(out_dir, f"aggregate.{scheme}.txt"),
                       "\n".join(lines) + "\n")
+    return per_scheme
 
 
 def _write_time_series(out_dir: str, config: SimConfig,
-                       trace_paths: Dict[str, List[str]]) -> None:
+                       runs: Dict[str, List[metrics.TraceRun]]) -> None:
     """Mean cumulative re-selections per scheme on the CAM grid,
     normalized by the global maximum."""
-    schemes = sorted(trace_paths)
+    schemes = sorted(runs)
     grid = [k * config.cam_interval
             for k in range(int(config.total_time / config.cam_interval) + 1)]
     series = {}
     for scheme in schemes:
-        runs = [metrics.run_metrics(trace.read_trace(p)[1])
-                for p in trace_paths[scheme]]
-        cum = [metrics.cumulative_at(r, grid) for r in runs]
+        cum = [metrics.cumulative_at(rm, grid) for _, rm in runs[scheme]]
         series[scheme] = [sum(col) / len(col) for col in zip(*cum)]
     peak = max((max(s) for s in series.values()), default=0.0)
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
@@ -173,11 +179,9 @@ def _echo_config(out_dir: str, config: SimConfig) -> None:
 
 def _cmd_run(args) -> int:
     config = _load_base_config(args)
-    schemes = [args.scheme]
     _echo_config(args.out, config)
-    paths = _run_experiment(config, schemes, args.runs, args.out, args.workers)
-    per_scheme = {s: _aggregate_scheme(p) for s, p in paths.items()}
-    _write_aggregates(args.out, config, per_scheme, args.runs)
+    runs = _run_experiment(config, [args.scheme], args.runs, args.out, args.workers)
+    _write_aggregates(args.out, config, runs)
     return 0
 
 
@@ -185,10 +189,9 @@ def _cmd_compare(args) -> int:
     config = _load_base_config(args)
     schemes = args.scheme.split(",") if args.scheme else list(SCHEMES)
     _echo_config(args.out, config)
-    paths = _run_experiment(config, schemes, args.runs, args.out, args.workers)
-    per_scheme = {s: _aggregate_scheme(p) for s, p in paths.items()}
-    _write_aggregates(args.out, config, per_scheme, args.runs)
-    _write_time_series(args.out, config, paths)
+    runs = _run_experiment(config, schemes, args.runs, args.out, args.workers)
+    _write_aggregates(args.out, config, runs)
+    _write_time_series(args.out, config, runs)
     return 0
 
 
@@ -206,10 +209,8 @@ def _cmd_sweep(args) -> int:
     for value in values:
         point_cfg = validate(dataclasses.replace(config, **{field: value}))
         point_dir = os.path.join(args.out, f"{args.var}_{value:g}")
-        paths = _run_experiment(point_cfg, schemes, args.runs, point_dir,
-                                args.workers)
-        per_scheme = {s: _aggregate_scheme(p) for s, p in paths.items()}
-        _write_aggregates(point_dir, point_cfg, per_scheme, args.runs)
+        runs = _run_experiment(point_cfg, schemes, args.runs, point_dir, args.workers)
+        per_scheme = _write_aggregates(point_dir, point_cfg, runs)
         table[value] = {s: m.mean_total for s, m in per_scheme.items()}
     peak = max((v for row in table.values() for v in row.values()), default=0.0)
     os.makedirs(os.path.join(args.out, "plots"), exist_ok=True)
@@ -228,22 +229,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_metrics(args) -> int:
     config = _load_base_config(args)
     trace_dir = os.path.join(args.out, "traces")
-    if not os.path.isdir(trace_dir):
-        print(f"metrics: no trace directory at {trace_dir}", file=sys.stderr)
+    paths = sorted(glob.glob(os.path.join(trace_dir, "*.trace")))
+    if not paths:
+        print(f"metrics: no trace files in {trace_dir}", file=sys.stderr)
         return 2
-    by_scheme: Dict[str, List[str]] = {}
-    for name in sorted(os.listdir(trace_dir)):
-        if not name.endswith(".trace"):
-            continue
-        path = os.path.join(trace_dir, name)
-        header, _ = trace.read_trace(path)
-        by_scheme.setdefault(header["scheme"], []).append(path)
-    if not by_scheme:
-        print("metrics: no trace files found", file=sys.stderr)
-        return 2
-    per_scheme = {s: _aggregate_scheme(p) for s, p in by_scheme.items()}
-    runs = max(len(p) for p in by_scheme.values())
-    _write_aggregates(args.out, config, per_scheme, runs)
+    by_scheme: Dict[str, List[metrics.TraceRun]] = {}
+    for run in _read_runs(paths):
+        by_scheme.setdefault(run[0]["scheme"], []).append(run)
+    _write_aggregates(args.out, config, by_scheme)
     return 0
 
 
@@ -284,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_met = sub.add_parser("metrics", help="re-aggregate existing traces")
-    p_met.add_argument("--scheme", default=None)
     _add_common(p_met)
     p_met.set_defaults(func=_cmd_metrics)
 

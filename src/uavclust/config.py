@@ -18,7 +18,7 @@ from .model import KMH_TO_MS
 
 SCHEMES = ("proposed", "vmasc", "random")
 
-_SPEED_FIELDS = {"v_min", "v_max_vehicle", "uav_max_speed"}
+_SPEED_FIELDS = {"v_min", "v_max_vehicle"}
 _POWER_FIELDS = {"noise_power", "vehicle_tx_power", "uav_tx_power"}
 
 
@@ -50,7 +50,6 @@ class SimConfig:
     uav_altitude: float = 100.0
     uav_coverage_radius: float = 480.0
     uav_min_separation: float = 200.0
-    uav_max_speed: float = 25.0
     slot_duration: float = 1.0
     total_time: float = 700.0
     cam_interval: float = 10.0
@@ -81,7 +80,6 @@ class SimConfig:
     residual_mode: str = "formula"  # or "geometric"
     backup_raw_scores: bool = False
     benchmarks_use_backup: bool = False
-    uav_policy: str = "static"  # or "follow"
 
     @property
     def num_slots(self) -> int:
@@ -108,7 +106,7 @@ def validate(config: SimConfig) -> SimConfig:
         if getattr(c, name) < 1:
             errors.append(f"{name}: must be >= 1")
     for name in ("road_length", "uav_altitude", "uav_coverage_radius",
-                 "uav_min_separation", "uav_max_speed", "slot_duration",
+                 "uav_min_separation", "slot_duration",
                  "total_time", "cam_interval", "beacon_interval",
                  "cluster_interval", "ref_gain", "noise_power",
                  "vehicle_tx_power", "uav_tx_power", "v2v_loss_const",
@@ -149,8 +147,6 @@ def validate(config: SimConfig) -> SimConfig:
         errors.append(f"snr_fading: must be instantaneous or large_scale")
     if c.residual_mode not in ("formula", "geometric"):
         errors.append("residual_mode: must be formula or geometric")
-    if c.uav_policy not in ("static", "follow"):
-        errors.append("uav_policy: must be static or follow")
 
     if errors:
         raise ConfigError(errors)

@@ -11,7 +11,6 @@ a byte-identical event trace.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -39,8 +38,7 @@ def place_uavs(config: SimConfig) -> List[UavNode]:
     return [UavNode(id=j,
                     pos=AirPoint((j + 0.5) * spacing, 0.0, config.uav_altitude),
                     coverage_radius=config.uav_coverage_radius,
-                    tx_power=config.uav_tx_power,
-                    max_speed=config.uav_max_speed)
+                    tx_power=config.uav_tx_power)
             for j in range(config.num_uavs)]
 
 
@@ -56,8 +54,7 @@ def init_vehicles(config: SimConfig, road: RoadModel,
                                 pos=RoadPoint(x, road.lane_offsets[lane]),
                                 dir=road.lane_dir(lane),
                                 speed=speed,
-                                speed_history=(speed,),
-                                tx_power=config.vehicle_tx_power))
+                                speed_history=(speed,)))
     return vehicles
 
 
@@ -176,35 +173,9 @@ class Simulation:
 
     # -- scheduled phases ------------------------------------------------
 
-    def _maybe_follow_clusters(self, by_id: Dict[int, Vehicle]) -> None:
-        """Optional repositioning toward the previous cluster centroid,
-        speed-capped per round and keeping the minimum separation."""
-        cfg = self.config
-        max_move = cfg.uav_max_speed * cfg.cluster_interval
-        new_uavs = []
-        for u in self.uavs:
-            members = self.clusters[u.id].members
-            if not members:
-                new_uavs.append(u)
-                continue
-            cx = statistics.fmean(by_id[m].pos.x for m in members if m in by_id)
-            delta = max(-max_move, min(max_move, cx - u.pos.x))
-            new_uavs.append(UavNode(u.id, AirPoint(u.pos.x + delta, u.pos.y,
-                                                   u.pos.h),
-                                    u.coverage_radius, u.tx_power, u.max_speed))
-        ordered = sorted(new_uavs, key=lambda n: n.pos.x)
-        ok = all(b.pos.x - a.pos.x >= cfg.uav_min_separation
-                 for a, b in zip(ordered, ordered[1:]))
-        if ok:
-            self.uavs = new_uavs
-            for u in self.uavs:
-                self.clusters[u.id].uav = u
-
     def _clustering_round(self, t: float) -> None:
         cfg = self.config
         by_id = self._vehicle_map()
-        if cfg.uav_policy == "follow" and self.round_index > 0:
-            self._maybe_follow_clusters(by_id)
         matrix = assign(self.vehicles, self.uavs, cfg.ref_gain, cfg.noise_power)
         self.events.append(SimEvent(t, "clustering_round",
                                     payload={"round": self.round_index}))

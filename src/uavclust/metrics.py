@@ -42,8 +42,6 @@ class AggregateMetrics:
     mean_per_cluster: Dict[int, float]
     mean_snr: float
     mean_degraded: float
-    totals: Tuple[int, ...]
-    snrs: Tuple[float, ...]
 
 
 def normalize(values: Sequence[float]) -> List[float]:
@@ -136,19 +134,20 @@ def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:
         mean_per_cluster=mean_per_cluster,
         mean_snr=sum(snrs) / len(snrs) if snrs else math.nan,
         mean_degraded=sum(r.degraded_selections for r in runs) / n,
-        totals=tuple(r.total_reselections for r in runs),
-        snrs=tuple(r.mean_snr for r in runs),
     )
 
 
-def aggregate_traces(traces: Sequence[Tuple[Dict[str, str], Sequence[SimEvent]]]) -> AggregateMetrics:
+TraceRun = Tuple[Dict[str, str], RunMetrics]  # one trace's header and metrics
+
+
+def aggregate_traces(traces: Sequence[TraceRun]) -> AggregateMetrics:
     """Aggregate parsed trace files, refusing mixed-config input."""
     if not traces:
         raise ValueError("aggregate_traces: no traces")
     digests = {h.get("config") for h, _ in traces}
     if len(digests) > 1:
         raise ValueError(f"aggregate_traces: mixed config digests {sorted(digests)}")
-    return aggregate([run_metrics(events) for _, events in traces])
+    return aggregate([rm for _, rm in traces])
 
 
 @dataclass(frozen=True)
@@ -163,15 +162,23 @@ class SchemeScore:
 def compare_schemes(per_scheme: Dict[str, AggregateMetrics],
                     params: LikelihoodParams = LikelihoodParams()) -> Dict[str, SchemeScore]:
     """Cross-scheme comparison: normalize re-selections and SNR by the
-    maximum across schemes, then score each scheme's likelihood."""
+    maximum across schemes, then score each scheme's likelihood.
+
+    A NaN mean SNR is left out of the maximum and gives that scheme a
+    NaN normalized SNR and likelihood; the other scores ignore it.
+    """
     if not per_scheme:
         raise ValueError("compare_schemes: no schemes")
     max_total = max(m.mean_total for m in per_scheme.values())
-    max_snr = max(m.mean_snr for m in per_scheme.values())
+    max_snr = max((m.mean_snr for m in per_scheme.values()
+                   if not math.isnan(m.mean_snr)), default=0.0)
     scores = {}
     for name, m in per_scheme.items():
         r = m.mean_total / max_total if max_total > 0 else 0.0
-        s = m.mean_snr / max_snr if max_snr > 0 else 0.0
+        if math.isnan(m.mean_snr):
+            s = math.nan  # robustness_likelihood then gives NaN too
+        else:
+            s = m.mean_snr / max_snr if max_snr > 0 else 0.0
         scores[name] = SchemeScore(
             mean_total=m.mean_total, mean_snr=m.mean_snr,
             normalized_reselections=r, normalized_snr=s,

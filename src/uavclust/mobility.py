@@ -26,9 +26,6 @@ class RoadModel:
         # first lane runs +x, second lane -x
         return 1 if lane == 0 else -1
 
-    def lane_of(self, vehicle: Vehicle) -> int:
-        return 0 if vehicle.pos.y == self.lane_offsets[0] else 1
-
     def entry_x(self, direction: int) -> float:
         return 0.0 if direction > 0 else self.length
 

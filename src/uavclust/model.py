@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 VehicleId = int
 UavId = int
@@ -51,7 +51,6 @@ class Vehicle:
     dir: int  # +1 or -1 along the road axis
     speed: float  # m/s
     speed_history: Tuple[float, ...]
-    tx_power: float  # watts
     generation: int = 0
 
 
@@ -77,15 +76,4 @@ class UavNode:
     pos: AirPoint
     coverage_radius: float  # meters, planar
     tx_power: float  # watts
-    max_speed: float  # m/s
 
-
-@dataclass(frozen=True)
-class Cluster:
-    """One UAV's cluster: member set, seated CH and ranked backup ids."""
-
-    uav: UavId
-    members: FrozenSet[VehicleId]
-    ch: Optional[VehicleId]
-    backup: Tuple[VehicleId, ...]
-    avg_speed: float

@@ -36,7 +36,10 @@ class SimEvent:
 def format_event(event: SimEvent) -> str:
     ids = ",".join(str(i) for i in event.ids)
     payload = json.dumps(event.payload, sort_keys=True, separators=(",", ":"))
-    return f"{event.time:g}\t{event.kind}\t{ids}\t{payload}"
+    time = f"{event.time:g}"
+    if float(time) != event.time:  # %g keeps only six significant digits
+        time = repr(event.time)
+    return f"{time}\t{event.kind}\t{ids}\t{payload}"
 
 
 def parse_event(line: str) -> SimEvent:

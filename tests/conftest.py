@@ -15,10 +15,10 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def make_vehicle(vid, x, *, y=-2.0, direction=1, speed=10.0,
-                 history=None, tx_power=1e-10, generation=0):
+                 history=None, generation=0):
     return Vehicle(id=vid, pos=RoadPoint(x, y), dir=direction, speed=speed,
                    speed_history=tuple(history) if history else (speed,),
-                   tx_power=tx_power, generation=generation)
+                   generation=generation)
 
 
 def make_cam(vid, avg_speed, *, cluster_id=0, is_ch=False, x=0.0, y=-2.0,

@@ -74,7 +74,7 @@ def test_criterion_1_formula_oracles():
     checks = [
         (channel.a2g_distance(0, 0, 100, 300, 400), 509.9019513592785),
         (channel.a2g_gain(100.0, 1e-5), 1e-9),
-        (channel.a2g_snr(True, 1.0, 1e-9, channel.dbm_to_watts(-114.0)),
+        (channel.a2g_snr(1.0, 1e-9, channel.dbm_to_watts(-114.0)),
          251188.6431509582),
         (channel.v2v_large_scale(10.0, 1.0, 1e-5, 3.0), 1e-8),
         (sum([10.0, 12.0, 14.0][-3:]) / 3, 12.0),
@@ -103,7 +103,7 @@ def test_criterion_2_brute_force_equivalence():
 
     for _ in range(300):  # assignment argmax
         uavs = [UavNode(j, AirPoint(float(rng.uniform(0, 1000)), 0.0, 100.0),
-                        500.0, float(rng.uniform(0.5, 2.0)), 25.0)
+                        500.0, float(rng.uniform(0.5, 2.0)))
                 for j in range(int(rng.integers(1, 6)))]
         vehicles = [make_vehicle(i, float(rng.uniform(0, 1000)),
                                  y=float(rng.choice([-2.0, 2.0])))

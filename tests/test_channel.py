@@ -42,26 +42,22 @@ def test_a2g_gain_rejects_nonpositive_distance():
         channel.a2g_gain(-1.0, 1e-5)
 
 
-def test_a2g_snr_unassigned_is_zero():
-    assert channel.a2g_snr(False, 1.0, 1e-9, 1e-15) == 0.0
-
-
 def test_a2g_snr_hand_value():
     noise = channel.dbm_to_watts(-114.0)
-    assert math.isclose(channel.a2g_snr(True, 1.0, 1e-9, noise),
+    assert math.isclose(channel.a2g_snr(1.0, 1e-9, noise),
                         251188.6431509582, rel_tol=REL)
 
 
 def test_a2g_snr_linearity_in_gain():
     noise = 1e-14
-    base = channel.a2g_snr(True, 1.0, 1e-9, noise)
-    assert math.isclose(channel.a2g_snr(True, 1.0, 7e-9, noise),
+    base = channel.a2g_snr(1.0, 1e-9, noise)
+    assert math.isclose(channel.a2g_snr(1.0, 7e-9, noise),
                         7.0 * base, rel_tol=REL)
 
 
 def test_a2g_snr_rejects_nonpositive_noise():
     with pytest.raises(ValueError):
-        channel.a2g_snr(True, 1.0, 1e-9, 0.0)
+        channel.a2g_snr(1.0, 1e-9, 0.0)
 
 
 def test_v2v_large_scale_reference_points():

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from uavclust import trace
 from uavclust.cli import main, seed_plan
 
 SCHEMES = ("proposed", "vmasc", "random")
@@ -54,6 +55,9 @@ def test_compare_layout_and_likelihood(tmp_path):
         text = read_bytes(os.path.join(out, f"aggregate.{scheme}.txt")).decode()
         assert f"scheme: {scheme}" in text
         assert "robustness_likelihood:" in text
+        header, _ = trace.read_trace(
+            os.path.join(out, "traces", f"{scheme}_run0000.trace"))
+        assert f"config_digest: {header['config']}\n" in text
     plot = os.path.join(out, "plots", "reselections_vs_time.dat")
     assert os.path.isfile(plot)
     lines = read_bytes(plot).decode().splitlines()
@@ -79,10 +83,32 @@ def test_metrics_reaggregates_existing_traces(tmp_path):
                  "--out", out]) == 0
     originals = {s: read_bytes(os.path.join(out, f"aggregate.{s}.txt"))
                  for s in SCHEMES}
-    assert main(["metrics", "--duration", "140", "--out", out]) == 0
-    for s in SCHEMES:
-        assert read_bytes(os.path.join(out, f"aggregate.{s}.txt")) == \
-            originals[s]
+    for argv in (["metrics", "--duration", "140", "--out", out],
+                 ["metrics", "--out", out]):
+        assert main(argv) == 0
+        for s in SCHEMES:
+            assert read_bytes(os.path.join(out, f"aggregate.{s}.txt")) == \
+                originals[s]
+
+
+def test_each_trace_is_parsed_once(tmp_path, monkeypatch):
+    parsed = []
+    original = trace.read_trace
+
+    def counting_read_trace(path):
+        parsed.append(path)
+        return original(path)
+
+    monkeypatch.setattr(trace, "read_trace", counting_read_trace)
+    out = str(tmp_path / "once")
+    assert main(["compare", "--runs", "2", "--duration", "70",
+                 "--out", out]) == 0
+    names = trace_files(out)
+    assert len(names) == 2 * len(SCHEMES)
+    assert sorted(os.path.basename(p) for p in parsed) == names
+    parsed.clear()
+    assert main(["metrics", "--out", out]) == 0
+    assert sorted(os.path.basename(p) for p in parsed) == names
 
 
 def test_sweep_writes_shape_file(tmp_path):

@@ -118,8 +118,7 @@ def test_compare_schemes_normalizes_by_cross_scheme_max():
     def agg(total, snr):
         return metrics.AggregateMetrics(runs=1, mean_total=total,
                                         mean_per_cluster={}, mean_snr=snr,
-                                        mean_degraded=0.0, totals=(total,),
-                                        snrs=(snr,))
+                                        mean_degraded=0.0)
     scores = metrics.compare_schemes({"a": agg(10.0, 4.0), "b": agg(20.0, 2.0)})
     assert scores["b"].normalized_reselections == pytest.approx(1.0)
     assert scores["a"].normalized_reselections == pytest.approx(0.5)
@@ -127,6 +126,26 @@ def test_compare_schemes_normalizes_by_cross_scheme_max():
     assert scores["b"].normalized_snr == pytest.approx(0.5)
     expect_a = metrics.robustness_likelihood(0.5, 1.0)
     assert scores["a"].likelihood == pytest.approx(expect_a, rel=REL)
+
+
+def test_compare_schemes_nan_snr_is_order_independent():
+    def agg(total, snr):
+        return metrics.AggregateMetrics(runs=1, mean_total=total,
+                                        mean_per_cluster={}, mean_snr=snr,
+                                        mean_degraded=0.0)
+    nan_first = metrics.compare_schemes({"a": agg(10.0, math.nan),
+                                         "b": agg(20.0, 2.0)})
+    nan_last = metrics.compare_schemes({"b": agg(20.0, 2.0),
+                                        "a": agg(10.0, math.nan)})
+    alone = metrics.compare_schemes({"b": agg(20.0, 2.0)})
+    for scores in (nan_first, nan_last):
+        assert math.isnan(scores["a"].normalized_snr)
+        assert math.isnan(scores["a"].likelihood)
+        assert scores["a"].normalized_reselections == pytest.approx(0.5)
+        assert scores["b"] == alone["b"]
+    all_nan = metrics.compare_schemes({"a": agg(10.0, math.nan)})
+    assert math.isnan(all_nan["a"].normalized_snr)
+    assert math.isnan(all_nan["a"].likelihood)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),

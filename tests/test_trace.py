@@ -2,10 +2,22 @@
 import os
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from uavclust.trace import (SimEvent, format_event, format_header,
-                            parse_event, parse_header, read_trace,
-                            write_trace)
+from uavclust.trace import (EVENT_KINDS, SimEvent, format_event,
+                            format_header, parse_event, parse_header,
+                            read_trace, write_trace)
+
+_payload_values = st.one_of(
+    st.integers(), st.booleans(), st.text(),
+    st.floats(allow_nan=False, allow_infinity=False))
+_events = st.builds(
+    SimEvent,
+    time=st.floats(allow_nan=False, allow_infinity=False),
+    kind=st.sampled_from(EVENT_KINDS),
+    ids=st.lists(st.integers(), max_size=3).map(tuple),
+    payload=st.dictionaries(st.text(), _payload_values, max_size=3))
 
 
 def test_event_round_trip():
@@ -16,6 +28,13 @@ def test_event_round_trip():
 
 def test_event_round_trip_no_ids():
     ev = SimEvent(0.0, "clustering_round", payload={"round": 0})
+    assert parse_event(format_event(ev)) == ev
+
+
+@given(_events)
+@example(SimEvent(100000.5, "beacon_ok", ids=(0, 5)))
+@example(SimEvent(1234567.0, "clustering_round", payload={"round": 3}))
+def test_event_round_trip_property(ev):
     assert parse_event(format_event(ev)) == ev
 
 

@@ -72,15 +72,22 @@ def _read_runs(paths: Sequence[str]) -> List[metrics.TraceRun]:
 
 def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                     out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
-    """Fan out all (scheme, run) tasks; returns the parsed runs per scheme."""
-    os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
+    """Fan out all (scheme, run) tasks; returns the parsed runs per scheme.
+
+    Traces left in out_dir by an earlier experiment are removed first,
+    so a later `metrics` sees only this experiment's runs.
+    """
+    trace_dir = os.path.join(out_dir, "traces")
+    os.makedirs(trace_dir, exist_ok=True)
+    for stale in glob.glob(os.path.join(trace_dir, "*.trace")):
+        os.remove(stale)
     plan = seed_plan(config.seed, runs, schemes)
     tasks = [(config, plan[k][scheme], _trace_path(out_dir, scheme, k),
               scheme, k)
              for scheme in schemes for k in range(runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_execute_run, tasks, chunksize=8))
+            list(pool.map(_execute_run, tasks))
     else:
         for task in tasks:
             _execute_run(task)
@@ -158,8 +165,11 @@ def _write_time_series(out_dir: str, config: SimConfig,
                   "\n".join(lines) + "\n")
 
 
-def _load_base_config(args) -> SimConfig:
-    config = load_config(args.config) if args.config else SimConfig()
+def _load_base_config(args, default_path: Optional[str] = None) -> SimConfig:
+    """--config, else default_path if given, else the default scenario,
+    with the command-line overrides applied."""
+    path = args.config or default_path
+    config = load_config(path) if path else SimConfig()
     updates = {}
     if getattr(args, "vehicles", None) is not None:
         updates["num_vehicles"] = args.vehicles
@@ -227,7 +237,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    config = _load_base_config(args)
+    # without --config, score with the likelihood parameters the traces
+    # were aggregated with: those of the experiment's config echo
+    echo = os.path.join(args.out, "config.echo")
+    config = _load_base_config(args, echo if os.path.isfile(echo) else None)
     trace_dir = os.path.join(args.out, "traces")
     paths = sorted(glob.glob(os.path.join(trace_dir, "*.trace")))
     if not paths:

@@ -21,8 +21,8 @@ from .assignment import assign
 from .backup import BackupCandidate, BackupEntry, build_backup_list, pop_replacement
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
 from .config import SimConfig, validate
-from .mobility import (RoadModel, avg_speed, neighbor_table, residual_path,
-                       residual_path_geometric, step)
+from .mobility import (Fleet, RoadModel, avg_speed, neighbor_table,
+                       residual_path, residual_path_geometric, step)
 from .model import AirPoint, Cam, RoadPoint, UavNode, Vehicle
 from .seeding import RunSeeds, run_seeds
 from .trace import SimEvent
@@ -79,19 +79,16 @@ class Simulation:
         self.fading_seed = self.seeds.fading
         self.road = RoadModel(config.road_length, tuple(config.lane_offsets))
         self.uavs = place_uavs(config)
-        if initial_vehicles is not None:
-            self.vehicles = list(initial_vehicles)
-        else:
-            self.vehicles = init_vehicles(config, self.road, self.mobility_rng)
+        if initial_vehicles is None:
+            initial_vehicles = init_vehicles(config, self.road,
+                                             self.mobility_rng)
+        self.fleet = Fleet(initial_vehicles)
         self.clusters: Dict[int, _ClusterState] = {
             u.id: _ClusterState(uav=u) for u in self.uavs}
         self.events: List[SimEvent] = []
         self.round_index = 0
 
     # -- helpers ---------------------------------------------------------
-
-    def _vehicle_map(self) -> Dict[int, Vehicle]:
-        return {v.id: v for v in self.vehicles}
 
     def _link_rng(self, t: float, a: int, b: int) -> np.random.Generator:
         """Fading stream for one link at one time.
@@ -173,14 +170,14 @@ class Simulation:
 
     # -- scheduled phases ------------------------------------------------
 
-    def _clustering_round(self, t: float) -> None:
+    def _clustering_round(self, t: float, by_id: Dict[int, Vehicle]) -> None:
         cfg = self.config
-        by_id = self._vehicle_map()
-        matrix = assign(self.vehicles, self.uavs, cfg.ref_gain, cfg.noise_power)
+        matrix = assign(list(by_id.values()), self.uavs, cfg.ref_gain,
+                        cfg.noise_power)
         self.events.append(SimEvent(t, "clustering_round",
                                     payload={"round": self.round_index}))
         self.round_index += 1
-        nbrs = neighbor_table(self.vehicles, cfg.neighbor_range)
+        nbrs = neighbor_table(self.fleet, cfg.neighbor_range)
         for u in sorted(self.uavs, key=lambda n: n.id):
             state = self.clusters[u.id]
             members = matrix.members_of(u.id)
@@ -197,10 +194,9 @@ class Simulation:
                                                  "degraded": degraded}))
             self._rebuild_backup(cams, state)
 
-    def _cam_batch(self, t: float) -> None:
+    def _cam_batch(self, t: float, by_id: Dict[int, Vehicle]) -> None:
         cfg = self.config
-        by_id = self._vehicle_map()
-        nbrs = neighbor_table(self.vehicles, cfg.neighbor_range)
+        nbrs = neighbor_table(self.fleet, cfg.neighbor_range)
         for u in sorted(self.uavs, key=lambda n: n.id):
             state = self.clusters[u.id]
             if not state.members:
@@ -235,8 +231,7 @@ class Simulation:
             self.events.append(SimEvent(t, "cam_batch",
                                         ids=(u.id, state.ch), payload=payload))
 
-    def _beacon_check(self, t: float) -> None:
-        by_id = self._vehicle_map()
+    def _beacon_check(self, t: float, by_id: Dict[int, Vehicle]) -> None:
         for u in sorted(self.uavs, key=lambda n: n.id):
             state = self.clusters[u.id]
             if state.ch is None:
@@ -288,7 +283,7 @@ class Simulation:
                                             ids=(u.id, chosen),
                                             payload={"tenure": state.tenure}))
                 return
-        nbrs = neighbor_table(self.vehicles, cfg.neighbor_range)
+        nbrs = neighbor_table(self.fleet, cfg.neighbor_range)
         cams = self._build_cams(sorted(state.members), u.id, by_id, nbrs)
         chosen, degraded = self._select_for_scheme(cams, state)
         self._seat_ch(state, chosen, by_id)
@@ -317,16 +312,21 @@ class Simulation:
         for k in range(cfg.num_slots):
             t = k * dt
             is_round = k % k_cluster == 0
+            is_cam = not is_round and k % k_cam == 0
+            is_beacon = k > 0 and not is_round and k % k_beacon == 0
+            if is_round or is_cam or is_beacon:
+                # Vehicle records exist only on event slots, built once
+                # from the fleet arrays and shared by the slot's phases.
+                by_id = {v.id: v for v in self.fleet.records(cfg.avg_window)}
             if is_round:
-                self._clustering_round(t)
-            elif k % k_cam == 0:
-                self._cam_batch(t)
-            if k > 0 and not is_round and k % k_beacon == 0:
-                self._beacon_check(t)
+                self._clustering_round(t, by_id)
+            elif is_cam:
+                self._cam_batch(t, by_id)
+            if is_beacon:
+                self._beacon_check(t, by_id)
             self._check_partition()
-            self.vehicles, respawned = step(
-                self.vehicles, self.road, dt, self.mobility_rng,
-                (cfg.v_min, cfg.v_max_vehicle), cfg.avg_window)
+            respawned = step(self.fleet, self.road, dt, self.mobility_rng,
+                             (cfg.v_min, cfg.v_max_vehicle))
             for vid in respawned:
                 self.events.append(SimEvent(t + dt, "vehicle_respawn",
                                             ids=(vid,)))

@@ -2,13 +2,14 @@
 
 Constant speed per road traversal; a vehicle leaving the road respawns
 at the entry end of its lane with a freshly sampled speed and a cleared
-speed history, keeping the population size constant.
+speed history, keeping the population size constant.  The state of the
+whole population is one Fleet of numpy arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,34 +31,66 @@ class RoadModel:
         return 0.0 if direction > 0 else self.length
 
 
-def step(vehicles: Sequence[Vehicle], road: RoadModel, dt: float,
-         rng: np.random.Generator, speed_range: Tuple[float, float],
-         window: int) -> Tuple[List[Vehicle], List[VehicleId]]:
-    """Advance all vehicles by dt seconds.
+class Fleet:
+    """Struct-of-arrays kinematic state of every vehicle, in list order.
 
-    Returns the new vehicle list plus the ids respawned this step.
-    Vehicles are processed in list order so RNG consumption is
+    ids, x, y, dir (+1 or -1 along the road axis), speed (m/s) and
+    generation are numpy arrays.  The speed history a CAM reports is
+    spawn_history[i] followed by age[i] (steps since spawn) copies of
+    the current speed, which is constant between respawns, so stepping
+    never rebuilds a tuple; records() builds the history, trimmed to
+    the averaging window, only when a Vehicle is needed.
+    """
+
+    def __init__(self, vehicles: Sequence[Vehicle]):
+        self.ids = np.array([v.id for v in vehicles], dtype=np.int64)
+        self.x = np.array([v.pos.x for v in vehicles], dtype=float)
+        self.y = np.array([v.pos.y for v in vehicles], dtype=float)
+        self.dir = np.array([v.dir for v in vehicles], dtype=np.int64)
+        self.speed = np.array([v.speed for v in vehicles], dtype=float)
+        self.generation = np.array([v.generation for v in vehicles],
+                                   dtype=np.int64)
+        self.spawn_history = [tuple(v.speed_history) for v in vehicles]
+        self.age = np.zeros(len(vehicles), dtype=np.int64)
+
+    def records(self, window: int) -> List[Vehicle]:
+        """Vehicle records of the current state, histories cut to window."""
+        return [Vehicle(id=vid, pos=RoadPoint(x, y), dir=d, speed=s,
+                        speed_history=(h + (s,) * min(a, window))[-window:],
+                        generation=g)
+                for vid, x, y, d, s, g, h, a in zip(
+                    self.ids.tolist(), self.x.tolist(), self.y.tolist(),
+                    self.dir.tolist(), self.speed.tolist(),
+                    self.generation.tolist(), self.spawn_history,
+                    self.age.tolist())]
+
+
+def step(fleet: Fleet, road: RoadModel, dt: float, rng: np.random.Generator,
+         speed_range: Tuple[float, float]) -> List[VehicleId]:
+    """Advance every vehicle by dt seconds, in place.
+
+    Returns the ids respawned this step.  Leavers draw their new speed
+    one scalar draw each, in list order, so RNG consumption is
     deterministic.
     """
     if dt < 0:
         raise ValueError(f"step: dt must be >= 0, got {dt}")
     if dt == 0:
-        return list(vehicles), []
-    out: List[Vehicle] = []
+        return []
+    new_x = fleet.x + fleet.dir * fleet.speed * dt
+    leaving = ~((0.0 <= new_x) & (new_x <= road.length))
+    fleet.x = new_x
+    fleet.age += 1
     respawned: List[VehicleId] = []
-    for v in vehicles:
-        new_x = v.pos.x + v.dir * v.speed * dt
-        if 0.0 <= new_x <= road.length:
-            history = (v.speed_history + (v.speed,))[-window:]
-            out.append(replace(v, pos=RoadPoint(new_x, v.pos.y),
-                               speed_history=history))
-        else:
-            speed = float(rng.uniform(*speed_range))
-            out.append(replace(v, pos=RoadPoint(road.entry_x(v.dir), v.pos.y),
-                               speed=speed, speed_history=(speed,),
-                               generation=v.generation + 1))
-            respawned.append(v.id)
-    return out, respawned
+    for i in np.flatnonzero(leaving).tolist():
+        speed = float(rng.uniform(*speed_range))
+        fleet.x[i] = road.entry_x(fleet.dir[i])
+        fleet.speed[i] = speed
+        fleet.spawn_history[i] = (speed,)
+        fleet.age[i] = 0
+        fleet.generation[i] += 1
+        respawned.append(int(fleet.ids[i]))
+    return respawned
 
 
 def avg_speed(history: Sequence[float], window: int) -> float:
@@ -102,21 +135,22 @@ def residual_path_geometric(uav: AirPoint, pos: RoadPoint, direction: int,
     return exit_dist - v_avg * dt
 
 
-def neighbors_of(vehicle: Vehicle, vehicles: Iterable[Vehicle],
-                 rng_range: float) -> Set[VehicleId]:
-    """Ids of all other vehicles within planar range."""
+def neighbor_table(fleet: Fleet,
+                   rng_range: float) -> Dict[VehicleId, FrozenSet[VehicleId]]:
+    """Ids of all other vehicles within planar range, for every vehicle."""
     if rng_range <= 0.0:
-        raise ValueError(f"neighbors_of: range must be positive, got {rng_range}")
-    result: Set[VehicleId] = set()
-    for other in vehicles:
-        if other.id == vehicle.id:
-            continue
-        d = math.hypot(vehicle.pos.x - other.pos.x, vehicle.pos.y - other.pos.y)
-        if d <= rng_range:
-            result.add(other.id)
-    return result
-
-
-def neighbor_table(vehicles: Sequence[Vehicle], rng_range: float):
-    """Neighbor sets for all vehicles at once."""
-    return {v.id: neighbors_of(v, vehicles, rng_range) for v in vehicles}
+        raise ValueError(f"neighbor_table: range must be positive, got {rng_range}")
+    x, y = fleet.x, fleet.y
+    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    near = dist <= rng_range
+    # np.hypot and math.hypot may round apart in the last bit: pairs this
+    # close to the range are decided by the scalar expression.
+    for i, j in zip(*np.nonzero(np.abs(dist - rng_range) <= 1e-9 * rng_range)):
+        near[i, j] = math.hypot(x[i] - x[j], y[i] - y[j]) <= rng_range
+    np.fill_diagonal(near, False)
+    rows, cols = np.nonzero(near)
+    nbr_ids = fleet.ids[cols].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(x))).tolist()
+    starts = [0] + ends[:-1]
+    return {vid: frozenset(nbr_ids[a:b])
+            for vid, a, b in zip(fleet.ids.tolist(), starts, ends)}

@@ -91,6 +91,41 @@ def test_metrics_reaggregates_existing_traces(tmp_path):
                 originals[s]
 
 
+def aggregate_field(out_dir, scheme, key):
+    text = read_bytes(os.path.join(out_dir, f"aggregate.{scheme}.txt")).decode()
+    for line in text.splitlines():
+        name, _, value = line.partition(": ")
+        if name == key:
+            return value
+    raise KeyError(key)
+
+
+def test_rerun_into_same_out_drops_stale_traces(tmp_path):
+    out = str(tmp_path / "reuse")
+    base = ["compare", "--duration", "70", "--out", out]
+    assert main(base + ["--runs", "3"]) == 0
+    assert len(trace_files(out)) == 3 * len(SCHEMES)
+    assert main(base + ["--runs", "1"]) == 0
+    assert trace_files(out) == sorted(f"{s}_run0000.trace" for s in SCHEMES)
+    assert main(["metrics", "--out", out]) == 0
+    for scheme in SCHEMES:
+        assert aggregate_field(out, scheme, "runs") == "1"
+
+
+def test_metrics_scores_with_the_echoed_config(tmp_path):
+    cfg = tmp_path / "weights.cfg"
+    cfg.write_text("weight_reselect = 0.9\nweight_snr = 0.1\n")
+    out = str(tmp_path / "weighted")
+    assert main(["compare", "--config", str(cfg), "--runs", "2",
+                 "--duration", "140", "--out", out]) == 0
+    written = {s: aggregate_field(out, s, "robustness_likelihood")
+               for s in SCHEMES}
+    assert main(["metrics", "--out", out]) == 0
+    for scheme in SCHEMES:
+        assert aggregate_field(out, scheme, "robustness_likelihood") == \
+            written[scheme]
+
+
 def test_each_trace_is_parsed_once(tmp_path, monkeypatch):
     parsed = []
     original = trace.read_trace

@@ -3,16 +3,17 @@
 Slot schedule per run: clustering rounds every cluster_interval
 (assignment, CH selection, backup list build), CAM batches every
 cam_interval (fresh averages, neighbor sets, backup rebuild, CH-member
-SNR sampling), beacon checks every beacon_interval (CH departure
-detection and replacement).  Everything is driven by three private RNG
-streams (mobility, fading, scheme) so a (config, seed) pair reproduces
-a byte-identical event trace.
+link recording), beacon checks every beacon_interval (CH departure
+detection and replacement).  The recorded CH-member links are sampled
+after the last slot.  Everything is driven by private RNG streams
+(mobility, scheme, and one fading stream per link sample) so a
+(config, seed) pair reproduces a byte-identical event trace.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .config import SimConfig, validate
 from .mobility import (Fleet, RoadModel, avg_speed, neighbor_table,
                        residual_path, residual_path_geometric, step)
 from .model import AirPoint, Cam, RoadPoint, UavNode, Vehicle
-from .seeding import RunSeeds, run_seeds
+from .seeding import RunSeeds, pcg64_states, run_seeds
 from .trace import SimEvent
 
 # Distance floor for V2V links: the point-mass mobility model lets
@@ -75,8 +76,9 @@ class Simulation:
                  initial_vehicles: Optional[Sequence[Vehicle]] = None):
         self.config = validate(config)
         self.seeds = seeds or run_seeds(config.seed, 0, config.scheme)
-        self.mobility_rng, self.fading_rng, self.scheme_rng = self.seeds.rngs()
+        self.mobility_rng, self.scheme_rng = self.seeds.rngs()
         self.fading_seed = self.seeds.fading
+        self._link_gen = np.random.Generator(np.random.PCG64(0))
         self.road = RoadModel(config.road_length, tuple(config.lane_offsets))
         self.uavs = place_uavs(config)
         if initial_vehicles is None:
@@ -87,19 +89,33 @@ class Simulation:
             u.id: _ClusterState(uav=u) for u in self.uavs}
         self.events: List[SimEvent] = []
         self.round_index = 0
+        # this slot's neighbor table, built on first use, dropped by step
+        self._nbrs: Optional[Dict[int, FrozenSet[int]]] = None
+        # per CH-member cam_batch: (payload, [(t_ms, lo, hi, distance)])
+        self._cam_links: List[Tuple[dict, List[Tuple[int, int, int, float]]]] = []
 
     # -- helpers ---------------------------------------------------------
 
-    def _link_rng(self, t: float, a: int, b: int) -> np.random.Generator:
-        """Fading stream for one link at one time.
+    def _link_rng(self, state: int, inc: int) -> np.random.Generator:
+        """Fading stream for one link at one time: the run's one link
+        generator, set to the PCG64 state ``(state, inc)`` that
+        ``np.random.default_rng((fading seed, t_ms, lo, hi))`` starts
+        from (see pcg64_states).
 
         Keyed by (fading seed, time, endpoints) so schemes sharing a
         fading seed see identical draws for identical link samples:
         the common-random-numbers side of the paired-seed design.
         """
-        lo, hi = (a, b) if a <= b else (b, a)
-        return np.random.default_rng(
-            (self.fading_seed, int(round(t * 1000)), lo, hi))
+        self._link_gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return self._link_gen
+
+    def _neighbors(self) -> Dict[int, FrozenSet[int]]:
+        if self._nbrs is None:
+            self._nbrs = neighbor_table(self.fleet, self.config.neighbor_range)
+        return self._nbrs
 
     def _build_cams(self, member_ids: Sequence[int], cluster_id: int,
                     by_id: Dict[int, Vehicle],
@@ -177,7 +193,6 @@ class Simulation:
         self.events.append(SimEvent(t, "clustering_round",
                                     payload={"round": self.round_index}))
         self.round_index += 1
-        nbrs = neighbor_table(self.fleet, cfg.neighbor_range)
         for u in sorted(self.uavs, key=lambda n: n.id):
             state = self.clusters[u.id]
             members = matrix.members_of(u.id)
@@ -186,7 +201,7 @@ class Simulation:
             state.backup = []
             if not members:
                 continue
-            cams = self._build_cams(members, u.id, by_id, nbrs)
+            cams = self._build_cams(members, u.id, by_id, self._neighbors())
             chosen, degraded = self._select_for_scheme(cams, state)
             self._seat_ch(state, chosen, by_id)
             self.events.append(SimEvent(t, "ch_selected", ids=(u.id, chosen),
@@ -195,27 +210,56 @@ class Simulation:
             self._rebuild_backup(cams, state)
 
     def _cam_batch(self, t: float, by_id: Dict[int, Vehicle]) -> None:
-        cfg = self.config
-        nbrs = neighbor_table(self.fleet, cfg.neighbor_range)
+        """CAM round: rebuild backups and record each CH-member link.
+
+        The links' SNR is sampled after the run (_sample_cam_links); it
+        never feeds back into the simulation.
+        """
+        t_ms = int(round(t * 1000))
         for u in sorted(self.uavs, key=lambda n: n.id):
             state = self.clusters[u.id]
             if not state.members:
                 continue
-            cams = self._build_cams(sorted(state.members), u.id, by_id, nbrs)
+            cams = self._build_cams(sorted(state.members), u.id, by_id,
+                                    self._neighbors())
             self._rebuild_backup(cams, state)
             if state.ch is None:
                 self.events.append(SimEvent(t, "cam_batch", ids=(u.id,),
                                             payload={"members": len(cams)}))
                 continue
             ch_vehicle = by_id[state.ch]
-            snrs = []
+            links = []
             for cam in cams:
                 if cam.vehicle_id == state.ch:
                     continue
                 d = max(MIN_V2V_DISTANCE,
                         math.hypot(ch_vehicle.pos.x - cam.pos.x,
                                    ch_vehicle.pos.y - cam.pos.y))
-                link_rng = self._link_rng(t, state.ch, cam.vehicle_id)
+                lo, hi = sorted((state.ch, cam.vehicle_id))
+                links.append((t_ms, lo, hi, d))
+            payload = {"members": len(cams), "tenure": state.tenure}
+            if links:
+                self._cam_links.append((payload, links))
+            self.events.append(SimEvent(t, "cam_batch",
+                                        ids=(u.id, state.ch), payload=payload))
+
+    def _sample_cam_links(self) -> None:
+        """Set each recorded cam_batch payload's "snr" to the mean SNR
+        of its CH-member links, in member order.
+
+        All link streams of the run are seeded in one batch: one
+        default_rng per link would cost several times the draws.
+        """
+        cfg = self.config
+        keys = np.fromiter((k for _, links in self._cam_links
+                            for link in links for k in link[:3]),
+                           dtype=np.uint64)
+        t_ms, lo, hi = keys.reshape(-1, 3).T
+        states = pcg64_states(self.fading_seed, t_ms, lo, hi)
+        for payload, links in self._cam_links:
+            snrs = []
+            for *_, d in links:
+                link_rng = self._link_rng(*next(states))
                 shadow = channel.sample_shadowing(link_rng,
                                                   cfg.shadow_std_db)
                 gain = channel.v2v_large_scale(d, shadow, cfg.v2v_loss_const,
@@ -225,11 +269,7 @@ class Simulation:
                         gain, channel.sample_fast_fading(link_rng))
                 snrs.append(channel.v2v_snr(cfg.vehicle_tx_power, gain,
                                             cfg.noise_power))
-            payload = {"members": len(cams), "tenure": state.tenure}
-            if snrs:
-                payload["snr"] = sum(snrs) / len(snrs)
-            self.events.append(SimEvent(t, "cam_batch",
-                                        ids=(u.id, state.ch), payload=payload))
+            payload["snr"] = sum(snrs) / len(snrs)
 
     def _beacon_check(self, t: float, by_id: Dict[int, Vehicle]) -> None:
         for u in sorted(self.uavs, key=lambda n: n.id):
@@ -263,7 +303,6 @@ class Simulation:
         benchmark selectors have no such step and may seat a stale
         member, which then departs at the next beacon.
         """
-        cfg = self.config
         u = state.uav
         state.members.discard(state.ch)
         if self._uses_backup():
@@ -283,8 +322,8 @@ class Simulation:
                                             ids=(u.id, chosen),
                                             payload={"tenure": state.tenure}))
                 return
-        nbrs = neighbor_table(self.fleet, cfg.neighbor_range)
-        cams = self._build_cams(sorted(state.members), u.id, by_id, nbrs)
+        cams = self._build_cams(sorted(state.members), u.id, by_id,
+                                self._neighbors())
         chosen, degraded = self._select_for_scheme(cams, state)
         self._seat_ch(state, chosen, by_id)
         state.backup = []
@@ -327,6 +366,7 @@ class Simulation:
             self._check_partition()
             respawned = step(self.fleet, self.road, dt, self.mobility_rng,
                              (cfg.v_min, cfg.v_max_vehicle))
+            self._nbrs = None
             for vid in respawned:
                 self.events.append(SimEvent(t + dt, "vehicle_respawn",
                                             ids=(vid,)))
@@ -336,6 +376,7 @@ class Simulation:
                 for state in self.clusters.values():
                     if vid in state.members and vid != state.ch:
                         state.members.discard(vid)
+        self._sample_cam_links()
         return self.events
 
 

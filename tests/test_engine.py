@@ -1,13 +1,76 @@
 """Engine behavior: scripted scenarios, departures and determinism."""
 import dataclasses
+import hashlib
+import math
 
+import numpy as np
 import pytest
 
-from uavclust.config import SimConfig
-from uavclust.engine import Simulation, place_uavs, run
+from uavclust import channel, engine, trace
+from uavclust.config import SimConfig, validate
+from uavclust.engine import MIN_V2V_DISTANCE, Simulation, place_uavs, run
 from uavclust.seeding import run_seeds
 
 from conftest import make_vehicle
+
+SCHEMES = ("proposed", "vmasc", "random")
+DENSE = {"num_vehicles": 100, "snr_fading": "instantaneous"}
+
+
+def reference_link_snrs(cfg, fading_seed, t, ch_vehicle, members):
+    """Per-link default_rng loop: the oracle the batched link sampling
+    must match."""
+    snrs = []
+    for v in members:
+        if v.id == ch_vehicle.id:
+            continue
+        d = max(MIN_V2V_DISTANCE, math.hypot(ch_vehicle.pos.x - v.pos.x,
+                                             ch_vehicle.pos.y - v.pos.y))
+        lo, hi = sorted((ch_vehicle.id, v.id))
+        rng = np.random.default_rng((fading_seed, int(round(t * 1000)),
+                                     lo, hi))
+        shadow = channel.sample_shadowing(rng, cfg.shadow_std_db)
+        gain = channel.v2v_large_scale(d, shadow, cfg.v2v_loss_const,
+                                       cfg.v2v_loss_exp)
+        if cfg.snr_fading == "instantaneous":
+            gain = channel.v2v_gain(gain, channel.sample_fast_fading(rng))
+        snrs.append(channel.v2v_snr(cfg.vehicle_tx_power, gain,
+                                    cfg.noise_power))
+    return snrs
+
+
+class CamSnapshots(Simulation):
+    """Keeps what each CAM batch saw: its time, vehicles and clusters."""
+
+    def _cam_batch(self, t, by_id):
+        self.snapshots.append((t, by_id, {u: (s.ch, sorted(s.members))
+                                          for u, s in self.clusters.items()}))
+        super()._cam_batch(t, by_id)
+
+
+def check_snrs_against_reference(cfg):
+    """Asserts every CH cam_batch payload against reference_link_snrs;
+    returns (payloads with an snr, payloads without one)."""
+    sim = CamSnapshots(cfg, seeds=run_seeds(cfg.seed, 0, cfg.scheme))
+    sim.snapshots = []
+    batches = {(e.time, e.ids[0]): e.payload for e in sim.run()
+               if e.kind == "cam_batch" and len(e.ids) == 2}
+    with_snr = without_snr = 0
+    for t, by_id, clusters in sim.snapshots:
+        for uav, (ch, members) in clusters.items():
+            if ch is None:
+                continue
+            payload = batches.pop((t, uav))
+            snrs = reference_link_snrs(cfg, sim.fading_seed, t, by_id[ch],
+                                       [by_id[m] for m in members])
+            if snrs:
+                assert payload["snr"] == sum(snrs) / len(snrs)
+                with_snr += 1
+            else:
+                assert "snr" not in payload
+                without_snr += 1
+    assert not batches
+    return with_snr, without_snr
 
 
 def kinds(events):
@@ -124,3 +187,42 @@ def test_default_run_emits_only_known_kinds():
     assert set(kinds(events)) <= set(EVENT_KINDS)
     rounds = [e for e in events if e.kind == "clustering_round"]
     assert len(rounds) == 10  # 700 s / 70 s
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_cam_batch_snr_matches_per_link_reference(scheme):
+    # the golden dense cell: fast fading is drawn, and some CAM slots
+    # find a CH alone in its cluster
+    cfg = validate(dataclasses.replace(SimConfig(), seed=1, scheme=scheme,
+                                       total_time=140.0, **DENSE))
+    with_snr, without_snr = check_snrs_against_reference(cfg)
+    assert with_snr > 0 and without_snr > 0
+
+
+# trace-body sha256 (length-prefixed, as in test_golden) of the default
+# 700 s scenario at I = 100 with fast fading, seed 1, run 0; pinned
+# before the neighbor table was shared within a slot.
+DENSE_700S = {
+    "proposed": "44f6fe3c00ba4347e92292361860b0b7adff3608e3fe4597ca8c159914b83157",
+    "vmasc": "3958009c942c6b760a03455e8d6b9aa4fb60b2da866fc2d229903b0e5315cf8e",
+    "random": "c97a44fdbff7d6862c47e8217a183cb169d1741aa3a9280b0eac4fb2e9391a09",
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_neighbor_table_per_event_slot(scheme, monkeypatch):
+    calls = []
+    real = engine.neighbor_table
+
+    def counted(fleet, rng_range):
+        calls.append(rng_range)
+        return real(fleet, rng_range)
+
+    monkeypatch.setattr(engine, "neighbor_table", counted)
+    cfg = validate(dataclasses.replace(SimConfig(), seed=1, scheme=scheme,
+                                       **DENSE))
+    events = run(cfg, seeds=run_seeds(1, 0, scheme))
+    assert len(calls) == 70  # 10 rounds + 60 CAM slots (beacons share them)
+    body = "".join(trace.format_event(e) + "\n" for e in events).encode()
+    digest = hashlib.sha256(len(body).to_bytes(8, "big") + body).hexdigest()
+    assert digest == DENSE_700S[scheme]

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from . import channel
-from .model import UavId, UavNode, Vehicle, VehicleId
+from .mobility import Fleet
+from .model import UavId, UavNode, VehicleId
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,7 @@ class AssignmentMatrix:
         return sorted(v for v, (u, _) in self.by_vehicle.items() if u == uav_id)
 
 
-def assign(vehicles: Sequence[Vehicle], uavs: Sequence[UavNode],
+def assign(fleet: Fleet, uavs: Sequence[UavNode],
            g0: float, noise: float) -> AssignmentMatrix:
     """Per-vehicle argmax of the A2G SNR over all UAVs.
 
@@ -27,16 +28,17 @@ def assign(vehicles: Sequence[Vehicle], uavs: Sequence[UavNode],
     """
     if not uavs:
         raise ValueError("assign: need at least one UAV")
-    if not vehicles:
+    if not len(fleet.ids):
         raise ValueError("assign: need at least one vehicle")
     by_vehicle: Dict[VehicleId, Tuple[UavId, float]] = {}
-    for v in vehicles:
+    for vid, x, y in zip(fleet.ids.tolist(), fleet.x.tolist(),
+                         fleet.y.tolist()):
         best_uav = None
         best_snr = -1.0
         for u in sorted(uavs, key=lambda n: n.id):
-            d = channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h, v.pos.x, v.pos.y)
+            d = channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h, x, y)
             snr = channel.a2g_snr(u.tx_power, channel.a2g_gain(d, g0), noise)
             if snr > best_snr:
                 best_uav, best_snr = u.id, snr
-        by_vehicle[v.id] = (best_uav, best_snr)
+        by_vehicle[vid] = (best_uav, best_snr)
     return AssignmentMatrix(by_vehicle=by_vehicle)

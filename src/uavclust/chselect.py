@@ -7,7 +7,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Cam, VehicleId
+from .model import Cam, VehicleId, left_sum
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ def cluster_avg_speed(member_avg_speeds: Sequence[float]) -> float:
     """Arithmetic mean of member average speeds."""
     if not member_avg_speeds:
         raise ValueError("cluster_avg_speed: empty cluster")
-    return sum(member_avg_speeds) / len(member_avg_speeds)
+    return left_sum(member_avg_speeds) / len(member_avg_speeds)
 
 
 def select_ch(cams: Sequence[Cam], v_cl: float, r_u: float, dt: float,
@@ -78,8 +78,8 @@ def select_ch_vmasc(cams: Sequence[Cam]) -> VehicleId:
     best_id = None
     best_rel = None
     for cam in sorted(cams, key=lambda c: c.vehicle_id):
-        rel = sum(abs(cam.avg_speed - other.avg_speed)
-                  for other in cams if other.vehicle_id != cam.vehicle_id)
+        rel = left_sum(abs(cam.avg_speed - other.avg_speed)
+                       for other in cams if other.vehicle_id != cam.vehicle_id)
         rel /= len(cams) - 1
         if best_rel is None or rel < best_rel:
             best_id, best_rel = cam.vehicle_id, rel

@@ -74,9 +74,11 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                     out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
     """Fan out all (scheme, run) tasks; returns the parsed runs per scheme.
 
-    Traces left in out_dir by an earlier experiment are removed first,
-    so a later `metrics` sees only this experiment's runs.
+    out_dir gets the echo of config, which a later `metrics` scores
+    with.  Traces left in out_dir by an earlier experiment are removed
+    first, so that `metrics` sees only this experiment's runs.
     """
+    _echo_config(out_dir, config)
     trace_dir = os.path.join(out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
     for stale in glob.glob(os.path.join(trace_dir, "*.trace")):
@@ -156,7 +158,7 @@ def _write_time_series(out_dir: str, config: SimConfig,
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     lines = ["# time " + " ".join(schemes)]
     for i, t in enumerate(grid):
-        row = [f"{t:g}"]
+        row = [trace.format_number(t)]
         for scheme in schemes:
             value = series[scheme][i] / peak if peak > 0 else 0.0
             row.append(f"{value:.6f}")
@@ -189,7 +191,6 @@ def _echo_config(out_dir: str, config: SimConfig) -> None:
 
 def _cmd_run(args) -> int:
     config = _load_base_config(args)
-    _echo_config(args.out, config)
     runs = _run_experiment(config, [args.scheme], args.runs, args.out, args.workers)
     _write_aggregates(args.out, config, runs)
     return 0
@@ -198,7 +199,6 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     config = _load_base_config(args)
     schemes = args.scheme.split(",") if args.scheme else list(SCHEMES)
-    _echo_config(args.out, config)
     runs = _run_experiment(config, schemes, args.runs, args.out, args.workers)
     _write_aggregates(args.out, config, runs)
     _write_time_series(args.out, config, runs)
@@ -218,7 +218,8 @@ def _cmd_sweep(args) -> int:
     table: Dict[float, Dict[str, float]] = {}
     for value in values:
         point_cfg = validate(dataclasses.replace(config, **{field: value}))
-        point_dir = os.path.join(args.out, f"{args.var}_{value:g}")
+        point_dir = os.path.join(args.out,
+                                 f"{args.var}_{trace.format_number(value)}")
         runs = _run_experiment(point_cfg, schemes, args.runs, point_dir, args.workers)
         per_scheme = _write_aggregates(point_dir, point_cfg, runs)
         table[value] = {s: m.mean_total for s, m in per_scheme.items()}
@@ -226,7 +227,7 @@ def _cmd_sweep(args) -> int:
     os.makedirs(os.path.join(args.out, "plots"), exist_ok=True)
     lines = [f"# {args.var} " + " ".join(sorted(schemes))]
     for value in values:
-        row = [f"{value:g}"]
+        row = [trace.format_number(value)]
         for scheme in sorted(schemes):
             norm = table[value][scheme] / peak if peak > 0 else 0.0
             row.append(f"{norm:.6f}")

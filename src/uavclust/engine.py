@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .assignment import assign
 from .backup import BackupCandidate, BackupEntry, build_backup_list, pop_replacement
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
 from .config import SimConfig, validate
-from .mobility import (Fleet, RoadModel, avg_speed, neighbor_table,
-                       residual_path, residual_path_geometric, step)
-from .model import AirPoint, Cam, RoadPoint, UavNode, Vehicle
+from .mobility import (Fleet, RoadModel, neighbor_table, residual_path,
+                       residual_path_geometric, step)
+from .model import AirPoint, Cam, RoadPoint, UavNode, Vehicle, left_sum
 from .seeding import RunSeeds, pcg64_states, run_seeds
 from .trace import SimEvent
 
@@ -54,8 +54,7 @@ def init_vehicles(config: SimConfig, road: RoadModel,
         vehicles.append(Vehicle(id=i,
                                 pos=RoadPoint(x, road.lane_offsets[lane]),
                                 dir=road.lane_dir(lane),
-                                speed=speed,
-                                speed_history=(speed,)))
+                                speed=speed))
     return vehicles
 
 
@@ -117,19 +116,16 @@ class Simulation:
             self._nbrs = neighbor_table(self.fleet, self.config.neighbor_range)
         return self._nbrs
 
-    def _build_cams(self, member_ids: Sequence[int], cluster_id: int,
-                    by_id: Dict[int, Vehicle],
-                    nbr_table: Dict[int, Set[int]]) -> List[Cam]:
+    def _build_cams(self, member_ids: Iterable[int]) -> List[Cam]:
+        fleet, window = self.fleet, self.config.avg_window
+        nbr_table = self._neighbors()
         cams = []
-        state = self.clusters.get(cluster_id)
-        ch = state.ch if state else None
         for vid in sorted(member_ids):
-            v = by_id[vid]
-            cams.append(Cam(vehicle_id=vid, cluster_id=cluster_id,
-                            is_ch=(vid == ch), pos=v.pos, dir=v.dir,
-                            speed=v.speed,
-                            avg_speed=avg_speed(v.speed_history, self.config.avg_window),
-                            neighbors=frozenset(nbr_table[vid])))
+            i = fleet.row[vid]
+            cams.append(Cam(vehicle_id=vid, pos=fleet.pos(i),
+                            dir=fleet.dir.item(i),
+                            avg_speed=fleet.avg_speed_of(i, window),
+                            neighbors=nbr_table[vid]))
         return cams
 
     def _residual_fn(self, uav: UavNode):
@@ -178,18 +174,16 @@ class Simulation:
             (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
             raw_scores=cfg.backup_raw_scores)
 
-    def _seat_ch(self, state: _ClusterState, vid: int,
-                 by_id: Dict[int, Vehicle]) -> None:
+    def _seat_ch(self, state: _ClusterState, vid: int) -> None:
         state.ch = vid
-        state.ch_generation = by_id[vid].generation
+        state.ch_generation = self.fleet.generation.item(self.fleet.row[vid])
         state.tenure += 1
 
     # -- scheduled phases ------------------------------------------------
 
-    def _clustering_round(self, t: float, by_id: Dict[int, Vehicle]) -> None:
+    def _clustering_round(self, t: float) -> None:
         cfg = self.config
-        matrix = assign(list(by_id.values()), self.uavs, cfg.ref_gain,
-                        cfg.noise_power)
+        matrix = assign(self.fleet, self.uavs, cfg.ref_gain, cfg.noise_power)
         self.events.append(SimEvent(t, "clustering_round",
                                     payload={"round": self.round_index}))
         self.round_index += 1
@@ -201,15 +195,15 @@ class Simulation:
             state.backup = []
             if not members:
                 continue
-            cams = self._build_cams(members, u.id, by_id, self._neighbors())
+            cams = self._build_cams(members)
             chosen, degraded = self._select_for_scheme(cams, state)
-            self._seat_ch(state, chosen, by_id)
+            self._seat_ch(state, chosen)
             self.events.append(SimEvent(t, "ch_selected", ids=(u.id, chosen),
                                         payload={"scheme": cfg.scheme,
                                                  "degraded": degraded}))
             self._rebuild_backup(cams, state)
 
-    def _cam_batch(self, t: float, by_id: Dict[int, Vehicle]) -> None:
+    def _cam_batch(self, t: float) -> None:
         """CAM round: rebuild backups and record each CH-member link.
 
         The links' SNR is sampled after the run (_sample_cam_links); it
@@ -220,21 +214,19 @@ class Simulation:
             state = self.clusters[u.id]
             if not state.members:
                 continue
-            cams = self._build_cams(sorted(state.members), u.id, by_id,
-                                    self._neighbors())
+            cams = self._build_cams(state.members)
             self._rebuild_backup(cams, state)
             if state.ch is None:
                 self.events.append(SimEvent(t, "cam_batch", ids=(u.id,),
                                             payload={"members": len(cams)}))
                 continue
-            ch_vehicle = by_id[state.ch]
+            ch_pos = self.fleet.pos(self.fleet.row[state.ch])
             links = []
             for cam in cams:
                 if cam.vehicle_id == state.ch:
                     continue
                 d = max(MIN_V2V_DISTANCE,
-                        math.hypot(ch_vehicle.pos.x - cam.pos.x,
-                                   ch_vehicle.pos.y - cam.pos.y))
+                        math.hypot(ch_pos.x - cam.pos.x, ch_pos.y - cam.pos.y))
                 lo, hi = sorted((state.ch, cam.vehicle_id))
                 links.append((t_ms, lo, hi, d))
             payload = {"members": len(cams), "tenure": state.tenure}
@@ -269,18 +261,19 @@ class Simulation:
                         gain, channel.sample_fast_fading(link_rng))
                 snrs.append(channel.v2v_snr(cfg.vehicle_tx_power, gain,
                                             cfg.noise_power))
-            payload["snr"] = sum(snrs) / len(snrs)
+            payload["snr"] = left_sum(snrs) / len(snrs)
 
-    def _beacon_check(self, t: float, by_id: Dict[int, Vehicle]) -> None:
+    def _beacon_check(self, t: float) -> None:
+        fleet = self.fleet
         for u in sorted(self.uavs, key=lambda n: n.id):
             state = self.clusters[u.id]
             if state.ch is None:
                 continue
-            ch_vehicle = by_id[state.ch]
+            i = fleet.row[state.ch]
             reason = None
-            if ch_vehicle.generation != state.ch_generation:
+            if fleet.generation.item(i) != state.ch_generation:
                 reason = "respawn"
-            elif u.pos.planar_distance(ch_vehicle.pos) > u.coverage_radius:
+            elif u.pos.planar_distance(fleet.pos(i)) > u.coverage_radius:
                 reason = "coverage"
             if reason is None:
                 self.events.append(SimEvent(t, "beacon_ok",
@@ -291,10 +284,9 @@ class Simulation:
             self.events.append(SimEvent(t, "ch_departed",
                                         ids=(u.id, state.ch),
                                         payload={"reason": reason}))
-            self._handle_departure(t, state, by_id)
+            self._handle_departure(t, state)
 
-    def _handle_departure(self, t: float, state: _ClusterState,
-                          by_id: Dict[int, Vehicle]) -> None:
+    def _handle_departure(self, t: float, state: _ClusterState) -> None:
         """Replace a departed CH from the backup list, or rerun the
         scheme's selector.
 
@@ -303,11 +295,11 @@ class Simulation:
         benchmark selectors have no such step and may seat a stale
         member, which then departs at the next beacon.
         """
-        u = state.uav
+        u, fleet = state.uav, self.fleet
         state.members.discard(state.ch)
         if self._uses_backup():
             state.members = {m for m in state.members
-                             if u.pos.planar_distance(by_id[m].pos)
+                             if u.pos.planar_distance(fleet.pos(fleet.row[m]))
                              <= u.coverage_radius}
         state.ch = None
         if not state.members:
@@ -317,15 +309,14 @@ class Simulation:
             chosen, remaining = pop_replacement(state.backup, state.members)
             state.backup = remaining
             if chosen is not None:
-                self._seat_ch(state, chosen, by_id)
+                self._seat_ch(state, chosen)
                 self.events.append(SimEvent(t, "ch_replaced_from_backup",
                                             ids=(u.id, chosen),
                                             payload={"tenure": state.tenure}))
                 return
-        cams = self._build_cams(sorted(state.members), u.id, by_id,
-                                self._neighbors())
+        cams = self._build_cams(state.members)
         chosen, degraded = self._select_for_scheme(cams, state)
-        self._seat_ch(state, chosen, by_id)
+        self._seat_ch(state, chosen)
         state.backup = []
         self.events.append(SimEvent(t, "ch_reselected_full",
                                     ids=(u.id, chosen),
@@ -353,16 +344,12 @@ class Simulation:
             is_round = k % k_cluster == 0
             is_cam = not is_round and k % k_cam == 0
             is_beacon = k > 0 and not is_round and k % k_beacon == 0
-            if is_round or is_cam or is_beacon:
-                # Vehicle records exist only on event slots, built once
-                # from the fleet arrays and shared by the slot's phases.
-                by_id = {v.id: v for v in self.fleet.records(cfg.avg_window)}
             if is_round:
-                self._clustering_round(t, by_id)
+                self._clustering_round(t)
             elif is_cam:
-                self._cam_batch(t, by_id)
+                self._cam_batch(t)
             if is_beacon:
-                self._beacon_check(t, by_id)
+                self._beacon_check(t)
             self._check_partition()
             respawned = step(self.fleet, self.road, dt, self.mobility_rng,
                              (cfg.v_min, cfg.v_max_vehicle))

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from .model import left_sum
 from .trace import RESELECTION_KINDS, SimEvent
 
 
@@ -99,8 +100,8 @@ def run_metrics(events: Sequence[SimEvent]) -> RunMetrics:
         if ev.kind == "cam_batch" and "snr" in ev.payload:
             key = (ev.ids[0], ev.payload["tenure"])
             tenure_samples.setdefault(key, []).append(ev.payload["snr"])
-    tenure_means = [sum(v) / len(v) for v in tenure_samples.values()]
-    mean_snr = sum(tenure_means) / len(tenure_means) if tenure_means else math.nan
+    tenure_means = [left_sum(v) / len(v) for v in tenure_samples.values()]
+    mean_snr = left_sum(tenure_means) / len(tenure_means) if tenure_means else math.nan
     return RunMetrics(per_cluster=per_cluster, total_reselections=total,
                       cumulative=tuple(cumulative), mean_snr=mean_snr,
                       degraded_selections=degraded)
@@ -132,12 +133,14 @@ def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:
         runs=n,
         mean_total=sum(r.total_reselections for r in runs) / n,
         mean_per_cluster=mean_per_cluster,
-        mean_snr=sum(snrs) / len(snrs) if snrs else math.nan,
+        mean_snr=left_sum(snrs) / len(snrs) if snrs else math.nan,
         mean_degraded=sum(r.degraded_selections for r in runs) / n,
     )
 
 
-TraceRun = Tuple[Dict[str, str], RunMetrics]  # one trace's header and metrics
+# one trace's header and metrics; builtin tuple[...], because typing's
+# alias cache would keep every imported copy of this module alive
+TraceRun = tuple[Dict[str, str], RunMetrics]
 
 
 def aggregate_traces(traces: Sequence[TraceRun]) -> AggregateMetrics:

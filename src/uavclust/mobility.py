@@ -2,8 +2,8 @@
 
 Constant speed per road traversal; a vehicle leaving the road respawns
 at the entry end of its lane with a freshly sampled speed and a cleared
-speed history, keeping the population size constant.  The state of the
-whole population is one Fleet of numpy arrays.
+speed history, keeping the population size constant.  One Fleet of
+numpy arrays holds the whole population: a run's only vehicle state.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import AirPoint, RoadPoint, Vehicle, VehicleId
+from .model import AirPoint, RoadPoint, Vehicle, VehicleId, left_sum
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,12 @@ class RoadModel:
 class Fleet:
     """Struct-of-arrays kinematic state of every vehicle, in list order.
 
-    ids, x, y, dir (+1 or -1 along the road axis), speed (m/s) and
-    generation are numpy arrays.  The speed history a CAM reports is
-    spawn_history[i] followed by age[i] (steps since spawn) copies of
-    the current speed, which is constant between respawns, so stepping
-    never rebuilds a tuple; records() builds the history, trimmed to
-    the averaging window, only when a Vehicle is needed.
+    ids, x, y, dir (+1 or -1 along the road axis), speed (m/s),
+    generation and age (steps since spawn) are numpy arrays; row maps
+    each id to its index, which never changes.  A speed history starts
+    as (speed,) at spawn and gains one sample of the same constant
+    speed per step, so it is min(age + 1, window) copies of the speed
+    and is never stored.
     """
 
     def __init__(self, vehicles: Sequence[Vehicle]):
@@ -50,19 +50,16 @@ class Fleet:
         self.speed = np.array([v.speed for v in vehicles], dtype=float)
         self.generation = np.array([v.generation for v in vehicles],
                                    dtype=np.int64)
-        self.spawn_history = [tuple(v.speed_history) for v in vehicles]
         self.age = np.zeros(len(vehicles), dtype=np.int64)
+        self.row = {vid: i for i, vid in enumerate(self.ids.tolist())}
 
-    def records(self, window: int) -> List[Vehicle]:
-        """Vehicle records of the current state, histories cut to window."""
-        return [Vehicle(id=vid, pos=RoadPoint(x, y), dir=d, speed=s,
-                        speed_history=(h + (s,) * min(a, window))[-window:],
-                        generation=g)
-                for vid, x, y, d, s, g, h, a in zip(
-                    self.ids.tolist(), self.x.tolist(), self.y.tolist(),
-                    self.dir.tolist(), self.speed.tolist(),
-                    self.generation.tolist(), self.spawn_history,
-                    self.age.tolist())]
+    def pos(self, i: int) -> RoadPoint:
+        return RoadPoint(self.x.item(i), self.y.item(i))
+
+    def avg_speed_of(self, i: int, window: int) -> float:
+        """avg_speed of row i's speed history."""
+        speed = self.speed.item(i)
+        return avg_speed((speed,) * min(self.age.item(i) + 1, window), window)
 
 
 def step(fleet: Fleet, road: RoadModel, dt: float, rng: np.random.Generator,
@@ -86,7 +83,6 @@ def step(fleet: Fleet, road: RoadModel, dt: float, rng: np.random.Generator,
         speed = float(rng.uniform(*speed_range))
         fleet.x[i] = road.entry_x(fleet.dir[i])
         fleet.speed[i] = speed
-        fleet.spawn_history[i] = (speed,)
         fleet.age[i] = 0
         fleet.generation[i] += 1
         respawned.append(int(fleet.ids[i]))
@@ -100,7 +96,7 @@ def avg_speed(history: Sequence[float], window: int) -> float:
     if window < 1:
         raise ValueError(f"avg_speed: window must be >= 1, got {window}")
     recent = history[-window:]
-    return sum(recent) / len(recent)
+    return left_sum(recent) / len(recent)
 
 
 def residual_path(r_u: float, v_avg: float, dt: float) -> float:

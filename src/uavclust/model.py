@@ -1,19 +1,29 @@
-"""Core value types shared by every simulator module.
+"""Core value types and the float sum shared by every simulator module.
 
 All records are plain frozen dataclasses so they can be shared freely
 across concurrent Monte Carlo runs.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Iterable
 
 VehicleId = int
 UavId = int
-ClusterId = int
 
 KMH_TO_MS = 1.0 / 3.6
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum, the same bits on every Python.
+
+    From Python 3.12 the builtin sum() of floats compensates rounding,
+    so every mean the simulator reports or compares uses this fold.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -38,32 +48,26 @@ class AirPoint:
 
 @dataclass(frozen=True)
 class Vehicle:
-    """Kinematic state of one vehicle.
+    """Initial state of one vehicle: the input record of a Fleet.
 
-    speed_history holds the most recent speed samples (newest last),
-    bounded by the configured averaging window.  generation increments
-    on every respawn so a recycled id can be told apart from the
-    vehicle that left the road.
+    generation increments on every respawn so a recycled id can be told
+    apart from the vehicle that left the road.
     """
 
     id: VehicleId
     pos: RoadPoint
     dir: int  # +1 or -1 along the road axis
     speed: float  # m/s
-    speed_history: Tuple[float, ...]
     generation: int = 0
 
 
 @dataclass(frozen=True)
 class Cam:
-    """Cooperative awareness message: the 8-field per-vehicle snapshot."""
+    """Cooperative awareness message: the fields CH selection reads."""
 
     vehicle_id: VehicleId
-    cluster_id: ClusterId
-    is_ch: bool
     pos: RoadPoint
     dir: int
-    speed: float
     avg_speed: float
     neighbors: FrozenSet[VehicleId]
 

@@ -1,9 +1,12 @@
 """Deterministic derivation of independent RNG stream seeds.
 
-Each run owns three streams: mobility, fading and scheme-random.
-Mobility and fading seeds depend only on (base seed, run index) so the
-same trajectories are replayed for every scheme at a given run index;
-the scheme stream additionally hashes the scheme name.
+Each run owns three seeds: mobility, fading and scheme-random.  The
+mobility and scheme seeds start one stream each; the fading seed heads
+the key (fading seed, t_ms, lo, hi) of each V2V link sample's own
+stream (see pcg64_states).  Mobility and fading seeds depend only on
+(base seed, run index) so the same trajectories and link draws are
+replayed for every scheme at a given run index; the scheme seed
+additionally hashes the scheme name.
 """
 from __future__ import annotations
 

@@ -33,13 +33,16 @@ class SimEvent:
     payload: Dict = field(default_factory=dict)
 
 
+def format_number(value: float) -> str:
+    """%g (six significant digits) where it reads back exactly, else repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def format_event(event: SimEvent) -> str:
     ids = ",".join(str(i) for i in event.ids)
     payload = json.dumps(event.payload, sort_keys=True, separators=(",", ":"))
-    time = f"{event.time:g}"
-    if float(time) != event.time:  # %g keeps only six significant digits
-        time = repr(event.time)
-    return f"{time}\t{event.kind}\t{ids}\t{payload}"
+    return f"{format_number(event.time)}\t{event.kind}\t{ids}\t{payload}"
 
 
 def parse_event(line: str) -> SimEvent:

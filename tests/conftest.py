@@ -14,18 +14,13 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def make_vehicle(vid, x, *, y=-2.0, direction=1, speed=10.0,
-                 history=None, generation=0):
+def make_vehicle(vid, x, *, y=-2.0, direction=1, speed=10.0, generation=0):
     return Vehicle(id=vid, pos=RoadPoint(x, y), dir=direction, speed=speed,
-                   speed_history=tuple(history) if history else (speed,),
                    generation=generation)
 
 
-def make_cam(vid, avg_speed, *, cluster_id=0, is_ch=False, x=0.0, y=-2.0,
-             direction=1, speed=None, neighbors=()):
-    return Cam(vehicle_id=vid, cluster_id=cluster_id, is_ch=is_ch,
-               pos=RoadPoint(x, y), dir=direction,
-               speed=avg_speed if speed is None else speed,
+def make_cam(vid, avg_speed, *, x=0.0, y=-2.0, direction=1, neighbors=()):
+    return Cam(vehicle_id=vid, pos=RoadPoint(x, y), dir=direction,
                avg_speed=avg_speed, neighbors=frozenset(neighbors))
 
 

@@ -108,7 +108,7 @@ def test_criterion_2_brute_force_equivalence():
         vehicles = [make_vehicle(i, float(rng.uniform(0, 1000)),
                                  y=float(rng.choice([-2.0, 2.0])))
                     for i in range(int(rng.integers(1, 51)))]
-        matrix = assign(vehicles, uavs, 1e-5, noise)
+        matrix = assign(engine.Fleet(vehicles), uavs, 1e-5, noise)
         for v in vehicles:
             snrs = {u.id: u.tx_power * 1e-5 / (
                 channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h,

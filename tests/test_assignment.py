@@ -4,6 +4,7 @@ import pytest
 
 from uavclust import channel
 from uavclust.assignment import assign
+from uavclust.mobility import Fleet
 from uavclust.model import AirPoint, UavNode
 
 from conftest import make_vehicle
@@ -20,14 +21,14 @@ def make_uav(uid, x, *, h=100.0, power=1.0):
 def test_single_uav_takes_everyone():
     uavs = [make_uav(0, 500.0)]
     vehicles = [make_vehicle(i, 100.0 * i) for i in range(5)]
-    matrix = assign(vehicles, uavs, G0, NOISE)
+    matrix = assign(Fleet(vehicles), uavs, G0, NOISE)
     assert matrix.members_of(0) == [0, 1, 2, 3, 4]
 
 
 def test_closest_uav_wins():
     uavs = [make_uav(0, 100.0), make_uav(1, 900.0)]
     vehicles = [make_vehicle(0, 50.0), make_vehicle(1, 950.0)]
-    matrix = assign(vehicles, uavs, G0, NOISE)
+    matrix = assign(Fleet(vehicles), uavs, G0, NOISE)
     assert matrix.by_vehicle[0][0] == 0
     assert matrix.by_vehicle[1][0] == 1
 
@@ -36,14 +37,14 @@ def test_tie_breaks_to_lowest_uav_id():
     # vehicle exactly midway between identical UAVs
     uavs = [make_uav(1, 400.0), make_uav(0, 600.0)]
     vehicles = [make_vehicle(0, 500.0, y=0.0)]
-    matrix = assign(vehicles, uavs, G0, NOISE)
+    matrix = assign(Fleet(vehicles), uavs, G0, NOISE)
     assert matrix.by_vehicle[0][0] == 0
 
 
 def test_reported_snr_matches_channel_math():
     uavs = [make_uav(0, 500.0)]
     vehicles = [make_vehicle(0, 200.0, y=0.0)]
-    matrix = assign(vehicles, uavs, G0, NOISE)
+    matrix = assign(Fleet(vehicles), uavs, G0, NOISE)
     d = channel.a2g_distance(500.0, 0.0, 100.0, 200.0, 0.0)
     expected = channel.a2g_snr(1.0, channel.a2g_gain(d, G0), NOISE)
     assert matrix.by_vehicle[0][1] == pytest.approx(expected, rel=1e-12)
@@ -51,9 +52,9 @@ def test_reported_snr_matches_channel_math():
 
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
-        assign([], [make_uav(0, 500.0)], G0, NOISE)
+        assign(Fleet([]), [make_uav(0, 500.0)], G0, NOISE)
     with pytest.raises(ValueError):
-        assign([make_vehicle(0, 10.0)], [], G0, NOISE)
+        assign(Fleet([make_vehicle(0, 10.0)]), [], G0, NOISE)
 
 
 def test_matches_brute_force_on_random_instances():
@@ -67,7 +68,7 @@ def test_matches_brute_force_on_random_instances():
         vehicles = [make_vehicle(i, float(rng.uniform(0, 1000)),
                                  y=float(rng.choice([-2.0, 2.0])))
                     for i in range(num_v)]
-        matrix = assign(vehicles, uavs, G0, NOISE)
+        matrix = assign(Fleet(vehicles), uavs, G0, NOISE)
         for v in vehicles:
             snrs = {}
             for u in uavs:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from uavclust import trace
+from uavclust import cli, metrics, trace
 from uavclust.cli import main, seed_plan
 
 SCHEMES = ("proposed", "vmasc", "random")
@@ -157,6 +157,48 @@ def test_sweep_writes_shape_file(tmp_path):
     assert len(lines) == 3
     assert lines[1].split()[0] == "5"
     assert lines[2].split()[0] == "10"
+
+
+def test_sweep_points_echo_their_own_config(tmp_path):
+    cfg = tmp_path / "weights.cfg"
+    cfg.write_text("weight_reselect = 0.9\nweight_snr = 0.1\n")
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", str(cfg), "--var", "vehicles",
+                 "--values", "5", "--runs", "2", "--duration", "140",
+                 "--out", out]) == 0
+    point = os.path.join(out, "vehicles_5")
+    echo = read_bytes(os.path.join(point, "config.echo")).decode()
+    assert "num_vehicles = 5" in echo and "weight_reselect = 0.9" in echo
+    written = {s: aggregate_field(point, s, "robustness_likelihood")
+               for s in SCHEMES}
+    assert main(["metrics", "--out", point]) == 0
+    for scheme in SCHEMES:
+        assert aggregate_field(point, scheme, "robustness_likelihood") == \
+            written[scheme]
+
+
+def test_sweep_point_names_keep_every_digit(tmp_path, monkeypatch):
+    # 1e6 and 1000001 both read "1e+06" under %g
+    point_dirs = []
+
+    def no_simulation(config, schemes, runs, out_dir, workers):
+        os.makedirs(out_dir, exist_ok=True)
+        point_dirs.append(os.path.basename(out_dir))
+        rm = metrics.RunMetrics(per_cluster={}, total_reselections=1,
+                                cumulative=(), mean_snr=1.0,
+                                degraded_selections=0)
+        return {s: [({"config": config.digest(), "seed": "1"}, rm)]
+                for s in schemes}
+
+    monkeypatch.setattr(cli, "_run_experiment", no_simulation)
+    out = str(tmp_path / "long")
+    assert main(["sweep", "--var", "duration", "--values", "1000000,1000001",
+                 "--scheme", "proposed", "--out", out]) == 0
+    assert len(set(point_dirs)) == 2
+    assert [float(d.split("_")[1]) for d in point_dirs] == [1e6, 1000001.0]
+    rows = read_bytes(os.path.join(out, "plots", "sweep_duration.dat")
+                      ).decode().splitlines()[1:]
+    assert [float(r.split()[0]) for r in rows] == [1e6, 1000001.0]
 
 
 def test_sweep_rejects_unsorted_values(tmp_path, capsys):

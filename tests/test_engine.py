@@ -40,12 +40,16 @@ def reference_link_snrs(cfg, fading_seed, t, ch_vehicle, members):
 
 
 class CamSnapshots(Simulation):
-    """Keeps what each CAM batch saw: its time, vehicles and clusters."""
+    """Keeps what each CAM batch saw: its time, vehicle positions and
+    clusters."""
 
-    def _cam_batch(self, t, by_id):
+    def _cam_batch(self, t):
+        f = self.fleet
+        by_id = {vid: make_vehicle(vid, x, y=y) for vid, x, y in zip(
+            f.ids.tolist(), f.x.tolist(), f.y.tolist())}
         self.snapshots.append((t, by_id, {u: (s.ch, sorted(s.members))
                                           for u, s in self.clusters.items()}))
-        super()._cam_batch(t, by_id)
+        super()._cam_batch(t)
 
 
 def check_snrs_against_reference(cfg):
@@ -87,7 +91,7 @@ def test_place_uavs_equally_spaced():
 def test_static_vehicles_one_round_no_departures():
     cfg = dataclasses.replace(SimConfig(), total_time=70.0)
     # three tight platoons parked under the three UAVs
-    vehicles = [make_vehicle(i, base + 10.0 * j, speed=0.0, history=[0.0])
+    vehicles = [make_vehicle(i, base + 10.0 * j, speed=0.0)
                 for i, (base, j) in enumerate(
                     (b, j) for b in (150.0, 480.0, 810.0) for j in range(4))]
     events = run(cfg, seeds=run_seeds(1, 0, "proposed"),

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavclust.chselect import cluster_avg_speed
 from uavclust.mobility import (Fleet, RoadModel, avg_speed, neighbor_table,
                                residual_path, residual_path_geometric, step)
-from uavclust.model import AirPoint, RoadPoint
+from uavclust.model import AirPoint, RoadPoint, left_sum
 
 from conftest import make_vehicle
 
@@ -17,22 +18,22 @@ ROAD = RoadModel(length=1000.0, lane_offsets=(-2.0, 2.0))
 SPEEDS = (10.0, 15.0)
 
 
-def reference_step(vehicles, road, dt, rng, speed_range, window):
-    """Per-Vehicle step loop: the oracle the array step must match."""
-    out, respawned = [], []
-    for v in vehicles:
+def reference_step(vehicles, histories, road, dt, rng, speed_range, window):
+    """Per-Vehicle step loop with tuple speed histories: the oracle the
+    array step must match."""
+    out, out_histories, respawned = [], [], []
+    for v, history in zip(vehicles, histories):
         new_x = v.pos.x + v.dir * v.speed * dt
         if 0.0 <= new_x <= road.length:
-            history = (v.speed_history + (v.speed,))[-window:]
-            out.append(replace(v, pos=RoadPoint(new_x, v.pos.y),
-                               speed_history=history))
+            out.append(replace(v, pos=RoadPoint(new_x, v.pos.y)))
+            out_histories.append((history + (v.speed,))[-window:])
         else:
             speed = float(rng.uniform(*speed_range))
             out.append(replace(v, pos=RoadPoint(road.entry_x(v.dir), v.pos.y),
-                               speed=speed, speed_history=(speed,),
-                               generation=v.generation + 1))
+                               speed=speed, generation=v.generation + 1))
+            out_histories.append((speed,))
             respawned.append(v.id)
-    return out, respawned
+    return out, out_histories, respawned
 
 
 def reference_neighbors(vehicles, rng_range):
@@ -42,40 +43,45 @@ def reference_neighbors(vehicles, rng_range):
             for v in vehicles}
 
 
-def step_one(vehicle, dt=1.0, window=10):
+def step_one(vehicle, dt=1.0):
     fleet = Fleet([vehicle])
     respawned = step(fleet, ROAD, dt, np.random.default_rng(0), SPEEDS)
-    return fleet.records(window)[0], respawned
+    return fleet, respawned
 
 
 def test_step_advances_by_speed():
-    nv, respawned = step_one(make_vehicle(0, 100.0, speed=20.0))
-    assert nv.pos.x == pytest.approx(120.0)
-    assert nv.speed_history == (20.0, 20.0)
+    fleet, respawned = step_one(make_vehicle(0, 100.0, speed=20.0))
+    assert fleet.pos(0).x == pytest.approx(120.0)
+    assert fleet.age.tolist() == [1]  # history (20.0, 20.0)
+    assert fleet.avg_speed_of(0, 10) == avg_speed((20.0, 20.0), 10)
     assert respawned == []
 
 
 def test_step_respawns_exiting_vehicle():
-    v = make_vehicle(3, 995.0, speed=10.0, history=[9.0, 10.0], generation=2)
-    nv, respawned = step_one(v)
+    v = make_vehicle(3, 995.0, speed=10.0, generation=2)
+    fleet, respawned = step_one(v)
     assert respawned == [3]
-    assert nv.pos.x == 0.0  # entry end of the +x lane
-    assert nv.pos.y == v.pos.y
-    assert 10.0 <= nv.speed <= 15.0
-    assert nv.speed_history == (nv.speed,)  # history cleared
-    assert nv.generation == 3
+    assert fleet.pos(0) == RoadPoint(0.0, v.pos.y)  # entry end of +x lane
+    speed = fleet.speed.item(0)
+    assert 10.0 <= speed <= 15.0
+    assert fleet.age.tolist() == [0]  # history cleared to (speed,)
+    assert fleet.avg_speed_of(0, 10) == speed
+    assert fleet.generation.tolist() == [3]
 
 
 def test_step_respawn_minus_direction_enters_at_far_end():
-    nv, respawned = step_one(make_vehicle(1, 5.0, y=2.0, direction=-1,
-                                          speed=10.0))
+    fleet, respawned = step_one(make_vehicle(1, 5.0, y=2.0, direction=-1,
+                                             speed=10.0))
     assert respawned == [1]
-    assert nv.pos.x == 1000.0
+    assert fleet.pos(0).x == 1000.0
 
 
 def test_step_zero_dt_is_identity():
     v = make_vehicle(0, 100.0, speed=20.0)
-    assert step_one(v, dt=0.0) == (v, [])
+    fleet, respawned = step_one(v, dt=0.0)
+    assert respawned == []
+    assert (fleet.pos(0), fleet.speed.tolist(), fleet.age.tolist(),
+            fleet.generation.tolist()) == (v.pos, [20.0], [0], [0])
 
 
 def test_step_rejects_negative_dt():
@@ -91,6 +97,15 @@ def test_avg_speed_constant_history():
 def test_avg_speed_window_shorter_than_history():
     assert avg_speed([10.0, 12.0, 14.0], 3) == pytest.approx(12.0)
     assert avg_speed([10.0, 12.0, 14.0, 16.0], 3) == pytest.approx(14.0)
+
+
+def test_means_fold_left_to_right():
+    # from Python 3.12 the builtin sum() compensates rounding and gives
+    # 1.0 for both sums; the plain fold gives what Python 3.11 gives
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert avg_speed([0.1] * 10, 10) == 0.9999999999999999 / 10
+    assert cluster_avg_speed([0.1] * 10) == 0.9999999999999999 / 10
 
 
 def test_avg_speed_domain_errors():
@@ -142,13 +157,12 @@ def test_neighbors_singleton_empty():
         neighbor_table(fleet, 0.0)
 
 
-# (x, speed, direction, history); histories may be longer than the
-# averaging window or not constant.
+# (x, speed, direction); every history starts as (speed,) and outgrows
+# the averaging window when the run is long enough.
 VEHICLE = st.tuples(
     st.floats(min_value=0.0, max_value=1000.0),
     st.floats(min_value=0.0, max_value=40.0),
-    st.sampled_from([1, -1]),
-    st.lists(st.floats(min_value=0.0, max_value=40.0), max_size=15))
+    st.sampled_from([1, -1]))
 
 
 @given(st.lists(VEHICLE, max_size=25), st.integers(min_value=0, max_value=2 ** 31),
@@ -158,22 +172,22 @@ VEHICLE = st.tuples(
 @settings(deadline=None, max_examples=60)
 def test_step_matches_reference_loop(layout, seed, window, slots, dt):
     vehicles = [make_vehicle(i, x, y=-2.0 if d > 0 else 2.0, direction=d,
-                             speed=s, history=h, generation=i % 3)
-                for i, (x, s, d, h) in enumerate(layout)]
+                             speed=s, generation=i % 3)
+                for i, (x, s, d) in enumerate(layout)]
+    histories = [(v.speed,) for v in vehicles]
     fleet = Fleet(vehicles)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(slots):
         respawned = step(fleet, ROAD, dt, rng, SPEEDS)
-        vehicles, ref_respawned = reference_step(vehicles, ROAD, dt, ref_rng,
-                                                 SPEEDS, window)
+        vehicles, histories, ref_respawned = reference_step(
+            vehicles, histories, ROAD, dt, ref_rng, SPEEDS, window)
         assert respawned == ref_respawned
-    records = fleet.records(window)
-    assert [(r.id, r.pos, r.dir, r.speed, r.generation) for r in records] == \
+    rows = range(len(vehicles))
+    assert [(fleet.ids.item(i), fleet.pos(i), fleet.dir.item(i),
+             fleet.speed.item(i), fleet.generation.item(i)) for i in rows] == \
         [(v.id, v.pos, v.dir, v.speed, v.generation) for v in vehicles]
-    for r, v in zip(records, vehicles):
-        assert r.speed_history == v.speed_history[-window:]
-        assert avg_speed(r.speed_history, window) == \
-            avg_speed(v.speed_history, window)
+    for i, history in zip(rows, histories):
+        assert fleet.avg_speed_of(i, window) == avg_speed(history, window)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -213,7 +227,5 @@ def test_step_keeps_population_on_road(layout, seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         step(fleet, ROAD, 1.0, rng, SPEEDS)
-    records = fleet.records(10)
-    assert len(records) == len(layout)
-    assert all(0.0 <= v.pos.x <= ROAD.length for v in records)
-    assert all(len(v.speed_history) <= 10 for v in records)
+    assert fleet.ids.tolist() == list(range(len(layout)))
+    assert all(0.0 <= x <= ROAD.length for x in fleet.x.tolist())

@@ -8,8 +8,9 @@ comparison.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .model import VehicleId
 
@@ -44,9 +45,10 @@ def _rank_scores(values: Sequence[float], reverse: bool) -> List[float]:
     if n == 1:
         return [1.0]
     # competition ranking: rank of a value = number of strictly better values
-    better = {value: sum(1 for v in values if (v > value if reverse else v < value))
-              for value in set(values)}
-    return [1.0 - better[v] / (n - 1) for v in values]
+    ordered = sorted(values)
+    better = ([n - bisect_right(ordered, v) for v in values] if reverse
+              else [bisect_left(ordered, v) for v in values])
+    return [1.0 - b / (n - 1) for b in better]
 
 
 def build_backup_list(candidates: Sequence[BackupCandidate],

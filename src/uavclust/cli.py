@@ -35,7 +35,8 @@ def seed_plan(seed_base: int, run_count: int,
     """Per-run, per-scheme stream seeds.
 
     Mobility and fading seeds are shared across schemes at each run
-    index (paired design); only the scheme-random stream differs.
+    index (paired design); only the scheme-random stream differs.  Each
+    run index is one task: its schemes run in lockstep over one fleet.
     """
     if run_count < 1:
         raise ValueError("seed_plan: run count must be >= 1")
@@ -47,21 +48,21 @@ def _trace_path(out_dir: str, scheme: str, run_index: int) -> str:
     return os.path.join(out_dir, "traces", f"{scheme}_run{run_index:04d}.trace")
 
 
-def _execute_run(task: Tuple[SimConfig, RunSeeds, str, str, int]) -> str:
-    """Worker entry point: simulate one run and persist its trace."""
-    config, seeds, path, scheme, run_index = task
-    cfg = dataclasses.replace(config, scheme=scheme)
-    events = engine.run(cfg, seeds=seeds)
-    trace.write_trace(path, {
-        "config": cfg.digest(),
-        "scheme": scheme,
-        "run": str(run_index),
-        "seed": str(config.seed),
-        "mobility_seed": str(seeds.mobility),
-        "fading_seed": str(seeds.fading),
-        "scheme_seed": str(seeds.scheme),
-    }, events)
-    return path
+def _execute_run_index(task: Tuple[SimConfig, Dict[str, RunSeeds], str, int]) -> None:
+    """Worker entry point: simulate every scheme of one run index and
+    persist their traces."""
+    config, plan, out_dir, run_index = task
+    for scheme, events in engine.run_paired(config, plan).items():
+        seeds = plan[scheme]
+        trace.write_trace(_trace_path(out_dir, scheme, run_index), {
+            "config": dataclasses.replace(config, scheme=scheme).digest(),
+            "scheme": scheme,
+            "run": str(run_index),
+            "seed": str(config.seed),
+            "mobility_seed": str(seeds.mobility),
+            "fading_seed": str(seeds.fading),
+            "scheme_seed": str(seeds.scheme),
+        }, events)
 
 
 def _read_runs(paths: Sequence[str]) -> List[metrics.TraceRun]:
@@ -72,7 +73,8 @@ def _read_runs(paths: Sequence[str]) -> List[metrics.TraceRun]:
 
 def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                     out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
-    """Fan out all (scheme, run) tasks; returns the parsed runs per scheme.
+    """Fan out one task per run index, on min(workers, runs) processes
+    (in this one if that is 1); returns the parsed runs per scheme.
 
     out_dir gets the echo of config, which a later `metrics` scores
     with.  Traces left in out_dir by an earlier experiment are removed
@@ -83,16 +85,15 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     os.makedirs(trace_dir, exist_ok=True)
     for stale in glob.glob(os.path.join(trace_dir, "*.trace")):
         os.remove(stale)
-    plan = seed_plan(config.seed, runs, schemes)
-    tasks = [(config, plan[k][scheme], _trace_path(out_dir, scheme, k),
-              scheme, k)
-             for scheme in schemes for k in range(runs)]
+    tasks = [(config, plan, out_dir, k)
+             for k, plan in enumerate(seed_plan(config.seed, runs, schemes))]
+    workers = min(workers, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_execute_run, tasks))
+            list(pool.map(_execute_run_index, tasks))
     else:
         for task in tasks:
-            _execute_run(task)
+            _execute_run_index(task)
     return {scheme: _read_runs([_trace_path(out_dir, scheme, k)
                                 for k in range(runs)])
             for scheme in schemes}

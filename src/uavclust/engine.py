@@ -8,17 +8,20 @@ detection and replacement).  The recorded CH-member links are sampled
 after the last slot.  Everything is driven by private RNG streams
 (mobility, scheme, and one fading stream per link sample) so a
 (config, seed) pair reproduces a byte-identical event trace.
+
+run_paired runs the schemes of one run index in lockstep over the one
+Traffic they share; run() is the one-scheme case of the same loop.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from . import channel
-from .assignment import assign
+from .assignment import AssignmentMatrix, assign
 from .backup import BackupCandidate, BackupEntry, build_backup_list, pop_replacement
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
 from .config import SimConfig, validate
@@ -68,28 +71,60 @@ class _ClusterState:
     backup: List[BackupEntry] = field(default_factory=list)
 
 
-class Simulation:
-    """One deterministic run; use run() for the one-shot entry point."""
+class Traffic:
+    """What the schemes of one run index share: road, UAVs and fleet, and
+    the slot's neighbor table and UAV assignment, built on first use and
+    dropped by step."""
 
-    def __init__(self, config: SimConfig, seeds: Optional[RunSeeds] = None,
+    def __init__(self, config: SimConfig, mobility_seed: int,
                  initial_vehicles: Optional[Sequence[Vehicle]] = None):
-        self.config = validate(config)
-        self.seeds = seeds or run_seeds(config.seed, 0, config.scheme)
-        self.mobility_rng, self.scheme_rng = self.seeds.rngs()
-        self.fading_seed = self.seeds.fading
-        self._link_gen = np.random.Generator(np.random.PCG64(0))
+        self.config = config
+        self.rng = np.random.default_rng(mobility_seed)
         self.road = RoadModel(config.road_length, tuple(config.lane_offsets))
         self.uavs = place_uavs(config)
         if initial_vehicles is None:
-            initial_vehicles = init_vehicles(config, self.road,
-                                             self.mobility_rng)
+            initial_vehicles = init_vehicles(config, self.road, self.rng)
         self.fleet = Fleet(initial_vehicles)
+        self._nbrs: Optional[Dict[int, FrozenSet[int]]] = None
+        self._assignment: Optional[AssignmentMatrix] = None
+
+    def neighbors(self) -> Dict[int, FrozenSet[int]]:
+        if self._nbrs is None:
+            self._nbrs = neighbor_table(self.fleet, self.config.neighbor_range)
+        return self._nbrs
+
+    def assignment(self) -> AssignmentMatrix:
+        if self._assignment is None:
+            self._assignment = assign(self.fleet, self.uavs, self.config.ref_gain,
+                                      self.config.noise_power)
+        return self._assignment
+
+    def step(self) -> List[int]:
+        """Advance the fleet one slot; returns the respawned ids."""
+        cfg = self.config
+        respawned = step(self.fleet, self.road, cfg.slot_duration, self.rng,
+                         (cfg.v_min, cfg.v_max_vehicle))
+        self._nbrs = self._assignment = None
+        return respawned
+
+
+class Simulation:
+    """One scheme's run over a Traffic that the other schemes of its run
+    index may share (see run_paired); run() runs it alone."""
+
+    def __init__(self, config: SimConfig, seeds: Optional[RunSeeds] = None,
+                 traffic: Optional[Traffic] = None):
+        self.config = validate(config)
+        self.seeds = seeds or run_seeds(config.seed, 0, config.scheme)
+        self.traffic = traffic or Traffic(self.config, self.seeds.mobility)
+        self.fleet, self.uavs = self.traffic.fleet, self.traffic.uavs
+        self.scheme_rng = np.random.default_rng(self.seeds.scheme)
+        self.fading_seed = self.seeds.fading
+        self._link_gen = np.random.Generator(np.random.PCG64(0))
         self.clusters: Dict[int, _ClusterState] = {
             u.id: _ClusterState(uav=u) for u in self.uavs}
         self.events: List[SimEvent] = []
         self.round_index = 0
-        # this slot's neighbor table, built on first use, dropped by step
-        self._nbrs: Optional[Dict[int, FrozenSet[int]]] = None
         # per CH-member cam_batch: (payload, [(t_ms, lo, hi, distance)])
         self._cam_links: List[Tuple[dict, List[Tuple[int, int, int, float]]]] = []
 
@@ -111,14 +146,9 @@ class Simulation:
             "has_uint32": 0, "uinteger": 0}
         return self._link_gen
 
-    def _neighbors(self) -> Dict[int, FrozenSet[int]]:
-        if self._nbrs is None:
-            self._nbrs = neighbor_table(self.fleet, self.config.neighbor_range)
-        return self._nbrs
-
     def _build_cams(self, member_ids: Iterable[int]) -> List[Cam]:
         fleet, window = self.fleet, self.config.avg_window
-        nbr_table = self._neighbors()
+        nbr_table = self.traffic.neighbors()
         cams = []
         for vid in sorted(member_ids):
             i = fleet.row[vid]
@@ -183,7 +213,7 @@ class Simulation:
 
     def _clustering_round(self, t: float) -> None:
         cfg = self.config
-        matrix = assign(self.fleet, self.uavs, cfg.ref_gain, cfg.noise_power)
+        matrix = self.traffic.assignment()
         self.events.append(SimEvent(t, "clustering_round",
                                     payload={"round": self.round_index}))
         self.round_index += 1
@@ -333,42 +363,72 @@ class Simulation:
                 raise AssertionError(f"cluster partition violated: {overlap}")
             seen |= state.members
 
+    def _respawn(self, t: float, respawned: List[int]) -> None:
+        for vid in respawned:
+            self.events.append(SimEvent(t, "vehicle_respawn", ids=(vid,)))
+            # a respawn is a new vehicle: it leaves its old cluster.
+            # A respawned CH stays seated until the beacon check
+            # notices the identity change.
+            for state in self.clusters.values():
+                if vid in state.members and vid != state.ch:
+                    state.members.discard(vid)
+
     def run(self) -> List[SimEvent]:
-        cfg = self.config
-        dt = cfg.slot_duration
-        k_cluster = int(round(cfg.cluster_interval / dt))
-        k_cam = int(round(cfg.cam_interval / dt))
-        k_beacon = int(round(cfg.beacon_interval / dt))
-        for k in range(cfg.num_slots):
-            t = k * dt
-            is_round = k % k_cluster == 0
-            is_cam = not is_round and k % k_cam == 0
-            is_beacon = k > 0 and not is_round and k % k_beacon == 0
-            if is_round:
-                self._clustering_round(t)
-            elif is_cam:
-                self._cam_batch(t)
-            if is_beacon:
-                self._beacon_check(t)
-            self._check_partition()
-            respawned = step(self.fleet, self.road, dt, self.mobility_rng,
-                             (cfg.v_min, cfg.v_max_vehicle))
-            self._nbrs = None
-            for vid in respawned:
-                self.events.append(SimEvent(t + dt, "vehicle_respawn",
-                                            ids=(vid,)))
-                # a respawn is a new vehicle: it leaves its old cluster.
-                # A respawned CH stays seated until the beacon check
-                # notices the identity change.
-                for state in self.clusters.values():
-                    if vid in state.members and vid != state.ch:
-                        state.members.discard(vid)
-        self._sample_cam_links()
+        _run_lockstep([self])
         return self.events
+
+
+def _run_lockstep(sims: Sequence[Simulation]) -> None:
+    """Run every Simulation over their one Traffic.  A slot's phases read
+    the fleet before it steps, so each sees the slots a run of its own
+    would.  Respawns only remove members, so the partition is checked
+    after each event slot's phases, not after every step."""
+    traffic = sims[0].traffic
+    cfg = traffic.config
+    dt = cfg.slot_duration
+    k_cluster = int(round(cfg.cluster_interval / dt))
+    k_cam = int(round(cfg.cam_interval / dt))
+    k_beacon = int(round(cfg.beacon_interval / dt))
+    for k in range(cfg.num_slots):
+        t = k * dt
+        is_round = k % k_cluster == 0
+        is_cam = not is_round and k % k_cam == 0
+        is_beacon = k > 0 and not is_round and k % k_beacon == 0
+        for sim in sims:
+            if is_round:
+                sim._clustering_round(t)
+            elif is_cam:
+                sim._cam_batch(t)
+            if is_beacon:
+                sim._beacon_check(t)
+            if is_round or is_cam or is_beacon:
+                sim._check_partition()
+        respawned = traffic.step()
+        for sim in sims:
+            sim._respawn(t + dt, respawned)
+    for sim in sims:
+        sim._sample_cam_links()
+
+
+def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
+               initial_vehicles: Optional[Sequence[Vehicle]] = None
+               ) -> Dict[str, List[SimEvent]]:
+    """Each scheme's event trace, as run() gives it, from one lockstep
+    run; seeds maps the schemes to run seeds with one mobility seed."""
+    mobility = {s.mobility for s in seeds.values()}
+    if len(mobility) != 1:
+        raise ValueError("run_paired: the schemes must share one mobility seed")
+    traffic = Traffic(validate(config), mobility.pop(), initial_vehicles)
+    sims = {scheme: Simulation(replace(config, scheme=scheme),
+                               s, traffic=traffic)
+            for scheme, s in seeds.items()}
+    _run_lockstep(list(sims.values()))
+    return {scheme: sim.events for scheme, sim in sims.items()}
 
 
 def run(config: SimConfig, seeds: Optional[RunSeeds] = None,
         initial_vehicles: Optional[Sequence[Vehicle]] = None) -> List[SimEvent]:
     """Execute one run and return its complete event trace."""
-    return Simulation(config, seeds=seeds,
-                      initial_vehicles=initial_vehicles).run()
+    seeds = seeds or run_seeds(config.seed, 0, config.scheme)
+    return run_paired(config, {config.scheme: seeds},
+                      initial_vehicles)[config.scheme]

@@ -1,12 +1,23 @@
 """AHP-ranked backup list: rank scoring, ordering and replacement pops."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavclust.backup import (BackupCandidate, build_backup_list,
+from uavclust.backup import (BackupCandidate, _rank_scores, build_backup_list,
                              pop_replacement)
 
 WEIGHTS = (0.5, 0.25, 0.25)
+
+
+def reference_rank_scores(values, reverse):
+    """Counts the strictly better values of each distinct value one by
+    one: the oracle the sorted ranking must match bit for bit."""
+    n = len(values)
+    if n == 1:
+        return [1.0]
+    better = {value: sum(1 for v in values if (v > value if reverse else v < value))
+              for value in set(values)}
+    return [1.0 - better[v] / (n - 1) for v in values]
 
 
 def cand(vid, v_d, nbrs, residual):
@@ -93,3 +104,18 @@ def test_scores_bounded_and_sorted(rows):
     assert max(e.speed_score for e in entries) == pytest.approx(1.0)
     assert max(e.neighbor_score for e in entries) == pytest.approx(1.0)
     assert max(e.path_score for e in entries) == pytest.approx(1.0)
+
+
+# a few distinct finite values, each drawn many times: mostly ties
+TIED_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+@given(TIED_VALUES, st.booleans())
+@example([0.0, -0.0, 0.0, 1.0, -0.0], False)
+@example([0.0, -0.0, 0.0, 1.0, -0.0], True)
+@example([2.5, 2.5, 2.5], True)
+@settings(deadline=None, max_examples=300)
+def test_rank_scores_match_pairwise_counts(values, reverse):
+    assert _rank_scores(values, reverse) == reference_rank_scores(values, reverse)

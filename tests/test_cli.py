@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from uavclust import cli, metrics, trace
+from uavclust import cli, engine, metrics, trace
 from uavclust.cli import main, seed_plan
+from uavclust.config import SimConfig
 
 SCHEMES = ("proposed", "vmasc", "random")
 
@@ -75,6 +76,41 @@ def test_workers_do_not_change_traces(tmp_path):
     for name in names:
         assert read_bytes(os.path.join(serial, "traces", name)) == \
             read_bytes(os.path.join(parallel, "traces", name))
+
+
+def test_one_run_runs_in_process(tmp_path, monkeypatch):
+    serial, pooled = str(tmp_path / "w1"), str(tmp_path / "w2")
+    base = ["compare", "--runs", "1", "--duration", "140"]
+    assert main(base + ["--out", serial, "--workers", "1"]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one run index")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert main(base + ["--out", pooled, "--workers", "2"]) == 0
+    names = trace_files(serial)
+    assert names == trace_files(pooled) and len(names) == len(SCHEMES)
+    for name in names:
+        assert read_bytes(os.path.join(serial, "traces", name)) == \
+            read_bytes(os.path.join(pooled, "traces", name))
+
+
+def test_schemes_of_a_run_index_share_one_fleet(tmp_path, monkeypatch):
+    calls = {"step": 0, "assign": 0}
+
+    def counted(name):
+        real = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    assert main(["compare", "--runs", "2", "--out", str(tmp_path / "c")]) == 0
+    assert len(trace_files(str(tmp_path / "c"))) == 2 * len(SCHEMES)
+    assert calls == {"step": 2 * SimConfig().num_slots, "assign": 2 * 10}
 
 
 def test_metrics_reaggregates_existing_traces(tmp_path):

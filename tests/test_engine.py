@@ -12,6 +12,7 @@ from uavclust.engine import MIN_V2V_DISTANCE, Simulation, place_uavs, run
 from uavclust.seeding import run_seeds
 
 from conftest import make_vehicle
+from test_golden import GRID
 
 SCHEMES = ("proposed", "vmasc", "random")
 DENSE = {"num_vehicles": 100, "snr_fading": "instantaneous"}
@@ -230,3 +231,51 @@ def test_one_neighbor_table_per_event_slot(scheme, monkeypatch):
     body = "".join(trace.format_event(e) + "\n" for e in events).encode()
     digest = hashlib.sha256(len(body).to_bytes(8, "big") + body).hexdigest()
     assert digest == DENSE_700S[scheme]
+
+
+def paired_matches_separate(cfg, initial_vehicles=None):
+    seeds = {s: run_seeds(cfg.seed, 0, s) for s in SCHEMES}
+    paired = engine.run_paired(cfg, seeds, initial_vehicles=initial_vehicles)
+    assert list(paired) == list(SCHEMES)
+    for scheme in SCHEMES:
+        alone = run(dataclasses.replace(cfg, scheme=scheme),
+                    seeds=seeds[scheme], initial_vehicles=initial_vehicles)
+        assert paired[scheme] == alone
+    return paired
+
+
+@pytest.mark.parametrize("variant", list(GRID))
+def test_paired_run_matches_separate_runs(variant):
+    overrides, _ = GRID[variant]
+    paired = paired_matches_separate(
+        validate(dataclasses.replace(SimConfig(), seed=1, **overrides)))
+    assert all(any(e.kind == "vehicle_respawn" for e in events)
+               for events in paired.values())
+
+
+def test_paired_run_matches_separate_runs_from_given_vehicles():
+    # both directions, spread speeds: respawns, departures and backups
+    vehicles = [make_vehicle(i, 40.0 + 80.0 * i, y=-2.0 if i % 2 else 2.0,
+                             direction=-1 if i % 2 else 1,
+                             speed=11.0 + 0.5 * i)
+                for i in range(12)]
+    paired = paired_matches_separate(validate(SimConfig()), vehicles)
+    assert any(e.kind == "ch_departed" for e in paired["proposed"])
+
+
+def test_paired_run_needs_one_mobility_seed():
+    seeds = {"proposed": run_seeds(1, 0, "proposed"),
+             "vmasc": run_seeds(1, 1, "vmasc")}
+    with pytest.raises(ValueError, match="mobility seed"):
+        engine.run_paired(SimConfig(), seeds)
+
+
+def test_partition_checked_after_event_slot_phases():
+    class Overlapping(Simulation):
+        def _clustering_round(self, t):
+            super()._clustering_round(t)
+            for state in self.clusters.values():
+                state.members.add(0)
+
+    with pytest.raises(AssertionError, match="partition"):
+        Overlapping(SimConfig()).run()

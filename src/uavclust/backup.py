@@ -4,38 +4,20 @@ Each candidate is ranked on three criteria (speed closeness, neighbor
 count, residual path), ranks are mapped linearly to [0, 1] scores (best
 rank 1.0), and the weighted sum orders the list.  Raw-value scoring,
 which weights the criterion values themselves, is kept behind a flag for
-comparison.
+comparison.  Candidates are given as arrays: their vehicle ids and, at
+the same index, their speed difference to the cluster mean, neighbor
+count and residual path.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from .model import VehicleId
 
 
-@dataclass(frozen=True)
-class BackupCandidate:
-    """Per-candidate inputs: speed difference to the cluster mean,
-    neighbor count and residual path."""
-
-    vehicle: VehicleId
-    v_d: float
-    neighbor_count: int
-    residual: float
-
-
-@dataclass(frozen=True)
-class BackupEntry:
-    vehicle: VehicleId
-    score: float
-    speed_score: float
-    neighbor_score: float
-    path_score: float
-
-
-def _rank_scores(values: Sequence[float], reverse: bool) -> List[float]:
+def _rank_scores(values: np.ndarray, reverse: bool) -> np.ndarray:
     """Map values to [0, 1] scores, linear in rank, best rank = 1.0.
 
     Equal values share the best rank among them, so identical candidates
@@ -43,53 +25,47 @@ def _rank_scores(values: Sequence[float], reverse: bool) -> List[float]:
     """
     n = len(values)
     if n == 1:
-        return [1.0]
+        return np.ones(1)
     # competition ranking: rank of a value = number of strictly better values
-    ordered = sorted(values)
-    better = ([n - bisect_right(ordered, v) for v in values] if reverse
-              else [bisect_left(ordered, v) for v in values])
-    return [1.0 - b / (n - 1) for b in better]
+    ordered = np.sort(values)
+    better = (n - ordered.searchsorted(values, side="right") if reverse
+              else ordered.searchsorted(values, side="left"))
+    return 1.0 - better / (n - 1)
 
 
-def build_backup_list(candidates: Sequence[BackupCandidate],
-                      weights: Tuple[float, float, float],
-                      raw_scores: bool = False) -> List[BackupEntry]:
-    """Score and order the non-CH members as replacement candidates.
-
-    weights are (speed, neighbors, path) and must sum to 1.  The list is
-    sorted by score descending, ties by lowest vehicle id.
-    """
+def backup_scores(v_d: np.ndarray, nbr_count: np.ndarray,
+                  residual: np.ndarray, weights: Tuple[float, float, float],
+                  raw_scores: bool = False) -> np.ndarray:
+    """Each candidate's weighted score; weights are (speed, neighbors,
+    path) and must sum to 1."""
     w_s, w_n, w_p = weights
-    if not candidates:
-        return []
     if raw_scores:
-        entries = [BackupEntry(vehicle=c.vehicle,
-                               score=w_s * c.v_d + w_n * c.neighbor_count + w_p * c.residual,
-                               speed_score=c.v_d,
-                               neighbor_score=float(c.neighbor_count),
-                               path_score=c.residual)
-                   for c in candidates]
-    else:
-        speed = _rank_scores([c.v_d for c in candidates], reverse=False)
-        nbrs = _rank_scores([float(c.neighbor_count) for c in candidates], reverse=True)
-        path = _rank_scores([c.residual for c in candidates], reverse=True)
-        entries = [BackupEntry(vehicle=c.vehicle,
-                               score=w_s * s + w_n * n + w_p * p,
-                               speed_score=s, neighbor_score=n, path_score=p)
-                   for c, s, n, p in zip(candidates, speed, nbrs, path)]
-    return sorted(entries, key=lambda e: (-e.score, e.vehicle))
+        return w_s * v_d + w_n * nbr_count + w_p * residual
+    return (w_s * _rank_scores(v_d, reverse=False)
+            + w_n * _rank_scores(nbr_count, reverse=True)
+            + w_p * _rank_scores(residual, reverse=True))
 
 
-def pop_replacement(entries: Sequence[BackupEntry],
-                    present: Set[VehicleId]) -> Tuple[Optional[VehicleId], List[BackupEntry]]:
-    """Take the highest-scored entry still in the cluster.
+def build_backup_list(ids: np.ndarray, v_d: np.ndarray,
+                      nbr_count: np.ndarray, residual: np.ndarray,
+                      weights: Tuple[float, float, float],
+                      raw_scores: bool = False) -> np.ndarray:
+    """The non-CH members' ids as replacement candidates, best first:
+    by score descending, ties by lowest vehicle id."""
+    scores = backup_scores(v_d, nbr_count, residual, weights, raw_scores)
+    return ids[np.lexsort((ids, -scores))]
+
+
+def pop_replacement(backup: np.ndarray, present: np.ndarray
+                    ) -> Tuple[Optional[VehicleId], np.ndarray]:
+    """Take the highest-ranked backup id still in the cluster; present
+    flags, per entry, whether it is.
 
     Stale entries skipped on the way are dropped.  Returns (None,
     remaining) when the list is exhausted.
     """
-    remaining = list(entries)
-    while remaining:
-        top = remaining.pop(0)
-        if top.vehicle in present:
-            return top.vehicle, remaining
-    return None, remaining
+    hits = np.flatnonzero(present)
+    if not len(hits):
+        return None, backup[:0]
+    top = hits[0]
+    return int(backup[top]), backup[top + 1:]

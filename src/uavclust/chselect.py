@@ -1,86 +1,67 @@
 """Cluster-head selection: the proposed threshold scheme plus the random
-and lowest-average-relative-speed (VMaSC) benchmarks."""
+and lowest-average-relative-speed (VMaSC) benchmarks.
+
+A cluster is given as arrays over its members: their vehicle ids and,
+at the same index, each member's features.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .model import Cam, VehicleId, left_sum
-
-
-@dataclass(frozen=True)
-class ChDecision:
-    """Outcome of one CH selection pass.
-
-    examined lists (vehicle, v_d, residual, neighbor_count) in the order
-    candidates were considered.  degraded marks the fallback pick made
-    when nobody passed both thresholds.
-    """
-
-    chosen: Optional[VehicleId]
-    examined: Tuple[Tuple[VehicleId, float, float, int], ...]
-    degraded: bool
+from .model import VehicleId, left_sum
 
 
 def cluster_avg_speed(member_avg_speeds: Sequence[float]) -> float:
     """Arithmetic mean of member average speeds."""
-    if not member_avg_speeds:
+    if not len(member_avg_speeds):
         raise ValueError("cluster_avg_speed: empty cluster")
     return left_sum(member_avg_speeds) / len(member_avg_speeds)
 
 
-def select_ch(cams: Sequence[Cam], v_cl: float, r_u: float, dt: float,
-              eps_distance: float, eps_neighbors: int,
-              residual_fn: Optional[Callable[[Cam], float]] = None) -> ChDecision:
-    """Pick the CH: candidates in increasing |v_avg - v_cl| order, first
-    one whose residual path and neighbor count clear both thresholds.
+def select_ch(ids: np.ndarray, v_d: np.ndarray, nbr_count: np.ndarray,
+              residual: np.ndarray, eps_distance: float,
+              eps_neighbors: int) -> Tuple[VehicleId, bool]:
+    """Pick the CH: members in increasing (v_d, id) order, the first one
+    whose residual path and neighbor count clear both thresholds.
 
-    If nobody qualifies, fall back to the minimum-v_d candidate and flag
-    the decision as degraded.  residual_fn overrides the default
-    2 r_U - v_avg * dt residual (used for the geometric variant).
+    v_d is |v_avg - v_cl|.  If nobody qualifies, fall back to the first
+    member in that order and flag the pick as degraded.  Returns
+    (chosen id, degraded).
     """
-    if not cams:
+    if not len(ids):
         raise ValueError("select_ch: empty cluster")
-    if residual_fn is None:
-        residual_fn = lambda cam: 2.0 * r_u - cam.avg_speed * dt
-    ordered = sorted(cams, key=lambda c: (abs(c.avg_speed - v_cl), c.vehicle_id))
-    examined: List[Tuple[VehicleId, float, float, int]] = []
-    for cam in ordered:
-        v_d = abs(cam.avg_speed - v_cl)
-        xi = residual_fn(cam)
-        n_count = len(cam.neighbors)
-        examined.append((cam.vehicle_id, v_d, xi, n_count))
-        if xi >= eps_distance and n_count >= eps_neighbors:
-            return ChDecision(chosen=cam.vehicle_id,
-                              examined=tuple(examined), degraded=False)
-    return ChDecision(chosen=ordered[0].vehicle_id,
-                      examined=tuple(examined), degraded=True)
+    order = np.lexsort((ids, v_d))
+    passed = order[(residual[order] >= eps_distance)
+                   & (nbr_count[order] >= eps_neighbors)]
+    if len(passed):
+        return int(ids[passed[0]]), False
+    return int(ids[order[0]]), True
 
 
 def select_ch_random(members: Sequence[VehicleId],
                      rng: np.random.Generator) -> VehicleId:
     """Uniform random member, drawn from the caller's scheme stream."""
-    if not members:
+    if not len(members):
         raise ValueError("select_ch_random: empty cluster")
-    ordered = sorted(members)
-    return ordered[int(rng.integers(0, len(ordered)))]
+    ordered = np.sort(members)
+    return int(ordered[int(rng.integers(0, len(ordered)))])
 
 
-def select_ch_vmasc(cams: Sequence[Cam]) -> VehicleId:
+def select_ch_vmasc(ids: np.ndarray, avg_speed: np.ndarray) -> VehicleId:
     """Member with the lowest mean absolute average-speed difference to
-    its co-members; ties break to the lowest vehicle id."""
-    if not cams:
+    its co-members; ties break to the lowest vehicle id.
+
+    Each member's sum is a left fold over the co-members in array order.
+    With finite speeds, the zero difference to itself that the cumsum
+    also adds leaves every partial sum unchanged.
+    """
+    n = len(ids)
+    if not n:
         raise ValueError("select_ch_vmasc: empty cluster")
-    if len(cams) == 1:
-        return cams[0].vehicle_id
-    best_id = None
-    best_rel = None
-    for cam in sorted(cams, key=lambda c: c.vehicle_id):
-        rel = left_sum(abs(cam.avg_speed - other.avg_speed)
-                       for other in cams if other.vehicle_id != cam.vehicle_id)
-        rel /= len(cams) - 1
-        if best_rel is None or rel < best_rel:
-            best_id, best_rel = cam.vehicle_id, rel
-    return best_id
+    if n == 1:
+        return int(ids[0])
+    diff = np.abs(avg_speed[:, None] - avg_speed[None, :])
+    rel = np.cumsum(diff, axis=1)[:, -1] / (n - 1)
+    return int(ids[np.lexsort((ids, rel))[0]])

@@ -292,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_met = sub.add_parser("metrics", help="re-aggregate existing traces")
-    _add_common(p_met)
+    p_met.add_argument("--config", help="config file path; only its "
+                       "likelihood weights apply")
+    p_met.add_argument("--out", required=True, help="output directory")
     p_met.set_defaults(func=_cmd_metrics)
 
     return parser

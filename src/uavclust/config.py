@@ -49,7 +49,6 @@ class SimConfig:
     v_max_vehicle: float = 60.0 * KMH_TO_MS
     uav_altitude: float = 100.0
     uav_coverage_radius: float = 480.0
-    uav_min_separation: float = 200.0
     slot_duration: float = 1.0
     total_time: float = 700.0
     cam_interval: float = 10.0
@@ -106,9 +105,9 @@ def validate(config: SimConfig) -> SimConfig:
         if getattr(c, name) < 1:
             errors.append(f"{name}: must be >= 1")
     for name in ("road_length", "uav_altitude", "uav_coverage_radius",
-                 "uav_min_separation", "slot_duration",
-                 "total_time", "cam_interval", "beacon_interval",
-                 "cluster_interval", "ref_gain", "noise_power",
+                 "slot_duration", "total_time", "cam_interval",
+                 "beacon_interval", "cluster_interval", "ref_gain",
+                 "noise_power",
                  "vehicle_tx_power", "uav_tx_power", "v2v_loss_const",
                  "neighbor_range", "poisson_rate", "gauss_var"):
         if getattr(c, name) <= 0.0:
@@ -137,9 +136,6 @@ def validate(config: SimConfig) -> SimConfig:
                  "total_time"):
         if c.slot_duration > 0 and not _is_multiple(getattr(c, name), c.slot_duration):
             errors.append(f"{name}: must be a multiple of slot_duration")
-
-    if c.num_uavs > 1 and c.road_length / c.num_uavs < c.uav_min_separation:
-        errors.append("uav_min_separation: equally spaced UAVs would violate it")
 
     if c.scheme not in SCHEMES:
         errors.append(f"scheme: must be one of {SCHEMES}, got {c.scheme!r}")

@@ -2,12 +2,13 @@
 
 Slot schedule per run: clustering rounds every cluster_interval
 (assignment, CH selection, backup list build), CAM batches every
-cam_interval (fresh averages, neighbor sets, backup rebuild, CH-member
-link recording), beacon checks every beacon_interval (CH departure
-detection and replacement).  The recorded CH-member links are sampled
-after the last slot.  Everything is driven by private RNG streams
-(mobility, scheme, and one fading stream per link sample) so a
-(config, seed) pair reproduces a byte-identical event trace.
+cam_interval (backup rebuild, CH-member link recording), beacon checks
+every beacon_interval (CH departure detection and replacement).  Each
+event slot's phases read every fleet row's average speed and neighbor
+count, measured once per slot (Traffic.survey).  The recorded CH-member
+links are sampled after the last slot.  Everything is driven by private
+RNG streams (mobility, scheme, and one fading stream per link sample) so
+a (config, seed) pair reproduces a byte-identical event trace.
 
 run_paired runs the schemes of one run index in lockstep over the one
 Traffic they share; run() is the one-scheme case of the same loop.
@@ -16,24 +17,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import channel
-from .assignment import AssignmentMatrix, assign
-from .backup import BackupCandidate, BackupEntry, build_backup_list, pop_replacement
+from .assignment import assign
+from .backup import build_backup_list, pop_replacement
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
 from .config import SimConfig, validate
 from .mobility import (Fleet, RoadModel, neighbor_table, residual_path,
                        residual_path_geometric, step)
-from .model import AirPoint, Cam, RoadPoint, UavNode, Vehicle, left_sum
+from .model import AirPoint, RoadPoint, UavNode, Vehicle, left_sum
 from .seeding import RunSeeds, pcg64_states, run_seeds
 from .trace import SimEvent
 
 # Distance floor for V2V links: the point-mass mobility model lets
 # vehicles overlap, which would blow up the d^-eta path loss.
 MIN_V2V_DISTANCE = 10.0
+
+_NO_BACKUP = np.empty(0, dtype=np.int64)
 
 
 def place_uavs(config: SimConfig) -> List[UavNode]:
@@ -64,17 +67,16 @@ def init_vehicles(config: SimConfig, road: RoadModel,
 @dataclass
 class _ClusterState:
     uav: UavNode
-    members: Set[int] = field(default_factory=set)
     ch: Optional[int] = None
     ch_generation: int = 0
     tenure: int = 0
-    backup: List[BackupEntry] = field(default_factory=list)
+    backup: np.ndarray = field(default_factory=lambda: _NO_BACKUP)
 
 
 class Traffic:
     """What the schemes of one run index share: road, UAVs and fleet, and
-    the slot's neighbor table and UAV assignment, built on first use and
-    dropped by step."""
+    what survey measured at the current event slot: every row's average
+    speed and neighbor count, and at a round its UAV assignment."""
 
     def __init__(self, config: SimConfig, mobility_seed: int,
                  initial_vehicles: Optional[Sequence[Vehicle]] = None):
@@ -85,32 +87,37 @@ class Traffic:
         if initial_vehicles is None:
             initial_vehicles = init_vehicles(config, self.road, self.rng)
         self.fleet = Fleet(initial_vehicles)
-        self._nbrs: Optional[Dict[int, FrozenSet[int]]] = None
-        self._assignment: Optional[AssignmentMatrix] = None
+        if not np.array_equal(self.fleet.ids, np.arange(len(self.fleet.ids))):
+            raise ValueError("Traffic: vehicle ids must be 0..n-1 in order")
+        self.avg_speed = self.nbr_count = self.assignment = None
 
-    def neighbors(self) -> Dict[int, FrozenSet[int]]:
-        if self._nbrs is None:
-            self._nbrs = neighbor_table(self.fleet, self.config.neighbor_range)
-        return self._nbrs
-
-    def assignment(self) -> AssignmentMatrix:
-        if self._assignment is None:
-            self._assignment = assign(self.fleet, self.uavs, self.config.ref_gain,
-                                      self.config.noise_power)
-        return self._assignment
+    def survey(self, with_assignment: bool) -> None:
+        """Measure the fleet at an event slot, before its phases run."""
+        cfg = self.config
+        self.avg_speed = self.fleet.avg_speeds(cfg.avg_window)
+        self.nbr_count = neighbor_table(self.fleet, cfg.neighbor_range)
+        if with_assignment:
+            self.assignment = assign(self.fleet, self.uavs, cfg.ref_gain,
+                                     cfg.noise_power)
 
     def step(self) -> List[int]:
         """Advance the fleet one slot; returns the respawned ids."""
         cfg = self.config
-        respawned = step(self.fleet, self.road, cfg.slot_duration, self.rng,
-                         (cfg.v_min, cfg.v_max_vehicle))
-        self._nbrs = self._assignment = None
-        return respawned
+        return step(self.fleet, self.road, cfg.slot_duration, self.rng,
+                    (cfg.v_min, cfg.v_max_vehicle))
 
 
 class Simulation:
     """One scheme's run over a Traffic that the other schemes of its run
-    index may share (see run_paired); run() runs it alone."""
+    index may share (see run_paired); run() runs it alone.
+
+    member_of holds each fleet row's cluster: its UAV id, or -1.  A
+    vehicle's id is its fleet row (Traffic checks it), so a cluster's
+    members, read from the column, come in ascending id order.  Between
+    phases a cluster has a CH exactly when it has members: a round or a
+    departure that leaves members seats one, and a respawn removes only
+    non-CH members.
+    """
 
     def __init__(self, config: SimConfig, seeds: Optional[RunSeeds] = None,
                  traffic: Optional[Traffic] = None):
@@ -123,6 +130,7 @@ class Simulation:
         self._link_gen = np.random.Generator(np.random.PCG64(0))
         self.clusters: Dict[int, _ClusterState] = {
             u.id: _ClusterState(uav=u) for u in self.uavs}
+        self.member_of = np.full(len(self.fleet.ids), -1, dtype=np.int64)
         self.events: List[SimEvent] = []
         self.round_index = 0
         # per CH-member cam_batch: (payload, [(t_ms, lo, hi, distance)])
@@ -146,92 +154,79 @@ class Simulation:
             "has_uint32": 0, "uinteger": 0}
         return self._link_gen
 
-    def _build_cams(self, member_ids: Iterable[int]) -> List[Cam]:
-        fleet, window = self.fleet, self.config.avg_window
-        nbr_table = self.traffic.neighbors()
-        cams = []
-        for vid in sorted(member_ids):
-            i = fleet.row[vid]
-            cams.append(Cam(vehicle_id=vid, pos=fleet.pos(i),
-                            dir=fleet.dir.item(i),
-                            avg_speed=fleet.avg_speed_of(i, window),
-                            neighbors=nbr_table[vid]))
-        return cams
+    def _members(self, state: _ClusterState) -> np.ndarray:
+        return (self.member_of == state.uav.id).nonzero()[0]
 
-    def _residual_fn(self, uav: UavNode):
-        cfg = self.config
-        horizon = cfg.cluster_interval
+    def _features(self, state: _ClusterState, members: np.ndarray):
+        """(v_d, neighbor count, residual path) of each member: the
+        inputs of the proposed selection and of the backup ranking."""
+        cfg, fleet, uav = self.config, self.fleet, state.uav
+        speed = self.traffic.avg_speed[members]
+        v_d = np.abs(speed - cluster_avg_speed(speed))
         if cfg.residual_mode == "geometric":
-            return lambda cam: residual_path_geometric(
-                uav.pos, cam.pos, cam.dir, cam.avg_speed, horizon,
+            residual = residual_path_geometric(
+                uav.pos, fleet.x[members], fleet.y[members],
+                fleet.dir[members], speed, cfg.cluster_interval,
                 uav.coverage_radius)
-        return lambda cam: residual_path(uav.coverage_radius, cam.avg_speed,
-                                         horizon)
+        else:
+            residual = residual_path(uav.coverage_radius, speed,
+                                     cfg.cluster_interval)
+        return v_d, self.traffic.nbr_count[members], residual
 
     def _uses_backup(self) -> bool:
         return (self.config.scheme == "proposed"
                 or self.config.benchmarks_use_backup)
 
-    def _select_for_scheme(self, cams: List[Cam], state: _ClusterState):
+    def _select_for_scheme(self, state: _ClusterState, members: np.ndarray):
         """Run the configured selector; returns (chosen id, degraded)."""
         cfg = self.config
         if cfg.scheme == "proposed":
-            v_cl = cluster_avg_speed([c.avg_speed for c in cams])
-            decision = select_ch(cams, v_cl, state.uav.coverage_radius,
-                                 cfg.cluster_interval, cfg.eps_distance,
-                                 cfg.eps_neighbors,
-                                 residual_fn=self._residual_fn(state.uav))
-            return decision.chosen, decision.degraded
+            return select_ch(members, *self._features(state, members),
+                             cfg.eps_distance, cfg.eps_neighbors)
         if cfg.scheme == "vmasc":
-            return select_ch_vmasc(cams), False
-        return select_ch_random([c.vehicle_id for c in cams],
-                                self.scheme_rng), False
+            return select_ch_vmasc(members,
+                                   self.traffic.avg_speed[members]), False
+        return select_ch_random(members, self.scheme_rng), False
 
-    def _rebuild_backup(self, cams: List[Cam], state: _ClusterState) -> None:
-        if not self._uses_backup() or state.ch is None:
-            state.backup = []
+    def _rebuild_backup(self, state: _ClusterState,
+                        members: np.ndarray) -> None:
+        if not self._uses_backup():
+            state.backup = _NO_BACKUP
             return
         cfg = self.config
-        v_cl = cluster_avg_speed([c.avg_speed for c in cams])
-        residual = self._residual_fn(state.uav)
-        candidates = [BackupCandidate(vehicle=c.vehicle_id,
-                                      v_d=abs(c.avg_speed - v_cl),
-                                      neighbor_count=len(c.neighbors),
-                                      residual=residual(c))
-                      for c in cams if c.vehicle_id != state.ch]
+        others = members != state.ch
+        v_d, nbr_count, residual = self._features(state, members)
         state.backup = build_backup_list(
-            candidates,
+            members[others], v_d[others], nbr_count[others], residual[others],
             (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
             raw_scores=cfg.backup_raw_scores)
 
     def _seat_ch(self, state: _ClusterState, vid: int) -> None:
         state.ch = vid
-        state.ch_generation = self.fleet.generation.item(self.fleet.row[vid])
+        state.ch_generation = self.fleet.generation.item(vid)
         state.tenure += 1
 
     # -- scheduled phases ------------------------------------------------
 
     def _clustering_round(self, t: float) -> None:
         cfg = self.config
-        matrix = self.traffic.assignment()
+        self.member_of = self.traffic.assignment.copy()
         self.events.append(SimEvent(t, "clustering_round",
                                     payload={"round": self.round_index}))
         self.round_index += 1
-        for u in sorted(self.uavs, key=lambda n: n.id):
-            state = self.clusters[u.id]
-            members = matrix.members_of(u.id)
-            state.members = set(members)
+        for state in self.clusters.values():
             state.ch = None
-            state.backup = []
-            if not members:
+            state.backup = _NO_BACKUP
+            members = self._members(state)
+            if not len(members):
                 continue
-            cams = self._build_cams(members)
-            chosen, degraded = self._select_for_scheme(cams, state)
+            chosen, degraded = self._select_for_scheme(state, members)
             self._seat_ch(state, chosen)
-            self.events.append(SimEvent(t, "ch_selected", ids=(u.id, chosen),
+            self.events.append(SimEvent(t, "ch_selected",
+                                        ids=(state.uav.id, chosen),
                                         payload={"scheme": cfg.scheme,
                                                  "degraded": degraded}))
-            self._rebuild_backup(cams, state)
+            self._rebuild_backup(state, members)
 
     def _cam_batch(self, t: float) -> None:
         """CAM round: rebuild backups and record each CH-member link.
@@ -240,30 +235,27 @@ class Simulation:
         never feeds back into the simulation.
         """
         t_ms = int(round(t * 1000))
-        for u in sorted(self.uavs, key=lambda n: n.id):
-            state = self.clusters[u.id]
-            if not state.members:
+        fleet = self.fleet
+        for state in self.clusters.values():
+            u = state.uav
+            members = self._members(state)
+            if not len(members):
                 continue
-            cams = self._build_cams(state.members)
-            self._rebuild_backup(cams, state)
-            if state.ch is None:
-                self.events.append(SimEvent(t, "cam_batch", ids=(u.id,),
-                                            payload={"members": len(cams)}))
-                continue
-            ch_pos = self.fleet.pos(self.fleet.row[state.ch])
+            self._rebuild_backup(state, members)
+            ch = state.ch
+            ch_x, ch_y = fleet.x.item(ch), fleet.y.item(ch)
             links = []
-            for cam in cams:
-                if cam.vehicle_id == state.ch:
+            for vid, x, y in zip(members.tolist(), fleet.x[members].tolist(),
+                                 fleet.y[members].tolist()):
+                if vid == ch:
                     continue
-                d = max(MIN_V2V_DISTANCE,
-                        math.hypot(ch_pos.x - cam.pos.x, ch_pos.y - cam.pos.y))
-                lo, hi = sorted((state.ch, cam.vehicle_id))
-                links.append((t_ms, lo, hi, d))
-            payload = {"members": len(cams), "tenure": state.tenure}
+                d = max(MIN_V2V_DISTANCE, math.hypot(ch_x - x, ch_y - y))
+                links.append((t_ms, min(ch, vid), max(ch, vid), d))
+            payload = {"members": len(members), "tenure": state.tenure}
             if links:
                 self._cam_links.append((payload, links))
             self.events.append(SimEvent(t, "cam_batch",
-                                        ids=(u.id, state.ch), payload=payload))
+                                        ids=(u.id, ch), payload=payload))
 
     def _sample_cam_links(self) -> None:
         """Set each recorded cam_batch payload's "snr" to the mean SNR
@@ -295,24 +287,20 @@ class Simulation:
 
     def _beacon_check(self, t: float) -> None:
         fleet = self.fleet
-        for u in sorted(self.uavs, key=lambda n: n.id):
-            state = self.clusters[u.id]
-            if state.ch is None:
+        for state in self.clusters.values():
+            u, i = state.uav, state.ch
+            if i is None:
                 continue
-            i = fleet.row[state.ch]
             reason = None
             if fleet.generation.item(i) != state.ch_generation:
                 reason = "respawn"
             elif u.pos.planar_distance(fleet.pos(i)) > u.coverage_radius:
                 reason = "coverage"
             if reason is None:
-                self.events.append(SimEvent(t, "beacon_ok",
-                                            ids=(u.id, state.ch)))
+                self.events.append(SimEvent(t, "beacon_ok", ids=(u.id, i)))
                 continue
-            self.events.append(SimEvent(t, "beacon_missed",
-                                        ids=(u.id, state.ch)))
-            self.events.append(SimEvent(t, "ch_departed",
-                                        ids=(u.id, state.ch),
+            self.events.append(SimEvent(t, "beacon_missed", ids=(u.id, i)))
+            self.events.append(SimEvent(t, "ch_departed", ids=(u.id, i),
                                         payload={"reason": reason}))
             self._handle_departure(t, state)
 
@@ -326,28 +314,29 @@ class Simulation:
         member, which then departs at the next beacon.
         """
         u, fleet = state.uav, self.fleet
-        state.members.discard(state.ch)
-        if self._uses_backup():
-            state.members = {m for m in state.members
-                             if u.pos.planar_distance(fleet.pos(fleet.row[m]))
-                             <= u.coverage_radius}
+        self.member_of[state.ch] = -1
         state.ch = None
-        if not state.members:
-            state.backup = []
+        members = self._members(state)
+        if self._uses_backup():
+            gone = [m for m in members.tolist()
+                    if u.pos.planar_distance(fleet.pos(m)) > u.coverage_radius]
+            self.member_of[gone] = -1
+            members = self._members(state)
+        if not len(members):
+            state.backup = _NO_BACKUP
             return
         if self._uses_backup():
-            chosen, remaining = pop_replacement(state.backup, state.members)
-            state.backup = remaining
+            chosen, state.backup = pop_replacement(
+                state.backup, self.member_of[state.backup] == u.id)
             if chosen is not None:
                 self._seat_ch(state, chosen)
                 self.events.append(SimEvent(t, "ch_replaced_from_backup",
                                             ids=(u.id, chosen),
                                             payload={"tenure": state.tenure}))
                 return
-        cams = self._build_cams(state.members)
-        chosen, degraded = self._select_for_scheme(cams, state)
+        chosen, degraded = self._select_for_scheme(state, members)
         self._seat_ch(state, chosen)
-        state.backup = []
+        state.backup = _NO_BACKUP
         self.events.append(SimEvent(t, "ch_reselected_full",
                                     ids=(u.id, chosen),
                                     payload={"degraded": degraded,
@@ -355,23 +344,14 @@ class Simulation:
 
     # -- main loop -------------------------------------------------------
 
-    def _check_partition(self) -> None:
-        seen: Set[int] = set()
-        for state in self.clusters.values():
-            overlap = seen & state.members
-            if overlap:
-                raise AssertionError(f"cluster partition violated: {overlap}")
-            seen |= state.members
-
     def _respawn(self, t: float, respawned: List[int]) -> None:
         for vid in respawned:
             self.events.append(SimEvent(t, "vehicle_respawn", ids=(vid,)))
-            # a respawn is a new vehicle: it leaves its old cluster.
-            # A respawned CH stays seated until the beacon check
-            # notices the identity change.
-            for state in self.clusters.values():
-                if vid in state.members and vid != state.ch:
-                    state.members.discard(vid)
+            # a respawn is a new vehicle: it leaves its old cluster.  A
+            # respawned CH stays seated until the beacon check notices
+            # the identity change.
+            if all(vid != state.ch for state in self.clusters.values()):
+                self.member_of[vid] = -1
 
     def run(self) -> List[SimEvent]:
         _run_lockstep([self])
@@ -381,8 +361,7 @@ class Simulation:
 def _run_lockstep(sims: Sequence[Simulation]) -> None:
     """Run every Simulation over their one Traffic.  A slot's phases read
     the fleet before it steps, so each sees the slots a run of its own
-    would.  Respawns only remove members, so the partition is checked
-    after each event slot's phases, not after every step."""
+    would."""
     traffic = sims[0].traffic
     cfg = traffic.config
     dt = cfg.slot_duration
@@ -394,6 +373,8 @@ def _run_lockstep(sims: Sequence[Simulation]) -> None:
         is_round = k % k_cluster == 0
         is_cam = not is_round and k % k_cam == 0
         is_beacon = k > 0 and not is_round and k % k_beacon == 0
+        if is_round or is_cam or is_beacon:
+            traffic.survey(with_assignment=is_round)
         for sim in sims:
             if is_round:
                 sim._clustering_round(t)
@@ -401,8 +382,6 @@ def _run_lockstep(sims: Sequence[Simulation]) -> None:
                 sim._cam_batch(t)
             if is_beacon:
                 sim._beacon_check(t)
-            if is_round or is_cam or is_beacon:
-                sim._check_partition()
         respawned = traffic.step()
         for sim in sims:
             sim._respawn(t + dt, respawned)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,11 +35,10 @@ class Fleet:
     """Struct-of-arrays kinematic state of every vehicle, in list order.
 
     ids, x, y, dir (+1 or -1 along the road axis), speed (m/s),
-    generation and age (steps since spawn) are numpy arrays; row maps
-    each id to its index, which never changes.  A speed history starts
-    as (speed,) at spawn and gains one sample of the same constant
-    speed per step, so it is min(age + 1, window) copies of the speed
-    and is never stored.
+    generation and age (steps since spawn) are numpy arrays.  A speed
+    history starts as (speed,) at spawn and gains one sample of the
+    same constant speed per step, so it is min(age + 1, window) copies
+    of the speed and is never stored.
     """
 
     def __init__(self, vehicles: Sequence[Vehicle]):
@@ -51,15 +50,19 @@ class Fleet:
         self.generation = np.array([v.generation for v in vehicles],
                                    dtype=np.int64)
         self.age = np.zeros(len(vehicles), dtype=np.int64)
-        self.row = {vid: i for i, vid in enumerate(self.ids.tolist())}
 
     def pos(self, i: int) -> RoadPoint:
         return RoadPoint(self.x.item(i), self.y.item(i))
 
-    def avg_speed_of(self, i: int, window: int) -> float:
-        """avg_speed of row i's speed history."""
-        speed = self.speed.item(i)
-        return avg_speed((speed,) * min(self.age.item(i) + 1, window), window)
+    def avg_speeds(self, window: int) -> np.ndarray:
+        """avg_speed of every row's speed history.  Each row's left fold
+        is written as repeated elementwise adds, so its bits match the
+        scalar fold's."""
+        count = np.minimum(self.age + 1, window)
+        total = np.zeros_like(self.speed)
+        for k in range(int(count.max(initial=0))):
+            np.add(total, self.speed, out=total, where=k < count)
+        return total / count
 
 
 def step(fleet: Fleet, road: RoadModel, dt: float, rng: np.random.Generator,
@@ -99,41 +102,40 @@ def avg_speed(history: Sequence[float], window: int) -> float:
     return left_sum(recent) / len(recent)
 
 
-def residual_path(r_u: float, v_avg: float, dt: float) -> float:
-    """Remaining in-cluster travel budget: 2 r_U - v_avg * dt.
+def residual_path(r_u: float, v_avg, dt: float):
+    """Remaining in-cluster travel budget: 2 r_U - v_avg * dt, for one
+    average speed or an array of them.
 
     May be negative; callers compare it against the distance threshold.
     """
     if r_u <= 0.0:
         raise ValueError(f"residual_path: coverage radius must be positive, got {r_u}")
-    if v_avg < 0.0:
+    if np.less(v_avg, 0.0).any():
         raise ValueError(f"residual_path: average speed must be >= 0, got {v_avg}")
     return 2.0 * r_u - v_avg * dt
 
 
-def residual_path_geometric(uav: AirPoint, pos: RoadPoint, direction: int,
-                            v_avg: float, dt: float, r_u: float) -> float:
+def residual_path_geometric(uav: AirPoint, x, y, direction, v_avg,
+                            dt: float, r_u: float):
     """Exact variant: distance to the coverage-circle exit along the
-    heading, minus the travel budget v_avg * dt.
+    heading, minus the travel budget v_avg * dt.  x, y, direction and
+    v_avg are scalars or equal-length arrays.
 
     A vehicle already outside the coverage circle gets zero exit
     distance.
     """
-    dx = pos.x - uav.x
-    dy = pos.y - uav.y
+    dx = x - uav.x
+    dy = y - uav.y
     lateral_sq = dy * dy
-    if dx * dx + lateral_sq > r_u * r_u:
-        exit_dist = 0.0
-    else:
-        # exit point along +-x: solve (dx + s*dir)^2 + dy^2 = r_u^2, s > 0
-        half_chord = math.sqrt(max(r_u * r_u - lateral_sq, 0.0))
-        exit_dist = half_chord - direction * dx
+    # exit point along +-x: solve (dx + s*dir)^2 + dy^2 = r_u^2, s > 0
+    half_chord = np.sqrt(np.maximum(r_u * r_u - lateral_sq, 0.0))
+    exit_dist = np.where(dx * dx + lateral_sq > r_u * r_u, 0.0,
+                         half_chord - direction * dx)
     return exit_dist - v_avg * dt
 
 
-def neighbor_table(fleet: Fleet,
-                   rng_range: float) -> Dict[VehicleId, FrozenSet[VehicleId]]:
-    """Ids of all other vehicles within planar range, for every vehicle."""
+def neighbor_table(fleet: Fleet, rng_range: float) -> np.ndarray:
+    """Number of other vehicles within planar range, per fleet row."""
     if rng_range <= 0.0:
         raise ValueError(f"neighbor_table: range must be positive, got {rng_range}")
     x, y = fleet.x, fleet.y
@@ -144,9 +146,4 @@ def neighbor_table(fleet: Fleet,
     for i, j in zip(*np.nonzero(np.abs(dist - rng_range) <= 1e-9 * rng_range)):
         near[i, j] = math.hypot(x[i] - x[j], y[i] - y[j]) <= rng_range
     np.fill_diagonal(near, False)
-    rows, cols = np.nonzero(near)
-    nbr_ids = fleet.ids[cols].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=len(x))).tolist()
-    starts = [0] + ends[:-1]
-    return {vid: frozenset(nbr_ids[a:b])
-            for vid, a, b in zip(fleet.ids.tolist(), starts, ends)}
+    return near.sum(axis=1)

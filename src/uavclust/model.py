@@ -9,7 +9,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable
+from typing import Iterable
 
 VehicleId = int
 UavId = int
@@ -59,17 +59,6 @@ class Vehicle:
     dir: int  # +1 or -1 along the road axis
     speed: float  # m/s
     generation: int = 0
-
-
-@dataclass(frozen=True)
-class Cam:
-    """Cooperative awareness message: the fields CH selection reads."""
-
-    vehicle_id: VehicleId
-    pos: RoadPoint
-    dir: int
-    avg_speed: float
-    neighbors: FrozenSet[VehicleId]
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,6 @@ class RunSeeds:
     fading: int
     scheme: int
 
-    def rngs(self):
-        """Mobility and scheme generators.  The fading seed keys the
-        per-link streams instead (see pcg64_states)."""
-        return (np.random.default_rng(self.mobility),
-                np.random.default_rng(self.scheme))
-
 
 def run_seeds(base: int, run_index: int, scheme: str) -> RunSeeds:
     return RunSeeds(

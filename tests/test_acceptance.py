@@ -23,15 +23,16 @@ import numpy as np
 import pytest
 
 from uavclust import channel, engine, metrics
-from uavclust.backup import BackupCandidate, build_backup_list
+from uavclust.backup import build_backup_list
 from uavclust.chselect import select_ch, select_ch_vmasc
 from uavclust.assignment import assign
 from uavclust.cli import main as cli_main
 from uavclust.config import SimConfig
+from uavclust.mobility import residual_path
 from uavclust.model import AirPoint, UavNode
 from uavclust.seeding import run_seeds
 
-from conftest import ACCEPTANCE_LINES, make_cam, make_vehicle
+from conftest import ACCEPTANCE_LINES, make_vehicle
 
 SCHEMES = ("proposed", "vmasc", "random")
 RUNS = 200
@@ -108,27 +109,28 @@ def test_criterion_2_brute_force_equivalence():
         vehicles = [make_vehicle(i, float(rng.uniform(0, 1000)),
                                  y=float(rng.choice([-2.0, 2.0])))
                     for i in range(int(rng.integers(1, 51)))]
-        matrix = assign(engine.Fleet(vehicles), uavs, 1e-5, noise)
+        column = assign(engine.Fleet(vehicles), uavs, 1e-5, noise)
         for v in vehicles:
             snrs = {u.id: u.tx_power * 1e-5 / (
                 channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h,
                                      v.pos.x, v.pos.y) ** 2) / noise
                 for u in uavs}
             best = max(snrs.values())
-            assert matrix.by_vehicle[v.id][0] == min(
+            assert column[v.id] == min(
                 uid for uid, s in snrs.items() if s == best)
         instances += 1
 
     for _ in range(300):  # threshold CH selection, all-pass case
         n = int(rng.integers(1, 21))
-        cams = [make_cam(i, float(rng.uniform(5, 25)))
-                for i in range(n)]
+        speeds = np.array([float(rng.uniform(5, 25))
+                           for i in range(n)])
         v_cl = float(rng.uniform(5, 25))
-        decision = select_ch(cams, v_cl, 500.0, 10.0,
-                             eps_distance=-1e12, eps_neighbors=0)
-        expect = min(cams, key=lambda c: (abs(c.avg_speed - v_cl),
-                                          c.vehicle_id)).vehicle_id
-        assert decision.chosen == expect and not decision.degraded
+        chosen, degraded = select_ch(np.arange(n), np.abs(speeds - v_cl),
+                                     np.zeros(n, dtype=int),
+                                     residual_path(500.0, speeds, 10.0),
+                                     eps_distance=-1e12, eps_neighbors=0)
+        expect = min(range(n), key=lambda i: (abs(speeds[i] - v_cl), i))
+        assert chosen == expect and not degraded
         instances += 1
 
     for _ in range(300):  # lowest-average-relative-speed benchmark
@@ -136,29 +138,29 @@ def test_criterion_2_brute_force_equivalence():
         # integer-valued speeds keep both mean computations exact, so
         # ties are genuine ties and break identically by lowest id
         speeds = [float(s) for s in rng.integers(50, 250, size=n)]
-        cams = [make_cam(i, s) for i, s in enumerate(speeds)]
         if n == 1:
             expect = 0
         else:
             means = [(sum(abs(a - b) for j, b in enumerate(speeds) if j != i)
                       / (n - 1), i) for i, a in enumerate(speeds)]
             expect = min(means)[1]
-        assert select_ch_vmasc(cams) == expect
+        assert select_ch_vmasc(np.arange(n), np.array(speeds)) == expect
         instances += 1
 
     for _ in range(300):  # backup list, single-criterion reductions
         n = int(rng.integers(1, 21))
-        cands = [BackupCandidate(i, float(rng.uniform(0, 10)),
-                                 int(rng.integers(0, 8)),
-                                 float(rng.uniform(-200, 900)))
+        cands = [(i, float(rng.uniform(0, 10)),
+                  int(rng.integers(0, 8)),
+                  float(rng.uniform(-200, 900)))
                  for i in range(n)]
-        for weights, key in (((1.0, 0.0, 0.0), lambda c: (c.v_d, c.vehicle)),
+        columns = [np.array(col) for col in zip(*cands)]
+        for weights, key in (((1.0, 0.0, 0.0), lambda c: (c[1], c[0])),
                              ((0.0, 1.0, 0.0),
-                              lambda c: (-c.neighbor_count, c.vehicle)),
+                              lambda c: (-c[2], c[0])),
                              ((0.0, 0.0, 1.0),
-                              lambda c: (-c.residual, c.vehicle))):
-            got = [e.vehicle for e in build_backup_list(cands, weights)]
-            want = [c.vehicle for c in sorted(cands, key=key)]
+                              lambda c: (-c[3], c[0]))):
+            got = build_backup_list(*columns, weights).tolist()
+            want = [c[0] for c in sorted(cands, key=key)]
             assert got == want, (weights, got, want)
         instances += 1
 

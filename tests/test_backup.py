@@ -1,9 +1,10 @@
 """AHP-ranked backup list: rank scoring, ordering and replacement pops."""
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavclust.backup import (BackupCandidate, _rank_scores, build_backup_list,
+from uavclust.backup import (_rank_scores, backup_scores, build_backup_list,
                              pop_replacement)
 
 WEIGHTS = (0.5, 0.25, 0.25)
@@ -20,73 +21,98 @@ def reference_rank_scores(values, reverse):
     return [1.0 - better[v] / (n - 1) for v in values]
 
 
-def cand(vid, v_d, nbrs, residual):
-    return BackupCandidate(vehicle=vid, v_d=v_d, neighbor_count=nbrs,
-                           residual=residual)
+def reference_build_backup_list(candidates, weights, raw_scores=False):
+    """Per-candidate scoring of (id, v_d, neighbor count, residual)
+    tuples: the oracle the array ranking must match.  Returns (id,
+    score) pairs, best first."""
+    w_s, w_n, w_p = weights
+    if raw_scores:
+        scored = [(vid, w_s * v_d + w_n * n + w_p * r)
+                  for vid, v_d, n, r in candidates]
+    else:
+        ids, v_ds, nbrs, paths = zip(*candidates)
+        scored = [(vid, w_s * s + w_n * n + w_p * p) for vid, s, n, p in zip(
+            ids, reference_rank_scores(list(v_ds), reverse=False),
+            reference_rank_scores([float(n) for n in nbrs], reverse=True),
+            reference_rank_scores(list(paths), reverse=True))]
+    return sorted(scored, key=lambda e: (-e[1], e[0]))
+
+
+def columns(candidates):
+    """(ids, v_d, neighbor counts, residuals) arrays of candidate tuples."""
+    ids, v_d, nbrs, residual = zip(*candidates)
+    return (np.array(ids), np.array(v_d, dtype=float), np.array(nbrs),
+            np.array(residual, dtype=float))
+
+
+def ranked(candidates, weights=WEIGHTS, raw_scores=False):
+    """(ids best first, their scores) of build_backup_list."""
+    ids, v_d, nbrs, residual = columns(candidates)
+    order = build_backup_list(ids, v_d, nbrs, residual, weights, raw_scores)
+    scores = dict(zip(ids.tolist(),
+                      backup_scores(v_d, nbrs, residual, weights,
+                                    raw_scores).tolist()))
+    return order.tolist(), [scores[vid] for vid in order.tolist()]
 
 
 def test_three_candidate_hand_oracle():
-    entries = build_backup_list([cand(0, 1.0, 3, 400.0),
-                                 cand(1, 2.0, 5, 100.0),
-                                 cand(2, 3.0, 1, 600.0)], WEIGHTS)
-    assert [e.vehicle for e in entries] == [0, 1, 2]
-    assert entries[0].score == pytest.approx(0.75)
-    assert entries[1].score == pytest.approx(0.50)
-    assert entries[2].score == pytest.approx(0.25)
+    order, scores = ranked([(0, 1.0, 3, 400.0), (1, 2.0, 5, 100.0),
+                            (2, 3.0, 1, 600.0)])
+    assert order == [0, 1, 2]
+    assert scores == pytest.approx([0.75, 0.50, 0.25])
 
 
 def test_single_candidate_gets_full_score():
-    entries = build_backup_list([cand(4, 2.0, 1, 50.0)], WEIGHTS)
-    assert [e.vehicle for e in entries] == [4]
-    assert entries[0].score == pytest.approx(1.0)
+    order, scores = ranked([(4, 2.0, 1, 50.0)])
+    assert order == [4]
+    assert scores == pytest.approx([1.0])
 
 
 def test_identical_candidates_tie_by_id():
-    entries = build_backup_list([cand(7, 1.0, 2, 300.0),
-                                 cand(3, 1.0, 2, 300.0)], WEIGHTS)
-    assert [e.vehicle for e in entries] == [3, 7]
-    assert entries[0].score == pytest.approx(entries[1].score)
+    order, scores = ranked([(7, 1.0, 2, 300.0), (3, 1.0, 2, 300.0)])
+    assert order == [3, 7]
+    assert scores[0] == pytest.approx(scores[1])
 
 
 def test_empty_candidates_give_empty_list():
-    assert build_backup_list([], WEIGHTS) == []
+    empty = np.array([], dtype=int)
+    assert build_backup_list(empty, np.array([]), empty, np.array([]),
+                             WEIGHTS).tolist() == []
 
 
 def test_single_criterion_reductions():
-    cands = [cand(0, 3.0, 1, 100.0), cand(1, 1.0, 5, 300.0),
-             cand(2, 2.0, 3, 200.0)]
-    by_speed = build_backup_list(cands, (1.0, 0.0, 0.0))
-    assert [e.vehicle for e in by_speed] == [1, 2, 0]  # smallest v_d first
-    by_nbrs = build_backup_list(cands, (0.0, 1.0, 0.0))
-    assert [e.vehicle for e in by_nbrs] == [1, 2, 0]  # most neighbors first
-    by_path = build_backup_list(cands, (0.0, 0.0, 1.0))
-    assert [e.vehicle for e in by_path] == [1, 2, 0]  # longest residual first
+    cands = [(0, 3.0, 1, 100.0), (1, 1.0, 5, 300.0), (2, 2.0, 3, 200.0)]
+    by_speed, _ = ranked(cands, (1.0, 0.0, 0.0))
+    assert by_speed == [1, 2, 0]  # smallest v_d first
+    by_nbrs, _ = ranked(cands, (0.0, 1.0, 0.0))
+    assert by_nbrs == [1, 2, 0]  # most neighbors first
+    by_path, _ = ranked(cands, (0.0, 0.0, 1.0))
+    assert by_path == [1, 2, 0]  # longest residual first
 
 
 def test_raw_score_mode_uses_values():
-    cands = [cand(0, 1.0, 2, 100.0), cand(1, 2.0, 4, 50.0)]
-    entries = build_backup_list(cands, WEIGHTS, raw_scores=True)
-    scores = {e.vehicle: e.score for e in entries}
-    assert scores[0] == pytest.approx(0.5 * 1.0 + 0.25 * 2 + 0.25 * 100.0)
-    assert scores[1] == pytest.approx(0.5 * 2.0 + 0.25 * 4 + 0.25 * 50.0)
+    order, scores = ranked([(0, 1.0, 2, 100.0), (1, 2.0, 4, 50.0)],
+                           raw_scores=True)
+    by_id = dict(zip(order, scores))
+    assert by_id[0] == pytest.approx(0.5 * 1.0 + 0.25 * 2 + 0.25 * 100.0)
+    assert by_id[1] == pytest.approx(0.5 * 2.0 + 0.25 * 4 + 0.25 * 50.0)
 
 
 def test_pop_replacement_cases():
-    entries = build_backup_list([cand(0, 1.0, 3, 400.0),
-                                 cand(1, 2.0, 5, 100.0),
-                                 cand(2, 3.0, 1, 600.0)], WEIGHTS)
-    chosen, rest = pop_replacement(entries, present={0, 1, 2})
+    backup = np.array([0, 1, 2])
+    chosen, rest = pop_replacement(backup, np.isin(backup, [0, 1, 2]))
     assert chosen == 0
-    assert [e.vehicle for e in rest] == [1, 2]
-    chosen, rest = pop_replacement(entries, present={1, 2})
+    assert rest.tolist() == [1, 2]
+    chosen, rest = pop_replacement(backup, np.isin(backup, [1, 2]))
     assert chosen == 1  # stale top entry skipped and dropped
-    assert [e.vehicle for e in rest] == [2]
-    chosen, rest = pop_replacement([], present={1})
+    assert rest.tolist() == [2]
+    empty = np.array([], dtype=int)
+    chosen, rest = pop_replacement(empty, np.isin(empty, [1]))
     assert chosen is None
-    assert rest == []
-    chosen, rest = pop_replacement(entries, present=set())
+    assert rest.tolist() == []
+    chosen, rest = pop_replacement(backup, np.isin(backup, []))
     assert chosen is None
-    assert rest == []
+    assert rest.tolist() == []
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=20.0),
@@ -95,15 +121,15 @@ def test_pop_replacement_cases():
                 min_size=1, max_size=15))
 @settings(deadline=None, max_examples=100)
 def test_scores_bounded_and_sorted(rows):
-    cands = [cand(i, v, n, r) for i, (v, n, r) in enumerate(rows)]
-    entries = build_backup_list(cands, WEIGHTS)
-    assert len(entries) == len(cands)
-    assert all(0.0 <= e.score <= 1.0 + 1e-12 for e in entries)
-    assert all(a.score >= b.score for a, b in zip(entries, entries[1:]))
+    _, v_d, nbrs, residual = columns([(i, *row) for i, row in enumerate(rows)])
+    order, scores = ranked([(i, *row) for i, row in enumerate(rows)])
+    assert sorted(order) == list(range(len(rows)))
+    assert all(0.0 <= s <= 1.0 + 1e-12 for s in scores)
+    assert all(a >= b for a, b in zip(scores, scores[1:]))
     # the best rank on every criterion is always awarded
-    assert max(e.speed_score for e in entries) == pytest.approx(1.0)
-    assert max(e.neighbor_score for e in entries) == pytest.approx(1.0)
-    assert max(e.path_score for e in entries) == pytest.approx(1.0)
+    assert _rank_scores(v_d, reverse=False).max() == pytest.approx(1.0)
+    assert _rank_scores(nbrs, reverse=True).max() == pytest.approx(1.0)
+    assert _rank_scores(residual, reverse=True).max() == pytest.approx(1.0)
 
 
 # a few distinct finite values, each drawn many times: mostly ties
@@ -118,4 +144,38 @@ TIED_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False),
 @example([2.5, 2.5, 2.5], True)
 @settings(deadline=None, max_examples=300)
 def test_rank_scores_match_pairwise_counts(values, reverse):
-    assert _rank_scores(values, reverse) == reference_rank_scores(values, reverse)
+    assert _rank_scores(np.array(values), reverse).tolist() == \
+        reference_rank_scores(values, reverse)
+
+
+# few distinct values per criterion: ties on every criterion and in the
+# weighted scores, signed zeros, singletons
+CRITERIA = (st.sampled_from([0.0, -0.0, 0.5, 2.25]) | st.floats(0.0, 20.0),
+            st.integers(0, 10),
+            st.sampled_from([0.0, -0.0, 100.0]) | st.floats(-500.0, 1000.0))
+
+
+@st.composite
+def candidate_lists(draw):
+    n = draw(st.integers(1, 15))
+    pools = [draw(st.lists(c, min_size=1, max_size=4)) for c in CRITERIA]
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ids = (np.cumsum(gaps) - 1).tolist()
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
+                         min_size=n, max_size=n))
+    return [(vid, *row) for vid, row in zip(ids, rows)]
+
+
+@given(candidate_lists(),
+       st.sampled_from([WEIGHTS, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                        (0.0, 0.0, 1.0), (0.2, 0.3, 0.5)]),
+       st.booleans())
+@example([(0, 1.0, 3, 400.0), (1, -0.0, 3, 0.0), (2, 0.0, 3, -0.0)],
+         WEIGHTS, False)
+@example([(5, 2.0, 1, 50.0)], WEIGHTS, True)
+@settings(deadline=None, max_examples=300)
+def test_build_backup_list_matches_reference(cands, weights, raw_scores):
+    order, scores = ranked(cands, weights, raw_scores)
+    want = reference_build_backup_list(cands, weights, raw_scores)
+    assert order == [vid for vid, _ in want]
+    assert scores == [score for _, score in want]

@@ -48,8 +48,9 @@ class CamSnapshots(Simulation):
         f = self.fleet
         by_id = {vid: make_vehicle(vid, x, y=y) for vid, x, y in zip(
             f.ids.tolist(), f.x.tolist(), f.y.tolist())}
-        self.snapshots.append((t, by_id, {u: (s.ch, sorted(s.members))
-                                          for u, s in self.clusters.items()}))
+        self.snapshots.append((t, by_id, {
+            u: (s.ch, np.flatnonzero(self.member_of == u).tolist())
+            for u, s in self.clusters.items()}))
         super()._cam_batch(t)
 
 
@@ -270,12 +271,7 @@ def test_paired_run_needs_one_mobility_seed():
         engine.run_paired(SimConfig(), seeds)
 
 
-def test_partition_checked_after_event_slot_phases():
-    class Overlapping(Simulation):
-        def _clustering_round(self, t):
-            super()._clustering_round(t)
-            for state in self.clusters.values():
-                state.members.add(0)
-
-    with pytest.raises(AssertionError, match="partition"):
-        Overlapping(SimConfig()).run()
+def test_vehicle_ids_must_be_fleet_rows():
+    vehicles = [make_vehicle(1, 100.0), make_vehicle(0, 200.0)]
+    with pytest.raises(ValueError, match="0..n-1"):
+        run(SimConfig(), initial_vehicles=vehicles)

@@ -48,13 +48,19 @@ def _trace_path(out_dir: str, scheme: str, run_index: int) -> str:
     return os.path.join(out_dir, "traces", f"{scheme}_run{run_index:04d}.trace")
 
 
-def _execute_run_index(task: Tuple[SimConfig, Dict[str, RunSeeds], str, int]) -> None:
-    """Worker entry point: simulate every scheme of one run index and
-    persist their traces."""
+def _execute_run_index(task: Tuple[SimConfig, Dict[str, RunSeeds], str, int]
+                       ) -> Dict[str, metrics.TraceRun]:
+    """Worker entry point: simulate every scheme of one run index,
+    persist their traces and score them in memory.
+
+    Each scheme's header meta is what parse_header reads back from its
+    trace, so the scores equal those `metrics` computes from the files.
+    """
     config, plan, out_dir, run_index = task
+    runs = {}
     for scheme, events in engine.run_paired(config, plan).items():
         seeds = plan[scheme]
-        trace.write_trace(_trace_path(out_dir, scheme, run_index), {
+        meta = {
             "config": dataclasses.replace(config, scheme=scheme).digest(),
             "scheme": scheme,
             "run": str(run_index),
@@ -62,19 +68,27 @@ def _execute_run_index(task: Tuple[SimConfig, Dict[str, RunSeeds], str, int]) ->
             "mobility_seed": str(seeds.mobility),
             "fading_seed": str(seeds.fading),
             "scheme_seed": str(seeds.scheme),
-        }, events)
+        }
+        trace.write_trace(_trace_path(out_dir, scheme, run_index), meta, events)
+        runs[scheme] = (meta, metrics.run_metrics(events))
+    return runs
 
 
 def _read_runs(paths: Sequence[str]) -> List[metrics.TraceRun]:
-    """Parse each trace once into its header and run metrics."""
-    return [(header, metrics.run_metrics(events))
-            for header, events in map(trace.read_trace, paths)]
+    """Parse the scored events of each trace once into its header and
+    run metrics."""
+    runs = []
+    for path in paths:
+        header, events = trace.read_trace(path, kinds=metrics.SCORED_KINDS)
+        runs.append((header, metrics.run_metrics(events)))
+    return runs
 
 
 def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                     out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
     """Fan out one task per run index, on min(workers, runs) processes
-    (in this one if that is 1); returns the parsed runs per scheme.
+    (in this one if that is 1); returns each scheme's header and run
+    metrics per run index, scored in memory by the tasks.
 
     out_dir gets the echo of config, which a later `metrics` scores
     with.  Traces left in out_dir by an earlier experiment are removed
@@ -90,12 +104,10 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     workers = min(workers, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_execute_run_index, tasks))
+            scored = list(pool.map(_execute_run_index, tasks))
     else:
-        for task in tasks:
-            _execute_run_index(task)
-    return {scheme: _read_runs([_trace_path(out_dir, scheme, k)
-                                for k in range(runs)])
+        scored = [_execute_run_index(task) for task in tasks]
+    return {scheme: [by_scheme[scheme] for by_scheme in scored]
             for scheme in schemes}
 
 

@@ -5,10 +5,12 @@ Slot schedule per run: clustering rounds every cluster_interval
 cam_interval (backup rebuild, CH-member link recording), beacon checks
 every beacon_interval (CH departure detection and replacement).  Each
 event slot's phases read every fleet row's average speed and neighbor
-count, measured once per slot (Traffic.survey).  The recorded CH-member
-links are sampled after the last slot.  Everything is driven by private
-RNG streams (mobility, scheme, and one fading stream per link sample) so
-a (config, seed) pair reproduces a byte-identical event trace.
+count, measured once per slot (Traffic.survey); the neighbor count only
+when some scheme of the run keeps a backup list, its one reader.  The
+recorded CH-member links are sampled after the last slot.  Everything
+is driven by private RNG streams (mobility, scheme, and one fading
+stream per link sample) so a (config, seed) pair reproduces a
+byte-identical event trace.
 
 run_paired runs the schemes of one run index in lockstep over the one
 Traffic they share; run() is the one-scheme case of the same loop.
@@ -76,7 +78,8 @@ class _ClusterState:
 class Traffic:
     """What the schemes of one run index share: road, UAVs and fleet, and
     what survey measured at the current event slot: every row's average
-    speed and neighbor count, and at a round its UAV assignment."""
+    speed, its neighbor count if asked for, and at a round the UAV
+    assignment."""
 
     def __init__(self, config: SimConfig, mobility_seed: int,
                  initial_vehicles: Optional[Sequence[Vehicle]] = None):
@@ -91,11 +94,12 @@ class Traffic:
             raise ValueError("Traffic: vehicle ids must be 0..n-1 in order")
         self.avg_speed = self.nbr_count = self.assignment = None
 
-    def survey(self, with_assignment: bool) -> None:
+    def survey(self, with_neighbors: bool, with_assignment: bool) -> None:
         """Measure the fleet at an event slot, before its phases run."""
         cfg = self.config
         self.avg_speed = self.fleet.avg_speeds(cfg.avg_window)
-        self.nbr_count = neighbor_table(self.fleet, cfg.neighbor_range)
+        if with_neighbors:
+            self.nbr_count = neighbor_table(self.fleet, cfg.neighbor_range)
         if with_assignment:
             self.assignment = assign(self.fleet, self.uavs, cfg.ref_gain,
                                      cfg.noise_power)
@@ -174,6 +178,8 @@ class Simulation:
         return v_d, self.traffic.nbr_count[members], residual
 
     def _uses_backup(self) -> bool:
+        """Whether this scheme keeps a backup list; exactly then its
+        phases read the neighbor counts (_features)."""
         return (self.config.scheme == "proposed"
                 or self.config.benchmarks_use_backup)
 
@@ -368,13 +374,14 @@ def _run_lockstep(sims: Sequence[Simulation]) -> None:
     k_cluster = int(round(cfg.cluster_interval / dt))
     k_cam = int(round(cfg.cam_interval / dt))
     k_beacon = int(round(cfg.beacon_interval / dt))
+    with_neighbors = any(sim._uses_backup() for sim in sims)
     for k in range(cfg.num_slots):
         t = k * dt
         is_round = k % k_cluster == 0
         is_cam = not is_round and k % k_cam == 0
         is_beacon = k > 0 and not is_round and k % k_beacon == 0
         if is_round or is_cam or is_beacon:
-            traffic.survey(with_assignment=is_round)
+            traffic.survey(with_neighbors, with_assignment=is_round)
         for sim in sims:
             if is_round:
                 sim._clustering_round(t)

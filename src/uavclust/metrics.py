@@ -15,6 +15,9 @@ from typing import Dict, List, Sequence, Tuple
 from .model import left_sum
 from .trace import RESELECTION_KINDS, SimEvent
 
+# the event kinds run_metrics reads; a trace read for scoring parses no other
+SCORED_KINDS = frozenset(RESELECTION_KINDS + ("ch_selected", "cam_batch"))
+
 
 @dataclass(frozen=True)
 class LikelihoodParams:

@@ -162,13 +162,29 @@ def test_metrics_scores_with_the_echoed_config(tmp_path):
             written[scheme]
 
 
+def test_metrics_agrees_with_pooled_compare(tmp_path):
+    # the pool's tasks score their runs in memory; metrics re-parses the
+    # traces (test_metrics_reaggregates_existing_traces: one worker)
+    out = str(tmp_path / "exp")
+    assert main(["compare", "--runs", "2", "--duration", "140",
+                 "--workers", "2", "--out", out]) == 0
+    in_memory = {s: read_bytes(os.path.join(out, f"aggregate.{s}.txt"))
+                 for s in SCHEMES}
+    assert main(["metrics", "--out", out]) == 0
+    for s in SCHEMES:
+        assert read_bytes(os.path.join(out, f"aggregate.{s}.txt")) == \
+            in_memory[s]
+
+
 def test_each_trace_is_parsed_once(tmp_path, monkeypatch):
+    # compare scores in memory and parses nothing; metrics parses each
+    # trace once, and only the kinds run_metrics reads
     parsed = []
     original = trace.read_trace
 
-    def counting_read_trace(path):
-        parsed.append(path)
-        return original(path)
+    def counting_read_trace(path, *, kinds=None):
+        parsed.append((os.path.basename(path), kinds))
+        return original(path, kinds=kinds)
 
     monkeypatch.setattr(trace, "read_trace", counting_read_trace)
     out = str(tmp_path / "once")
@@ -176,10 +192,9 @@ def test_each_trace_is_parsed_once(tmp_path, monkeypatch):
                  "--out", out]) == 0
     names = trace_files(out)
     assert len(names) == 2 * len(SCHEMES)
-    assert sorted(os.path.basename(p) for p in parsed) == names
-    parsed.clear()
+    assert parsed == []
     assert main(["metrics", "--out", out]) == 0
-    assert sorted(os.path.basename(p) for p in parsed) == names
+    assert sorted(parsed) == [(name, metrics.SCORED_KINDS) for name in names]
 
 
 def test_sweep_writes_shape_file(tmp_path):

@@ -215,8 +215,14 @@ DENSE_700S = {
 }
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_one_neighbor_table_per_event_slot(scheme, monkeypatch):
+# neighbor tables of one 700 s run: one per event slot (10 rounds + 60
+# CAM slots; beacons share them) when a scheme keeps a backup list, the
+# one reader of neighbor counts, else none
+EVENT_SLOTS = 70
+NEIGHBOR_TABLES = {"proposed": EVENT_SLOTS, "vmasc": 0, "random": 0}
+
+
+def run_counting_neighbor_tables(cfg, monkeypatch):
     calls = []
     real = engine.neighbor_table
 
@@ -225,13 +231,25 @@ def test_one_neighbor_table_per_event_slot(scheme, monkeypatch):
         return real(fleet, rng_range)
 
     monkeypatch.setattr(engine, "neighbor_table", counted)
+    return run(cfg, seeds=run_seeds(1, 0, cfg.scheme)), len(calls)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_neighbor_table_per_event_slot(scheme, monkeypatch):
     cfg = validate(dataclasses.replace(SimConfig(), seed=1, scheme=scheme,
                                        **DENSE))
-    events = run(cfg, seeds=run_seeds(1, 0, scheme))
-    assert len(calls) == 70  # 10 rounds + 60 CAM slots (beacons share them)
+    events, tables = run_counting_neighbor_tables(cfg, monkeypatch)
+    assert tables == NEIGHBOR_TABLES[scheme]
     body = "".join(trace.format_event(e) + "\n" for e in events).encode()
     digest = hashlib.sha256(len(body).to_bytes(8, "big") + body).hexdigest()
     assert digest == DENSE_700S[scheme]
+
+
+def test_benchmark_with_backup_list_builds_neighbor_tables(monkeypatch):
+    cfg = validate(dataclasses.replace(SimConfig(), seed=1, scheme="vmasc",
+                                       benchmarks_use_backup=True, **DENSE))
+    _, tables = run_counting_neighbor_tables(cfg, monkeypatch)
+    assert tables == EVENT_SLOTS
 
 
 def paired_matches_separate(cfg, initial_vehicles=None):

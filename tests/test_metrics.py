@@ -1,12 +1,17 @@
 """Metric math oracles and trace aggregation."""
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavclust import metrics
+from uavclust import engine, metrics, trace
+from uavclust.config import SimConfig, validate
+from uavclust.seeding import run_seeds
 from uavclust.trace import SimEvent
+
+from test_golden import CELLS, GRID
 
 REL = 1e-9
 
@@ -156,3 +161,29 @@ def test_likelihood_bounded_and_monotone_in_r(r, s):
     assert 0.0 < value < 1.0
     # fewer normalized re-selections can only help, fixed S
     assert metrics.robustness_likelihood(0.0, s) >= value - 1e-12
+
+
+def pin_form(rm):
+    """A RunMetrics with every float as its repr, so NaN equals NaN."""
+    return (sorted(rm.per_cluster.items()), rm.total_reselections,
+            [(repr(t), n) for t, n in rm.cumulative], repr(rm.mean_snr),
+            rm.degraded_selections)
+
+
+@pytest.mark.parametrize("variant,scheme", CELLS)
+def test_in_memory_and_on_disk_metrics_agree(variant, scheme, tmp_path):
+    # `compare` scores its events in memory and `metrics` parses only the
+    # scored kinds from disk: both must give the full parse's metrics
+    overrides, _ = GRID[variant]
+    cfg = validate(dataclasses.replace(SimConfig(), seed=1, scheme=scheme,
+                                       **overrides))
+    events = engine.run(cfg, seeds=run_seeds(1, 0, scheme))
+    path = str(tmp_path / "cell.trace")
+    trace.write_trace(path, {"config": cfg.digest(), "scheme": scheme}, events)
+    in_memory = pin_form(metrics.run_metrics(events))
+    _, parsed = trace.read_trace(path)
+    _, scored = trace.read_trace(path, kinds=metrics.SCORED_KINDS)
+    assert pin_form(metrics.run_metrics(parsed)) == in_memory
+    assert pin_form(metrics.run_metrics(scored)) == in_memory
+    assert {ev.kind for ev in scored} <= metrics.SCORED_KINDS
+    assert len(scored) < len(parsed)

@@ -1,13 +1,24 @@
 """Trace record round-trips and atomic file writes."""
+import json
+import math
 import os
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavclust.trace import (EVENT_KINDS, SimEvent, format_event,
-                            format_header, parse_event, parse_header,
-                            read_trace, write_trace)
+                            format_header, format_number, format_payload,
+                            parse_event, parse_header, read_trace,
+                            write_trace)
+
+
+def reference_format_event(event):
+    """format_event with the payload written by json.dumps: the oracle
+    the scalar payload encoder must match byte for byte."""
+    ids = ",".join(str(i) for i in event.ids)
+    payload = json.dumps(event.payload, sort_keys=True, separators=(",", ":"))
+    return f"{format_number(event.time)}\t{event.kind}\t{ids}\t{payload}"
 
 _payload_values = st.one_of(
     st.integers(), st.booleans(), st.text(),
@@ -62,3 +73,40 @@ def test_write_read_round_trip(tmp_path):
     assert header == meta
     assert parsed == events
     assert not os.path.exists(path + ".tmp")  # temp file renamed away
+
+
+# every payload scalar: NaN / +-inf, -0.0 and subnormals, ints past 64
+# bits, bools and strings that need escaping
+_any_scalar = st.one_of(
+    st.floats(), st.integers(), st.integers(min_value=2 ** 63, max_value=2 ** 200),
+    st.booleans(), st.text())
+_any_events = st.builds(
+    SimEvent,
+    time=st.floats(),
+    kind=st.sampled_from(EVENT_KINDS),
+    ids=st.lists(st.integers(), max_size=3).map(tuple),
+    payload=st.dictionaries(st.text(), _any_scalar, max_size=4))
+
+
+@settings(max_examples=400)
+@given(_any_events)
+@example(SimEvent(0.0, "beacon_ok", ids=(0, 5)))
+@example(SimEvent(100000.5, "cam_batch", ids=(1, 2),
+                  payload={"members": 3, "tenure": 2, "snr": math.nan}))
+@example(SimEvent(0.1 + 0.2, "cam_batch",
+                  payload={"snr": math.inf, "a": -math.inf, "z": -0.0,
+                           "sub": 5e-324, "big": -(2 ** 100)}))
+@example(SimEvent(-0.0, "ch_departed", ids=(3, 4),
+                  payload={"reason": 'q"b\\s\tt \u00e9\u6f22\U0001f600\n',
+                           "k\"ey": True, "off": False}))
+def test_format_event_matches_json_dumps(ev):
+    line = format_event(ev)
+    assert line == reference_format_event(ev)
+    assert format_event(parse_event(line)) == line
+
+
+def test_format_payload_rejects_non_scalars():
+    with pytest.raises(TypeError):
+        format_payload({"members": [1, 2]})
+    with pytest.raises(TypeError):
+        format_payload({"ch": None})

@@ -20,7 +20,7 @@ def assign(fleet: Fleet, uavs: Sequence[UavNode],
     """
     if not uavs:
         raise ValueError("assign: need at least one UAV")
-    if not len(fleet.ids):
+    if not len(fleet.x):
         raise ValueError("assign: need at least one vehicle")
     ordered = sorted(uavs, key=lambda n: n.id)
     column = []

@@ -202,16 +202,29 @@ def _echo_config(out_dir: str, config: SimConfig) -> None:
     _atomic_write(os.path.join(out_dir, "config.echo"), dump_config(config))
 
 
+def _experiment_schemes(args) -> List[str]:
+    """The schemes of --scheme (all by default).  A bad scheme name or
+    run count is rejected here, before anything under --out is touched."""
+    schemes = args.scheme.split(",") if args.scheme else list(SCHEMES)
+    unknown = [s for s in schemes if s not in SCHEMES]
+    if unknown:
+        raise ValueError(f"unknown scheme(s) {unknown}; expected {list(SCHEMES)}")
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
+    return schemes
+
+
 def _cmd_run(args) -> int:
     config = _load_base_config(args)
-    runs = _run_experiment(config, [args.scheme], args.runs, args.out, args.workers)
+    runs = _run_experiment(config, _experiment_schemes(args), args.runs,
+                           args.out, args.workers)
     _write_aggregates(args.out, config, runs)
     return 0
 
 
 def _cmd_compare(args) -> int:
     config = _load_base_config(args)
-    schemes = args.scheme.split(",") if args.scheme else list(SCHEMES)
+    schemes = _experiment_schemes(args)
     runs = _run_experiment(config, schemes, args.runs, args.out, args.workers)
     _write_aggregates(args.out, config, runs)
     _write_time_series(args.out, config, runs)
@@ -220,7 +233,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_base_config(args)
-    schemes = args.scheme.split(",") if args.scheme else list(SCHEMES)
+    schemes = _experiment_schemes(args)
     values = [int(v) if args.var == "vehicles" else float(v)
               for v in args.values.split(",")]
     if sorted(values) != values or len(set(values)) != len(values):

@@ -1,5 +1,8 @@
 """Time-stepped simulation loop.
 
+A run's vehicles are the rows of one mobility.Fleet, which init_fleet
+draws from the mobility stream; a vehicle's id is its row.
+
 Slot schedule per run: clustering rounds every cluster_interval
 (assignment, CH selection, backup list build), CAM batches every
 cam_interval (backup rebuild, CH-member link recording), beacon checks
@@ -17,6 +20,7 @@ Traffic they share; run() is the one-scheme case of the same loop.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,9 +32,9 @@ from .assignment import assign
 from .backup import build_backup_list, pop_replacement
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
 from .config import SimConfig, validate
-from .mobility import (Fleet, RoadModel, neighbor_table, residual_path,
+from .mobility import (Fleet, neighbor_table, residual_path,
                        residual_path_geometric, step)
-from .model import AirPoint, RoadPoint, UavNode, Vehicle, left_sum
+from .model import AirPoint, UavNode, left_sum
 from .seeding import RunSeeds, pcg64_states, run_seeds
 from .trace import SimEvent
 
@@ -51,19 +55,23 @@ def place_uavs(config: SimConfig) -> List[UavNode]:
             for j in range(config.num_uavs)]
 
 
-def init_vehicles(config: SimConfig, road: RoadModel,
-                  rng: np.random.Generator) -> List[Vehicle]:
-    """Uniform initial placement, lane chosen per vehicle."""
-    vehicles = []
-    for i in range(config.num_vehicles):
-        lane = int(rng.integers(0, 2))
-        x = float(rng.uniform(0.0, road.length))
-        speed = float(rng.uniform(config.v_min, config.v_max_vehicle))
-        vehicles.append(Vehicle(id=i,
-                                pos=RoadPoint(x, road.lane_offsets[lane]),
-                                dir=road.lane_dir(lane),
-                                speed=speed))
-    return vehicles
+def init_fleet(config: SimConfig, rng: np.random.Generator) -> Fleet:
+    """Uniform initial placement: per vehicle a lane (the first runs +x,
+    the second -x), then x, then speed, one scalar draw each."""
+    lanes, xs, speeds = [], [], []
+    for _ in range(config.num_vehicles):
+        lanes.append(int(rng.integers(0, 2)))
+        xs.append(float(rng.uniform(0.0, config.road_length)))
+        speeds.append(float(rng.uniform(config.v_min, config.v_max_vehicle)))
+    return Fleet(xs, [config.lane_offsets[lane] for lane in lanes],
+                 [1 if lane == 0 else -1 for lane in lanes], speeds)
+
+
+def _outside_coverage(uav: UavNode, fleet: Fleet, i: int) -> bool:
+    """Whether fleet row i is beyond the UAV's planar coverage radius;
+    a vehicle exactly on the circle is covered."""
+    return math.hypot(uav.pos.x - fleet.x.item(i),
+                      uav.pos.y - fleet.y.item(i)) > uav.coverage_radius
 
 
 @dataclass
@@ -76,22 +84,18 @@ class _ClusterState:
 
 
 class Traffic:
-    """What the schemes of one run index share: road, UAVs and fleet, and
-    what survey measured at the current event slot: every row's average
+    """What the schemes of one run index share: UAVs and fleet, and what
+    survey measured at the current event slot: every row's average
     speed, its neighbor count if asked for, and at a round the UAV
-    assignment."""
+    assignment.  A given initial_fleet is copied, never stepped."""
 
     def __init__(self, config: SimConfig, mobility_seed: int,
-                 initial_vehicles: Optional[Sequence[Vehicle]] = None):
+                 initial_fleet: Optional[Fleet] = None):
         self.config = config
         self.rng = np.random.default_rng(mobility_seed)
-        self.road = RoadModel(config.road_length, tuple(config.lane_offsets))
         self.uavs = place_uavs(config)
-        if initial_vehicles is None:
-            initial_vehicles = init_vehicles(config, self.road, self.rng)
-        self.fleet = Fleet(initial_vehicles)
-        if not np.array_equal(self.fleet.ids, np.arange(len(self.fleet.ids))):
-            raise ValueError("Traffic: vehicle ids must be 0..n-1 in order")
+        self.fleet = (init_fleet(config, self.rng) if initial_fleet is None
+                      else copy.deepcopy(initial_fleet))
         self.avg_speed = self.nbr_count = self.assignment = None
 
     def survey(self, with_neighbors: bool, with_assignment: bool) -> None:
@@ -105,9 +109,9 @@ class Traffic:
                                      cfg.noise_power)
 
     def step(self) -> List[int]:
-        """Advance the fleet one slot; returns the respawned ids."""
+        """Advance the fleet one slot; returns the respawned rows."""
         cfg = self.config
-        return step(self.fleet, self.road, cfg.slot_duration, self.rng,
+        return step(self.fleet, cfg.road_length, cfg.slot_duration, self.rng,
                     (cfg.v_min, cfg.v_max_vehicle))
 
 
@@ -116,8 +120,8 @@ class Simulation:
     index may share (see run_paired); run() runs it alone.
 
     member_of holds each fleet row's cluster: its UAV id, or -1.  A
-    vehicle's id is its fleet row (Traffic checks it), so a cluster's
-    members, read from the column, come in ascending id order.  Between
+    vehicle's id is its fleet row, so a cluster's members, read from
+    the column, come in ascending id order.  Between
     phases a cluster has a CH exactly when it has members: a round or a
     departure that leaves members seats one, and a respawn removes only
     non-CH members.
@@ -130,11 +134,10 @@ class Simulation:
         self.traffic = traffic or Traffic(self.config, self.seeds.mobility)
         self.fleet, self.uavs = self.traffic.fleet, self.traffic.uavs
         self.scheme_rng = np.random.default_rng(self.seeds.scheme)
-        self.fading_seed = self.seeds.fading
         self._link_gen = np.random.Generator(np.random.PCG64(0))
         self.clusters: Dict[int, _ClusterState] = {
             u.id: _ClusterState(uav=u) for u in self.uavs}
-        self.member_of = np.full(len(self.fleet.ids), -1, dtype=np.int64)
+        self.member_of = np.full(len(self.fleet.x), -1, dtype=np.int64)
         self.events: List[SimEvent] = []
         self.round_index = 0
         # per CH-member cam_batch: (payload, [(t_ms, lo, hi, distance)])
@@ -275,7 +278,7 @@ class Simulation:
                             for link in links for k in link[:3]),
                            dtype=np.uint64)
         t_ms, lo, hi = keys.reshape(-1, 3).T
-        states = pcg64_states(self.fading_seed, t_ms, lo, hi)
+        states = pcg64_states(self.seeds.fading, t_ms, lo, hi)
         for payload, links in self._cam_links:
             snrs = []
             for *_, d in links:
@@ -300,7 +303,7 @@ class Simulation:
             reason = None
             if fleet.generation.item(i) != state.ch_generation:
                 reason = "respawn"
-            elif u.pos.planar_distance(fleet.pos(i)) > u.coverage_radius:
+            elif _outside_coverage(u, fleet, i):
                 reason = "coverage"
             if reason is None:
                 self.events.append(SimEvent(t, "beacon_ok", ids=(u.id, i)))
@@ -325,7 +328,7 @@ class Simulation:
         members = self._members(state)
         if self._uses_backup():
             gone = [m for m in members.tolist()
-                    if u.pos.planar_distance(fleet.pos(m)) > u.coverage_radius]
+                    if _outside_coverage(u, fleet, m)]
             self.member_of[gone] = -1
             members = self._members(state)
         if not len(members):
@@ -397,14 +400,14 @@ def _run_lockstep(sims: Sequence[Simulation]) -> None:
 
 
 def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
-               initial_vehicles: Optional[Sequence[Vehicle]] = None
+               initial_fleet: Optional[Fleet] = None
                ) -> Dict[str, List[SimEvent]]:
     """Each scheme's event trace, as run() gives it, from one lockstep
     run; seeds maps the schemes to run seeds with one mobility seed."""
     mobility = {s.mobility for s in seeds.values()}
     if len(mobility) != 1:
         raise ValueError("run_paired: the schemes must share one mobility seed")
-    traffic = Traffic(validate(config), mobility.pop(), initial_vehicles)
+    traffic = Traffic(validate(config), mobility.pop(), initial_fleet)
     sims = {scheme: Simulation(replace(config, scheme=scheme),
                                s, traffic=traffic)
             for scheme, s in seeds.items()}
@@ -413,8 +416,8 @@ def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
 
 
 def run(config: SimConfig, seeds: Optional[RunSeeds] = None,
-        initial_vehicles: Optional[Sequence[Vehicle]] = None) -> List[SimEvent]:
+        initial_fleet: Optional[Fleet] = None) -> List[SimEvent]:
     """Execute one run and return its complete event trace."""
     seeds = seeds or run_seeds(config.seed, 0, config.scheme)
     return run_paired(config, {config.scheme: seeds},
-                      initial_vehicles)[config.scheme]
+                      initial_fleet)[config.scheme]

@@ -48,16 +48,6 @@ class AggregateMetrics:
     mean_degraded: float
 
 
-def normalize(values: Sequence[float]) -> List[float]:
-    """Divide by the maximum so the largest value maps to 1.0."""
-    if not values:
-        raise ValueError("normalize: empty input")
-    peak = max(values)
-    if peak <= 0.0:
-        raise ValueError("normalize: need at least one positive value")
-    return [v / peak for v in values]
-
-
 def lambda_r(r: float, poisson_rate: float) -> float:
     """Poisson negative log-score of the normalized re-selection count."""
     if r < 0.0:
@@ -158,8 +148,6 @@ def aggregate_traces(traces: Sequence[TraceRun]) -> AggregateMetrics:
 
 @dataclass(frozen=True)
 class SchemeScore:
-    mean_total: float
-    mean_snr: float
     normalized_reselections: float
     normalized_snr: float
     likelihood: float
@@ -186,7 +174,6 @@ def compare_schemes(per_scheme: Dict[str, AggregateMetrics],
         else:
             s = m.mean_snr / max_snr if max_snr > 0 else 0.0
         scores[name] = SchemeScore(
-            mean_total=m.mean_total, mean_snr=m.mean_snr,
             normalized_reselections=r, normalized_snr=s,
             likelihood=robustness_likelihood(r, s, params))
     return scores

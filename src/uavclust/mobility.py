@@ -3,56 +3,40 @@
 Constant speed per road traversal; a vehicle leaving the road respawns
 at the entry end of its lane with a freshly sampled speed and a cleared
 speed history, keeping the population size constant.  One Fleet of
-numpy arrays holds the whole population: a run's only vehicle state.
+numpy arrays holds the whole population, one row per vehicle: a run's
+only vehicle state, with no per-vehicle record.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import AirPoint, RoadPoint, Vehicle, VehicleId, left_sum
-
-
-@dataclass(frozen=True)
-class RoadModel:
-    """Straight two-lane two-way road."""
-
-    length: float
-    lane_offsets: Tuple[float, float]
-
-    def lane_dir(self, lane: int) -> int:
-        # first lane runs +x, second lane -x
-        return 1 if lane == 0 else -1
-
-    def entry_x(self, direction: int) -> float:
-        return 0.0 if direction > 0 else self.length
+from .model import AirPoint, VehicleId, left_sum
 
 
 class Fleet:
-    """Struct-of-arrays kinematic state of every vehicle, in list order.
+    """Struct-of-arrays kinematic state of every vehicle; a vehicle's id
+    is its row.
 
-    ids, x, y, dir (+1 or -1 along the road axis), speed (m/s),
-    generation and age (steps since spawn) are numpy arrays.  A speed
-    history starts as (speed,) at spawn and gains one sample of the
-    same constant speed per step, so it is min(age + 1, window) copies
-    of the speed and is never stored.
+    x, y, dir (+1 or -1 along the road axis), speed (m/s), generation
+    and age (steps since spawn) are numpy arrays.  generation increments
+    on every respawn so a recycled row can be told apart from the
+    vehicle that left the road.  A speed history starts as (speed,) at
+    spawn and gains one sample of the same constant speed per step, so
+    it is min(age + 1, window) copies of the speed and is never stored.
     """
 
-    def __init__(self, vehicles: Sequence[Vehicle]):
-        self.ids = np.array([v.id for v in vehicles], dtype=np.int64)
-        self.x = np.array([v.pos.x for v in vehicles], dtype=float)
-        self.y = np.array([v.pos.y for v in vehicles], dtype=float)
-        self.dir = np.array([v.dir for v in vehicles], dtype=np.int64)
-        self.speed = np.array([v.speed for v in vehicles], dtype=float)
-        self.generation = np.array([v.generation for v in vehicles],
-                                   dtype=np.int64)
-        self.age = np.zeros(len(vehicles), dtype=np.int64)
-
-    def pos(self, i: int) -> RoadPoint:
-        return RoadPoint(self.x.item(i), self.y.item(i))
+    def __init__(self, x, y, dir, speed, generation=None):
+        self.x = np.array(x, dtype=float)
+        self.y = np.array(y, dtype=float)
+        self.dir = np.array(dir, dtype=np.int64)
+        self.speed = np.array(speed, dtype=float)
+        self.generation = (np.zeros(len(self.x), dtype=np.int64)
+                           if generation is None
+                           else np.array(generation, dtype=np.int64))
+        self.age = np.zeros(len(self.x), dtype=np.int64)
 
     def avg_speeds(self, window: int) -> np.ndarray:
         """avg_speed of every row's speed history.  Each row's left fold
@@ -65,30 +49,30 @@ class Fleet:
         return total / count
 
 
-def step(fleet: Fleet, road: RoadModel, dt: float, rng: np.random.Generator,
+def step(fleet: Fleet, road_length: float, dt: float,
+         rng: np.random.Generator,
          speed_range: Tuple[float, float]) -> List[VehicleId]:
     """Advance every vehicle by dt seconds, in place.
 
-    Returns the ids respawned this step.  Leavers draw their new speed
-    one scalar draw each, in list order, so RNG consumption is
-    deterministic.
+    Returns the rows respawned this step, each at the entry end of its
+    lane.  Leavers draw their new speed one scalar draw each, in row
+    order, so RNG consumption is deterministic.
     """
     if dt < 0:
         raise ValueError(f"step: dt must be >= 0, got {dt}")
     if dt == 0:
         return []
     new_x = fleet.x + fleet.dir * fleet.speed * dt
-    leaving = ~((0.0 <= new_x) & (new_x <= road.length))
+    leaving = ~((0.0 <= new_x) & (new_x <= road_length))
     fleet.x = new_x
     fleet.age += 1
-    respawned: List[VehicleId] = []
-    for i in np.flatnonzero(leaving).tolist():
+    respawned: List[VehicleId] = np.flatnonzero(leaving).tolist()
+    for i in respawned:
         speed = float(rng.uniform(*speed_range))
-        fleet.x[i] = road.entry_x(fleet.dir[i])
+        fleet.x[i] = 0.0 if fleet.dir[i] > 0 else road_length
         fleet.speed[i] = speed
         fleet.age[i] = 0
         fleet.generation[i] += 1
-        respawned.append(int(fleet.ids[i]))
     return respawned
 
 

@@ -26,7 +26,6 @@ def stream_seed(base: int, *labels: str) -> int:
 
 @dataclass(frozen=True)
 class RunSeeds:
-    run_index: int
     mobility: int
     fading: int
     scheme: int
@@ -34,7 +33,6 @@ class RunSeeds:
 
 def run_seeds(base: int, run_index: int, scheme: str) -> RunSeeds:
     return RunSeeds(
-        run_index=run_index,
         mobility=stream_seed(base, "run", str(run_index), "mobility"),
         fading=stream_seed(base, "run", str(run_index), "fading"),
         scheme=stream_seed(base, "run", str(run_index), "scheme", scheme),

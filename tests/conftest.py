@@ -1,7 +1,7 @@
 """Shared builders for the test suite."""
-import pytest
+from dataclasses import dataclass
 
-from uavclust.model import RoadPoint, Vehicle
+from uavclust.mobility import Fleet
 
 # one line per acceptance criterion, echoed after the test run
 ACCEPTANCE_LINES = []
@@ -14,11 +14,26 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+@dataclass(frozen=True)
+class Vehicle:
+    """One vehicle of a scripted scenario or of a test oracle; the
+    simulator itself keeps vehicles only as Fleet rows."""
+
+    id: int
+    x: float
+    y: float
+    dir: int
+    speed: float
+    generation: int = 0
+
+
 def make_vehicle(vid, x, *, y=-2.0, direction=1, speed=10.0, generation=0):
-    return Vehicle(id=vid, pos=RoadPoint(x, y), dir=direction, speed=speed,
+    return Vehicle(id=vid, x=x, y=y, dir=direction, speed=speed,
                    generation=generation)
 
 
-@pytest.fixture
-def vehicle_factory():
-    return make_vehicle
+def fleet_of(vehicles):
+    """The Fleet whose rows are the given vehicles, in list order."""
+    return Fleet([v.x for v in vehicles], [v.y for v in vehicles],
+                 [v.dir for v in vehicles], [v.speed for v in vehicles],
+                 [v.generation for v in vehicles])

@@ -32,7 +32,7 @@ from uavclust.mobility import residual_path
 from uavclust.model import AirPoint, UavNode
 from uavclust.seeding import run_seeds
 
-from conftest import ACCEPTANCE_LINES, make_vehicle
+from conftest import ACCEPTANCE_LINES, fleet_of, make_vehicle
 
 SCHEMES = ("proposed", "vmasc", "random")
 RUNS = 200
@@ -109,11 +109,11 @@ def test_criterion_2_brute_force_equivalence():
         vehicles = [make_vehicle(i, float(rng.uniform(0, 1000)),
                                  y=float(rng.choice([-2.0, 2.0])))
                     for i in range(int(rng.integers(1, 51)))]
-        column = assign(engine.Fleet(vehicles), uavs, 1e-5, noise)
+        column = assign(fleet_of(vehicles), uavs, 1e-5, noise)
         for v in vehicles:
             snrs = {u.id: u.tx_power * 1e-5 / (
                 channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h,
-                                     v.pos.x, v.pos.y) ** 2) / noise
+                                     v.x, v.y) ** 2) / noise
                 for u in uavs}
             best = max(snrs.values())
             assert column[v.id] == min(

@@ -148,6 +148,31 @@ def test_rerun_into_same_out_drops_stale_traces(tmp_path):
         assert aggregate_field(out, scheme, "runs") == "1"
 
 
+def tree_bytes(out_dir):
+    """Every file under out_dir, by relative path."""
+    return {os.path.relpath(os.path.join(root, name), out_dir):
+            read_bytes(os.path.join(root, name))
+            for root, _, names in os.walk(out_dir) for name in names}
+
+
+def test_rejected_experiment_leaves_out_untouched(tmp_path, capsys):
+    out = str(tmp_path / "done")
+    assert main(["compare", "--runs", "2", "--duration", "70",
+                 "--out", out]) == 0
+    before = tree_bytes(out)
+    assert len(trace_files(out)) == 2 * len(SCHEMES)
+    sweep = ["sweep", "--var", "vehicles", "--values", "5"]
+    for bad in (["compare", "--runs", "0"],
+                ["compare", "--scheme", "proposed,nosuch"],
+                ["run", "--runs", "0"],
+                sweep + ["--runs", "0"],
+                sweep + ["--scheme", "nosuch"]):
+        assert main(bad + ["--seed", "9", "--out", out]) == 1, bad
+        assert tree_bytes(out) == before, bad
+    err = capsys.readouterr().err
+    assert "--runs" in err and "nosuch" in err
+
+
 def test_metrics_scores_with_the_echoed_config(tmp_path):
     cfg = tmp_path / "weights.cfg"
     cfg.write_text("weight_reselect = 0.9\nweight_snr = 0.1\n")

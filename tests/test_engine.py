@@ -11,7 +11,7 @@ from uavclust.config import SimConfig, validate
 from uavclust.engine import MIN_V2V_DISTANCE, Simulation, place_uavs, run
 from uavclust.seeding import run_seeds
 
-from conftest import make_vehicle
+from conftest import fleet_of, make_vehicle
 from test_golden import GRID
 
 SCHEMES = ("proposed", "vmasc", "random")
@@ -25,8 +25,8 @@ def reference_link_snrs(cfg, fading_seed, t, ch_vehicle, members):
     for v in members:
         if v.id == ch_vehicle.id:
             continue
-        d = max(MIN_V2V_DISTANCE, math.hypot(ch_vehicle.pos.x - v.pos.x,
-                                             ch_vehicle.pos.y - v.pos.y))
+        d = max(MIN_V2V_DISTANCE, math.hypot(ch_vehicle.x - v.x,
+                                             ch_vehicle.y - v.y))
         lo, hi = sorted((ch_vehicle.id, v.id))
         rng = np.random.default_rng((fading_seed, int(round(t * 1000)),
                                      lo, hi))
@@ -46,8 +46,8 @@ class CamSnapshots(Simulation):
 
     def _cam_batch(self, t):
         f = self.fleet
-        by_id = {vid: make_vehicle(vid, x, y=y) for vid, x, y in zip(
-            f.ids.tolist(), f.x.tolist(), f.y.tolist())}
+        by_id = {vid: make_vehicle(vid, x, y=y) for vid, (x, y) in enumerate(
+            zip(f.x.tolist(), f.y.tolist()))}
         self.snapshots.append((t, by_id, {
             u: (s.ch, np.flatnonzero(self.member_of == u).tolist())
             for u, s in self.clusters.items()}))
@@ -67,7 +67,7 @@ def check_snrs_against_reference(cfg):
             if ch is None:
                 continue
             payload = batches.pop((t, uav))
-            snrs = reference_link_snrs(cfg, sim.fading_seed, t, by_id[ch],
+            snrs = reference_link_snrs(cfg, sim.seeds.fading, t, by_id[ch],
                                        [by_id[m] for m in members])
             if snrs:
                 assert payload["snr"] == sum(snrs) / len(snrs)
@@ -97,7 +97,7 @@ def test_static_vehicles_one_round_no_departures():
                 for i, (base, j) in enumerate(
                     (b, j) for b in (150.0, 480.0, 810.0) for j in range(4))]
     events = run(cfg, seeds=run_seeds(1, 0, "proposed"),
-                 initial_vehicles=vehicles)
+                 initial_fleet=fleet_of(vehicles))
     ks = kinds(events)
     assert ks.count("clustering_round") == 1
     assert ks.count("ch_selected") == 3  # one per nonempty cluster
@@ -122,7 +122,7 @@ def test_coverage_departure_replaced_from_backup():
     vehicles = [make_vehicle(0, 690.0, speed=2.0),
                 make_vehicle(1, 500.0, speed=2.0)]
     events = run(cfg, seeds=run_seeds(1, 0, "proposed"),
-                 initial_vehicles=vehicles)
+                 initial_fleet=fleet_of(vehicles))
     seated = [e for e in events if e.kind == "ch_selected"]
     assert seated[0].ids == (0, 0)  # tie on v_d breaks to the lowest id
     at_t10 = [e for e in events if e.time == 10.0 and e.kind != "cam_batch"]
@@ -139,7 +139,7 @@ def test_respawn_departure_detected_at_beacon():
     vehicles = [make_vehicle(0, 980.0, speed=20.0),
                 make_vehicle(1, 500.0, speed=2.0)]
     events = run(cfg, seeds=run_seeds(1, 0, "proposed"),
-                 initial_vehicles=vehicles)
+                 initial_fleet=fleet_of(vehicles))
     seated = [e for e in events if e.kind == "ch_selected"]
     assert seated[0].ids == (0, 0)
     assert seated[0].payload["degraded"]
@@ -156,10 +156,42 @@ def test_cluster_emptied_unsets_ch():
     vehicles = [make_vehicle(0, 690.0, speed=2.0)]
     cfg = dataclasses.replace(cfg, num_vehicles=1)
     events = run(cfg, seeds=run_seeds(1, 0, "proposed"),
-                 initial_vehicles=vehicles)
+                 initial_fleet=fleet_of(vehicles))
     assert kinds(events).count("ch_departed") == 1
     assert kinds(events).count("ch_replaced_from_backup") == 0
     assert kinds(events).count("ch_reselected_full") == 0
+
+
+# the one UAV hovers over x = 500, so a parked vehicle at x = 700 on
+# y = 0 is at planar distance exactly uav_coverage_radius = 200
+ON_CIRCLE_X = 700.0
+
+
+def test_ch_on_coverage_circle_stays_seated():
+    cfg = dataclasses.replace(_single_cluster_config(), num_vehicles=1)
+    vehicles = [make_vehicle(0, ON_CIRCLE_X, y=0.0, speed=0.0)]
+    events = run(cfg, seeds=run_seeds(1, 0, "proposed"),
+                 initial_fleet=fleet_of(vehicles))
+    assert [e.ids for e in events if e.kind == "ch_selected"] == [(0, 0)]
+    assert kinds(events).count("ch_departed") == 0
+    assert kinds(events).count("beacon_ok") == 6  # beacons at t=10..60
+
+
+def test_member_on_coverage_circle_survives_departure_sweep():
+    cfg = _single_cluster_config()
+    # the CH (lowest id on a v_d tie) is parked outside coverage and
+    # departs at the first beacon; the member on the circle is kept
+    # through the sweep and takes over from the backup list
+    vehicles = [make_vehicle(0, 750.0, y=0.0, speed=0.0),
+                make_vehicle(1, ON_CIRCLE_X, y=0.0, speed=0.0)]
+    events = run(cfg, seeds=run_seeds(1, 0, "proposed"),
+                 initial_fleet=fleet_of(vehicles))
+    at_t10 = [e for e in events if e.time == 10.0 and e.kind != "cam_batch"]
+    assert [(e.kind, e.ids) for e in at_t10] == [
+        ("beacon_missed", (0, 0)), ("ch_departed", (0, 0)),
+        ("ch_replaced_from_backup", (0, 1))]
+    later = [e for e in events if e.time > 10.0 and e.kind == "beacon_ok"]
+    assert len(later) == 5
 
 
 def test_same_seed_reproduces_trace():
@@ -252,13 +284,13 @@ def test_benchmark_with_backup_list_builds_neighbor_tables(monkeypatch):
     assert tables == EVENT_SLOTS
 
 
-def paired_matches_separate(cfg, initial_vehicles=None):
+def paired_matches_separate(cfg, initial_fleet=None):
     seeds = {s: run_seeds(cfg.seed, 0, s) for s in SCHEMES}
-    paired = engine.run_paired(cfg, seeds, initial_vehicles=initial_vehicles)
+    paired = engine.run_paired(cfg, seeds, initial_fleet=initial_fleet)
     assert list(paired) == list(SCHEMES)
     for scheme in SCHEMES:
         alone = run(dataclasses.replace(cfg, scheme=scheme),
-                    seeds=seeds[scheme], initial_vehicles=initial_vehicles)
+                    seeds=seeds[scheme], initial_fleet=initial_fleet)
         assert paired[scheme] == alone
     return paired
 
@@ -278,7 +310,7 @@ def test_paired_run_matches_separate_runs_from_given_vehicles():
                              direction=-1 if i % 2 else 1,
                              speed=11.0 + 0.5 * i)
                 for i in range(12)]
-    paired = paired_matches_separate(validate(SimConfig()), vehicles)
+    paired = paired_matches_separate(validate(SimConfig()), fleet_of(vehicles))
     assert any(e.kind == "ch_departed" for e in paired["proposed"])
 
 
@@ -288,8 +320,3 @@ def test_paired_run_needs_one_mobility_seed():
     with pytest.raises(ValueError, match="mobility seed"):
         engine.run_paired(SimConfig(), seeds)
 
-
-def test_vehicle_ids_must_be_fleet_rows():
-    vehicles = [make_vehicle(1, 100.0), make_vehicle(0, 200.0)]
-    with pytest.raises(ValueError, match="0..n-1"):
-        run(SimConfig(), initial_vehicles=vehicles)

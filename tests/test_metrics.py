@@ -16,15 +16,6 @@ from test_golden import CELLS, GRID
 REL = 1e-9
 
 
-def test_normalize_oracle():
-    assert metrics.normalize([2.0, 4.0, 8.0]) == pytest.approx([0.25, 0.5, 1.0])
-    assert metrics.normalize([3.5]) == pytest.approx([1.0])
-    with pytest.raises(ValueError):
-        metrics.normalize([])
-    with pytest.raises(ValueError):
-        metrics.normalize([0.0, 0.0])
-
-
 def test_lambda_r_hand_values():
     assert math.isclose(metrics.lambda_r(0.0, 0.5), 0.5, rel_tol=REL)
     assert math.isclose(metrics.lambda_r(1.0, 0.5),

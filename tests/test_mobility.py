@@ -8,28 +8,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavclust.chselect import cluster_avg_speed
-from uavclust.mobility import (Fleet, RoadModel, avg_speed, neighbor_table,
-                               residual_path, residual_path_geometric, step)
-from uavclust.model import AirPoint, RoadPoint, left_sum
+from uavclust.mobility import (avg_speed, neighbor_table, residual_path,
+                               residual_path_geometric, step)
+from uavclust.model import AirPoint, left_sum
 
-from conftest import make_vehicle
+from conftest import fleet_of, make_vehicle
 
-ROAD = RoadModel(length=1000.0, lane_offsets=(-2.0, 2.0))
+ROAD_LENGTH = 1000.0
 SPEEDS = (10.0, 15.0)
 
 
-def reference_step(vehicles, histories, road, dt, rng, speed_range, window):
+def reference_step(vehicles, histories, road_length, dt, rng, speed_range,
+                   window):
     """Per-Vehicle step loop with tuple speed histories: the oracle the
     array step must match."""
     out, out_histories, respawned = [], [], []
     for v, history in zip(vehicles, histories):
-        new_x = v.pos.x + v.dir * v.speed * dt
-        if 0.0 <= new_x <= road.length:
-            out.append(replace(v, pos=RoadPoint(new_x, v.pos.y)))
+        new_x = v.x + v.dir * v.speed * dt
+        if 0.0 <= new_x <= road_length:
+            out.append(replace(v, x=new_x))
             out_histories.append((history + (v.speed,))[-window:])
         else:
             speed = float(rng.uniform(*speed_range))
-            out.append(replace(v, pos=RoadPoint(road.entry_x(v.dir), v.pos.y),
+            out.append(replace(v, x=0.0 if v.dir > 0 else road_length,
                                speed=speed, generation=v.generation + 1))
             out_histories.append((speed,))
             respawned.append(v.id)
@@ -38,20 +39,20 @@ def reference_step(vehicles, histories, road, dt, rng, speed_range, window):
 
 def reference_neighbors(vehicles, rng_range):
     return [sum(1 for o in vehicles if o.id != v.id
-                and math.hypot(v.pos.x - o.pos.x, v.pos.y - o.pos.y)
+                and math.hypot(v.x - o.x, v.y - o.y)
                 <= rng_range)
             for v in vehicles]
 
 
 def step_one(vehicle, dt=1.0):
-    fleet = Fleet([vehicle])
-    respawned = step(fleet, ROAD, dt, np.random.default_rng(0), SPEEDS)
+    fleet = fleet_of([vehicle])
+    respawned = step(fleet, ROAD_LENGTH, dt, np.random.default_rng(0), SPEEDS)
     return fleet, respawned
 
 
 def test_step_advances_by_speed():
     fleet, respawned = step_one(make_vehicle(0, 100.0, speed=20.0))
-    assert fleet.pos(0).x == pytest.approx(120.0)
+    assert fleet.x.tolist() == pytest.approx([120.0])
     assert fleet.age.tolist() == [1]  # history (20.0, 20.0)
     assert fleet.avg_speeds(10).tolist() == [avg_speed((20.0, 20.0), 10)]
     assert respawned == []
@@ -60,8 +61,8 @@ def test_step_advances_by_speed():
 def test_step_respawns_exiting_vehicle():
     v = make_vehicle(3, 995.0, speed=10.0, generation=2)
     fleet, respawned = step_one(v)
-    assert respawned == [3]
-    assert fleet.pos(0) == RoadPoint(0.0, v.pos.y)  # entry end of +x lane
+    assert respawned == [0]  # the fleet row, whatever the record's id
+    assert (fleet.x.tolist(), fleet.y.tolist()) == ([0.0], [v.y])  # +x entry
     speed = fleet.speed.item(0)
     assert 10.0 <= speed <= 15.0
     assert fleet.age.tolist() == [0]  # history cleared to (speed,)
@@ -72,21 +73,22 @@ def test_step_respawns_exiting_vehicle():
 def test_step_respawn_minus_direction_enters_at_far_end():
     fleet, respawned = step_one(make_vehicle(1, 5.0, y=2.0, direction=-1,
                                              speed=10.0))
-    assert respawned == [1]
-    assert fleet.pos(0).x == 1000.0
+    assert respawned == [0]
+    assert fleet.x.tolist() == [1000.0]
 
 
 def test_step_zero_dt_is_identity():
     v = make_vehicle(0, 100.0, speed=20.0)
     fleet, respawned = step_one(v, dt=0.0)
     assert respawned == []
-    assert (fleet.pos(0), fleet.speed.tolist(), fleet.age.tolist(),
-            fleet.generation.tolist()) == (v.pos, [20.0], [0], [0])
+    assert (fleet.x.tolist(), fleet.y.tolist(), fleet.speed.tolist(),
+            fleet.age.tolist(), fleet.generation.tolist()) == \
+        ([v.x], [v.y], [20.0], [0], [0])
 
 
 def test_step_rejects_negative_dt():
     with pytest.raises(ValueError):
-        step(Fleet([]), ROAD, -1.0, np.random.default_rng(0),
+        step(fleet_of([]), ROAD_LENGTH, -1.0, np.random.default_rng(0),
              SPEEDS)
 
 
@@ -132,27 +134,25 @@ def test_residual_path_geometric_center():
     uav = AirPoint(500.0, 0.0, 100.0)
     v = make_vehicle(0, 500.0, y=0.0, speed=10.0)
     # from the disc center the exit distance is exactly the radius
-    xi = residual_path_geometric(uav, v.pos.x, v.pos.y, v.dir, 10.0, 10.0,
-                                 200.0)
+    xi = residual_path_geometric(uav, v.x, v.y, v.dir, 10.0, 10.0, 200.0)
     assert xi == pytest.approx(200.0 - 100.0)
 
 
 def test_residual_path_geometric_outside_disc():
     uav = AirPoint(500.0, 0.0, 100.0)
     v = make_vehicle(0, 900.0, y=0.0, speed=10.0)
-    xi = residual_path_geometric(uav, v.pos.x, v.pos.y, v.dir, 10.0, 10.0,
-                                 200.0)
+    xi = residual_path_geometric(uav, v.x, v.y, v.dir, 10.0, 10.0, 200.0)
     assert xi == pytest.approx(-100.0)  # zero exit distance minus travel
 
 
 def test_neighbors_collinear_oracle():
     vehicles = [make_vehicle(0, 0.0, y=0.0), make_vehicle(1, 100.0, y=0.0),
                 make_vehicle(2, 300.0, y=0.0)]
-    assert neighbor_table(Fleet(vehicles), 150.0).tolist() == [1, 1, 0]
+    assert neighbor_table(fleet_of(vehicles), 150.0).tolist() == [1, 1, 0]
 
 
 def test_neighbors_singleton_empty():
-    fleet = Fleet([make_vehicle(0, 10.0)])
+    fleet = fleet_of([make_vehicle(0, 10.0)])
     assert neighbor_table(fleet, 150.0).tolist() == [0]
     with pytest.raises(ValueError):
         neighbor_table(fleet, 0.0)
@@ -176,17 +176,17 @@ def test_step_matches_reference_loop(layout, seed, window, slots, dt):
                              speed=s, generation=i % 3)
                 for i, (x, s, d) in enumerate(layout)]
     histories = [(v.speed,) for v in vehicles]
-    fleet = Fleet(vehicles)
+    fleet = fleet_of(vehicles)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(slots):
-        respawned = step(fleet, ROAD, dt, rng, SPEEDS)
+        respawned = step(fleet, ROAD_LENGTH, dt, rng, SPEEDS)
         vehicles, histories, ref_respawned = reference_step(
-            vehicles, histories, ROAD, dt, ref_rng, SPEEDS, window)
+            vehicles, histories, ROAD_LENGTH, dt, ref_rng, SPEEDS, window)
         assert respawned == ref_respawned
     rows = range(len(vehicles))
-    assert [(fleet.ids.item(i), fleet.pos(i), fleet.dir.item(i),
+    assert [(i, fleet.x.item(i), fleet.y.item(i), fleet.dir.item(i),
              fleet.speed.item(i), fleet.generation.item(i)) for i in rows] == \
-        [(v.id, v.pos, v.dir, v.speed, v.generation) for v in vehicles]
+        [(v.id, v.x, v.y, v.dir, v.speed, v.generation) for v in vehicles]
     assert fleet.avg_speeds(window).tolist() == [avg_speed(history, window)
                                                  for history in histories]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -210,7 +210,7 @@ GRID_POINT = st.tuples(st.integers(min_value=0, max_value=800).map(lambda k: k *
 @settings(deadline=None, max_examples=100)
 def test_neighbor_table_matches_brute_force(points):
     vehicles = [make_vehicle(i, x, y=y) for i, (x, y) in enumerate(points)]
-    assert neighbor_table(Fleet(vehicles), 150.0).tolist() == \
+    assert neighbor_table(fleet_of(vehicles), 150.0).tolist() == \
         reference_neighbors(vehicles, 150.0)
 
 
@@ -224,9 +224,9 @@ def test_step_keeps_population_on_road(layout, seed):
     vehicles = [make_vehicle(i, x, y=-2.0 if d > 0 else 2.0,
                              direction=d, speed=s)
                 for i, (x, s, d) in enumerate(layout)]
-    fleet = Fleet(vehicles)
+    fleet = fleet_of(vehicles)
     rng = np.random.default_rng(seed)
     for _ in range(5):
-        step(fleet, ROAD, 1.0, rng, SPEEDS)
-    assert fleet.ids.tolist() == list(range(len(layout)))
-    assert all(0.0 <= x <= ROAD.length for x in fleet.x.tolist())
+        step(fleet, ROAD_LENGTH, 1.0, rng, SPEEDS)
+    assert len(fleet.x) == len(layout)
+    assert all(0.0 <= x <= ROAD_LENGTH for x in fleet.x.tolist())

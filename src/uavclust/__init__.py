@@ -6,13 +6,13 @@ benchmark selectors, with trace-driven stability/SNR/robustness metrics.
 """
 
 from .config import SimConfig, ConfigError, load_config, validate
-from .engine import Simulation, run
+from .engine import run
 from .metrics import (LikelihoodParams, aggregate, compare_schemes,
                       robustness_likelihood, run_metrics)
 
 __all__ = [
     "SimConfig", "ConfigError", "load_config", "validate",
-    "Simulation", "run",
+    "run",
     "LikelihoodParams", "aggregate", "compare_schemes",
     "robustness_likelihood", "run_metrics",
 ]

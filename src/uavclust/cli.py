@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    run      one scheme, one config, N seeded runs
+    run      one scheme, one config, N seeded runs: compare of one scheme
     compare  all schemes on shared (paired) mobility seeds
     sweep    compare across a swept variable (vehicles | duration)
     metrics  re-aggregate previously written trace files
@@ -91,13 +91,16 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     metrics per run index, scored in memory by the tasks.
 
     out_dir gets the echo of config, which a later `metrics` scores
-    with.  Traces left in out_dir by an earlier experiment are removed
-    first, so that `metrics` sees only this experiment's runs.
+    with.  Traces, aggregates and plots left in out_dir by an earlier
+    experiment are removed first, so that out_dir and `metrics` see only
+    this experiment's runs.
     """
     _echo_config(out_dir, config)
     trace_dir = os.path.join(out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
-    for stale in glob.glob(os.path.join(trace_dir, "*.trace")):
+    for stale in (glob.glob(os.path.join(trace_dir, "*.trace"))
+                  + glob.glob(os.path.join(out_dir, "aggregate.*.txt"))
+                  + glob.glob(os.path.join(out_dir, "plots", "*.dat"))):
         os.remove(stale)
     tasks = [(config, plan, out_dir, k)
              for k, plan in enumerate(seed_plan(config.seed, runs, schemes))]
@@ -156,28 +159,39 @@ def _write_aggregates(out_dir: str, config: SimConfig,
     return per_scheme
 
 
-def _write_time_series(out_dir: str, config: SimConfig,
-                       runs: Dict[str, List[metrics.TraceRun]]) -> None:
-    """Mean cumulative re-selections per scheme on the CAM grid,
-    normalized by the global maximum."""
-    schemes = sorted(runs)
-    grid = [k * config.cam_interval
-            for k in range(int(config.total_time / config.cam_interval) + 1)]
-    series = {}
-    for scheme in schemes:
-        cum = [metrics.cumulative_at(rm, grid) for _, rm in runs[scheme]]
-        series[scheme] = [sum(col) / len(col) for col in zip(*cum)]
+def _write_plot(path: str, x_name: str, xs: Sequence[float],
+                series: Dict[str, List[float]]) -> None:
+    """One plot file: a row per x, a column per scheme (sorted), every
+    value normalized by the global maximum."""
+    schemes = sorted(series)
     peak = max((max(s) for s in series.values()), default=0.0)
-    os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
-    lines = ["# time " + " ".join(schemes)]
-    for i, t in enumerate(grid):
-        row = [trace.format_number(t)]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    lines = [f"# {x_name} " + " ".join(schemes)]
+    for i, x in enumerate(xs):
+        row = [trace.format_number(x)]
         for scheme in schemes:
             value = series[scheme][i] / peak if peak > 0 else 0.0
             row.append(f"{value:.6f}")
         lines.append(" ".join(row))
-    _atomic_write(os.path.join(out_dir, "plots", "reselections_vs_time.dat"),
-                  "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _write_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
+                      out_dir: str, workers: int
+                      ) -> Dict[str, metrics.AggregateMetrics]:
+    """Run one experiment into out_dir: traces, aggregates, and the mean
+    cumulative re-selections per scheme on the CAM grid."""
+    scored = _run_experiment(config, schemes, runs, out_dir, workers)
+    per_scheme = _write_aggregates(out_dir, config, scored)
+    grid = [k * config.cam_interval
+            for k in range(int(config.total_time / config.cam_interval) + 1)]
+    series = {}
+    for scheme, scheme_runs in scored.items():
+        cum = [metrics.cumulative_at(rm, grid) for _, rm in scheme_runs]
+        series[scheme] = [sum(col) / len(col) for col in zip(*cum)]
+    _write_plot(os.path.join(out_dir, "plots", "reselections_vs_time.dat"),
+                "time", grid, series)
+    return per_scheme
 
 
 def _load_base_config(args, default_path: Optional[str] = None) -> SimConfig:
@@ -214,20 +228,10 @@ def _experiment_schemes(args) -> List[str]:
     return schemes
 
 
-def _cmd_run(args) -> int:
-    config = _load_base_config(args)
-    runs = _run_experiment(config, _experiment_schemes(args), args.runs,
-                           args.out, args.workers)
-    _write_aggregates(args.out, config, runs)
-    return 0
-
-
 def _cmd_compare(args) -> int:
     config = _load_base_config(args)
-    schemes = _experiment_schemes(args)
-    runs = _run_experiment(config, schemes, args.runs, args.out, args.workers)
-    _write_aggregates(args.out, config, runs)
-    _write_time_series(args.out, config, runs)
+    _write_experiment(config, _experiment_schemes(args), args.runs, args.out,
+                      args.workers)
     return 0
 
 
@@ -240,26 +244,20 @@ def _cmd_sweep(args) -> int:
         print("sweep: --values must be strictly increasing", file=sys.stderr)
         return 2
     field = "num_vehicles" if args.var == "vehicles" else "total_time"
+    # every point is checked before anything under --out is written
+    points = [validate(dataclasses.replace(config, **{field: value}))
+              for value in values]
     _echo_config(args.out, config)
-    table: Dict[float, Dict[str, float]] = {}
-    for value in values:
-        point_cfg = validate(dataclasses.replace(config, **{field: value}))
+    series: Dict[str, List[float]] = {s: [] for s in schemes}
+    for value, point_cfg in zip(values, points):
         point_dir = os.path.join(args.out,
                                  f"{args.var}_{trace.format_number(value)}")
-        runs = _run_experiment(point_cfg, schemes, args.runs, point_dir, args.workers)
-        per_scheme = _write_aggregates(point_dir, point_cfg, runs)
-        table[value] = {s: m.mean_total for s, m in per_scheme.items()}
-    peak = max((v for row in table.values() for v in row.values()), default=0.0)
-    os.makedirs(os.path.join(args.out, "plots"), exist_ok=True)
-    lines = [f"# {args.var} " + " ".join(sorted(schemes))]
-    for value in values:
-        row = [trace.format_number(value)]
-        for scheme in sorted(schemes):
-            norm = table[value][scheme] / peak if peak > 0 else 0.0
-            row.append(f"{norm:.6f}")
-        lines.append(" ".join(row))
-    _atomic_write(os.path.join(args.out, "plots", f"sweep_{args.var}.dat"),
-                  "\n".join(lines) + "\n")
+        per_scheme = _write_experiment(point_cfg, schemes, args.runs,
+                                       point_dir, args.workers)
+        for scheme, agg in per_scheme.items():
+            series[scheme].append(agg.mean_total)
+    _write_plot(os.path.join(args.out, "plots", f"sweep_{args.var}.dat"),
+                args.var, values, series)
     return 0
 
 
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single scheme, N seeded runs")
     p_run.add_argument("--scheme", default="proposed", choices=SCHEMES)
     _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_compare)
 
     p_cmp = sub.add_parser("compare", help="all schemes, paired seeds")
     p_cmp.add_argument("--scheme", default=None,

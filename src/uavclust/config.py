@@ -11,7 +11,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .channel import dbm_to_watts
 from .model import KMH_TO_MS
@@ -174,7 +174,7 @@ def _parse_value(name: str, raw: str):
     return float(text)
 
 
-def parse_config_text(text: str, base: Optional[SimConfig] = None) -> SimConfig:
+def parse_config_text(text: str) -> SimConfig:
     """Build a SimConfig from flat key = value text."""
     known = {f.name for f in dataclasses.fields(SimConfig)}
     values: Dict[str, object] = {}
@@ -197,12 +197,12 @@ def parse_config_text(text: str, base: Optional[SimConfig] = None) -> SimConfig:
             errors.append(f"line {lineno}: {key}: {exc}")
     if errors:
         raise ConfigError(errors)
-    return dataclasses.replace(base or SimConfig(), **values)
+    return SimConfig(**values)
 
 
-def load_config(path: str, base: Optional[SimConfig] = None) -> SimConfig:
+def load_config(path: str) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())
 
 
 def dump_config(config: SimConfig) -> str:

@@ -15,15 +15,16 @@ is driven by private RNG streams (mobility, scheme, and one fading
 stream per link sample) so a (config, seed) pair reproduces a
 byte-identical event trace.
 
-run_paired runs the schemes of one run index in lockstep over the one
-Traffic they share; run() is the one-scheme case of the same loop.
+run_paired, the one simulation loop, runs the schemes of one run index
+in lockstep over the one Traffic they share; run() is its one-scheme
+case.  Both take the run seeds explicitly.
 """
 from __future__ import annotations
 
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .config import SimConfig, validate
 from .mobility import (Fleet, neighbor_table, residual_path,
                        residual_path_geometric, step)
 from .model import AirPoint, UavNode, left_sum
-from .seeding import RunSeeds, pcg64_states, run_seeds
+from .seeding import RunSeeds, pcg64_states
 from .trace import SimEvent
 
 # Distance floor for V2V links: the point-mass mobility model lets
@@ -78,7 +79,7 @@ def _outside_coverage(uav: UavNode, fleet: Fleet, i: int) -> bool:
 class _ClusterState:
     uav: UavNode
     ch: Optional[int] = None
-    ch_generation: int = 0
+    ch_respawned: bool = False
     tenure: int = 0
     backup: np.ndarray = field(default_factory=lambda: _NO_BACKUP)
 
@@ -117,21 +118,21 @@ class Traffic:
 
 class Simulation:
     """One scheme's run over a Traffic that the other schemes of its run
-    index may share (see run_paired); run() runs it alone.
+    index may share; run_paired drives it.
 
     member_of holds each fleet row's cluster: its UAV id, or -1.  A
     vehicle's id is its fleet row, so a cluster's members, read from
     the column, come in ascending id order.  Between
     phases a cluster has a CH exactly when it has members: a round or a
     departure that leaves members seats one, and a respawn removes only
-    non-CH members.
+    non-CH members.  A respawned CH stays seated, marked ch_respawned,
+    until the next beacon check reports it or a new CH is seated.
     """
 
-    def __init__(self, config: SimConfig, seeds: Optional[RunSeeds] = None,
-                 traffic: Optional[Traffic] = None):
+    def __init__(self, config: SimConfig, seeds: RunSeeds, traffic: Traffic):
         self.config = validate(config)
-        self.seeds = seeds or run_seeds(config.seed, 0, config.scheme)
-        self.traffic = traffic or Traffic(self.config, self.seeds.mobility)
+        self.seeds = seeds
+        self.traffic = traffic
         self.fleet, self.uavs = self.traffic.fleet, self.traffic.uavs
         self.scheme_rng = np.random.default_rng(self.seeds.scheme)
         self._link_gen = np.random.Generator(np.random.PCG64(0))
@@ -212,7 +213,7 @@ class Simulation:
 
     def _seat_ch(self, state: _ClusterState, vid: int) -> None:
         state.ch = vid
-        state.ch_generation = self.fleet.generation.item(vid)
+        state.ch_respawned = False
         state.tenure += 1
 
     # -- scheduled phases ------------------------------------------------
@@ -301,7 +302,7 @@ class Simulation:
             if i is None:
                 continue
             reason = None
-            if fleet.generation.item(i) != state.ch_generation:
+            if state.ch_respawned:
                 reason = "respawn"
             elif _outside_coverage(u, fleet, i):
                 reason = "coverage"
@@ -357,22 +358,30 @@ class Simulation:
         for vid in respawned:
             self.events.append(SimEvent(t, "vehicle_respawn", ids=(vid,)))
             # a respawn is a new vehicle: it leaves its old cluster.  A
-            # respawned CH stays seated until the beacon check notices
-            # the identity change.
-            if all(vid != state.ch for state in self.clusters.values()):
+            # respawned CH stays seated until the beacon check reports
+            # the mark.
+            for state in self.clusters.values():
+                if state.ch == vid:
+                    state.ch_respawned = True
+                    break
+            else:
                 self.member_of[vid] = -1
 
-    def run(self) -> List[SimEvent]:
-        _run_lockstep([self])
-        return self.events
 
-
-def _run_lockstep(sims: Sequence[Simulation]) -> None:
-    """Run every Simulation over their one Traffic.  A slot's phases read
-    the fleet before it steps, so each sees the slots a run of its own
-    would."""
-    traffic = sims[0].traffic
-    cfg = traffic.config
+def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
+               initial_fleet: Optional[Fleet] = None
+               ) -> Dict[str, List[SimEvent]]:
+    """Each scheme's event trace from one lockstep run over one Traffic;
+    seeds maps the schemes to run seeds with one mobility seed.  A slot's
+    phases read the fleet before it steps, so each scheme sees the slots
+    a run of its own would."""
+    mobility = {s.mobility for s in seeds.values()}
+    if len(mobility) != 1:
+        raise ValueError("run_paired: the schemes must share one mobility seed")
+    cfg = validate(config)
+    traffic = Traffic(cfg, mobility.pop(), initial_fleet)
+    sims = [Simulation(replace(cfg, scheme=scheme), s, traffic)
+            for scheme, s in seeds.items()]
     dt = cfg.slot_duration
     k_cluster = int(round(cfg.cluster_interval / dt))
     k_cam = int(round(cfg.cam_interval / dt))
@@ -397,27 +406,11 @@ def _run_lockstep(sims: Sequence[Simulation]) -> None:
             sim._respawn(t + dt, respawned)
     for sim in sims:
         sim._sample_cam_links()
+    return {scheme: sim.events for scheme, sim in zip(seeds, sims)}
 
 
-def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
-               initial_fleet: Optional[Fleet] = None
-               ) -> Dict[str, List[SimEvent]]:
-    """Each scheme's event trace, as run() gives it, from one lockstep
-    run; seeds maps the schemes to run seeds with one mobility seed."""
-    mobility = {s.mobility for s in seeds.values()}
-    if len(mobility) != 1:
-        raise ValueError("run_paired: the schemes must share one mobility seed")
-    traffic = Traffic(validate(config), mobility.pop(), initial_fleet)
-    sims = {scheme: Simulation(replace(config, scheme=scheme),
-                               s, traffic=traffic)
-            for scheme, s in seeds.items()}
-    _run_lockstep(list(sims.values()))
-    return {scheme: sim.events for scheme, sim in sims.items()}
-
-
-def run(config: SimConfig, seeds: Optional[RunSeeds] = None,
+def run(config: SimConfig, seeds: RunSeeds,
         initial_fleet: Optional[Fleet] = None) -> List[SimEvent]:
     """Execute one run and return its complete event trace."""
-    seeds = seeds or run_seeds(config.seed, 0, config.scheme)
     return run_paired(config, {config.scheme: seeds},
                       initial_fleet)[config.scheme]

@@ -20,22 +20,19 @@ class Fleet:
     """Struct-of-arrays kinematic state of every vehicle; a vehicle's id
     is its row.
 
-    x, y, dir (+1 or -1 along the road axis), speed (m/s), generation
-    and age (steps since spawn) are numpy arrays.  generation increments
-    on every respawn so a recycled row can be told apart from the
+    x, y, dir (+1 or -1 along the road axis), speed (m/s) and age
+    (steps since spawn) are numpy arrays.  A respawned row is a new
+    vehicle; step reports it, and the Fleet keeps no trace of the
     vehicle that left the road.  A speed history starts as (speed,) at
     spawn and gains one sample of the same constant speed per step, so
     it is min(age + 1, window) copies of the speed and is never stored.
     """
 
-    def __init__(self, x, y, dir, speed, generation=None):
+    def __init__(self, x, y, dir, speed):
         self.x = np.array(x, dtype=float)
         self.y = np.array(y, dtype=float)
         self.dir = np.array(dir, dtype=np.int64)
         self.speed = np.array(speed, dtype=float)
-        self.generation = (np.zeros(len(self.x), dtype=np.int64)
-                           if generation is None
-                           else np.array(generation, dtype=np.int64))
         self.age = np.zeros(len(self.x), dtype=np.int64)
 
     def avg_speeds(self, window: int) -> np.ndarray:
@@ -58,10 +55,8 @@ def step(fleet: Fleet, road_length: float, dt: float,
     lane.  Leavers draw their new speed one scalar draw each, in row
     order, so RNG consumption is deterministic.
     """
-    if dt < 0:
-        raise ValueError(f"step: dt must be >= 0, got {dt}")
-    if dt == 0:
-        return []
+    if dt <= 0:
+        raise ValueError(f"step: dt must be positive, got {dt}")
     new_x = fleet.x + fleet.dir * fleet.speed * dt
     leaving = ~((0.0 <= new_x) & (new_x <= road_length))
     fleet.x = new_x
@@ -72,7 +67,6 @@ def step(fleet: Fleet, road_length: float, dt: float,
         fleet.x[i] = 0.0 if fleet.dir[i] > 0 else road_length
         fleet.speed[i] = speed
         fleet.age[i] = 0
-        fleet.generation[i] += 1
     return respawned
 
 

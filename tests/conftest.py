@@ -24,16 +24,13 @@ class Vehicle:
     y: float
     dir: int
     speed: float
-    generation: int = 0
 
 
-def make_vehicle(vid, x, *, y=-2.0, direction=1, speed=10.0, generation=0):
-    return Vehicle(id=vid, x=x, y=y, dir=direction, speed=speed,
-                   generation=generation)
+def make_vehicle(vid, x, *, y=-2.0, direction=1, speed=10.0):
+    return Vehicle(id=vid, x=x, y=y, dir=direction, speed=speed)
 
 
 def fleet_of(vehicles):
     """The Fleet whose rows are the given vehicles, in list order."""
     return Fleet([v.x for v in vehicles], [v.y for v in vehicles],
-                 [v.dir for v in vehicles], [v.speed for v in vehicles],
-                 [v.generation for v in vehicles])
+                 [v.dir for v in vehicles], [v.speed for v in vehicles])

@@ -20,6 +20,13 @@ def trace_files(out_dir):
     return sorted(os.listdir(trace_dir)) if os.path.isdir(trace_dir) else []
 
 
+def tree_bytes(out_dir):
+    """Every file under out_dir, by relative path."""
+    return {os.path.relpath(os.path.join(root, name), out_dir):
+            read_bytes(os.path.join(root, name))
+            for root, _, names in os.walk(out_dir) for name in names}
+
+
 def test_seed_plan_pairing_contract():
     plan = seed_plan(1, 3, SCHEMES)
     assert len(plan) == 3
@@ -45,6 +52,16 @@ def test_run_twice_is_byte_identical(tmp_path):
     for name in names:
         assert read_bytes(os.path.join(a, "traces", name)) == \
             read_bytes(os.path.join(b, "traces", name))
+
+
+def test_run_is_compare_of_one_scheme(tmp_path):
+    flags = ["--scheme", "vmasc", "--runs", "2", "--duration", "140"]
+    ran, compared = str(tmp_path / "run"), str(tmp_path / "cmp")
+    assert main(["run"] + flags + ["--out", ran]) == 0
+    assert main(["compare"] + flags + ["--out", compared]) == 0
+    tree = tree_bytes(ran)
+    assert "plots/reselections_vs_time.dat" in tree
+    assert tree == tree_bytes(compared)
 
 
 def test_compare_layout_and_likelihood(tmp_path):
@@ -146,13 +163,12 @@ def test_rerun_into_same_out_drops_stale_traces(tmp_path):
     assert main(["metrics", "--out", out]) == 0
     for scheme in SCHEMES:
         assert aggregate_field(out, scheme, "runs") == "1"
-
-
-def tree_bytes(out_dir):
-    """Every file under out_dir, by relative path."""
-    return {os.path.relpath(os.path.join(root, name), out_dir):
-            read_bytes(os.path.join(root, name))
-            for root, _, names in os.walk(out_dir) for name in names}
+    # a one-scheme run leaves no other scheme's aggregate or plot column
+    assert main(["run", "--scheme", "vmasc", "--duration", "70",
+                 "--out", out]) == 0
+    assert sorted(tree_bytes(out)) == [
+        "aggregate.vmasc.txt", "config.echo",
+        "plots/reselections_vs_time.dat", "traces/vmasc_run0000.trace"]
 
 
 def test_rejected_experiment_leaves_out_untouched(tmp_path, capsys):
@@ -166,7 +182,9 @@ def test_rejected_experiment_leaves_out_untouched(tmp_path, capsys):
                 ["compare", "--scheme", "proposed,nosuch"],
                 ["run", "--runs", "0"],
                 sweep + ["--runs", "0"],
-                sweep + ["--scheme", "nosuch"]):
+                sweep + ["--scheme", "nosuch"],
+                # 75.5 is no multiple of slot_duration
+                ["sweep", "--var", "duration", "--values", "70,75.5"]):
         assert main(bad + ["--seed", "9", "--out", out]) == 1, bad
         assert tree_bytes(out) == before, bad
     err = capsys.readouterr().err

@@ -44,6 +44,10 @@ class CamSnapshots(Simulation):
     """Keeps what each CAM batch saw: its time, vehicle positions and
     clusters."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.snapshots = []
+
     def _cam_batch(self, t):
         f = self.fleet
         by_id = {vid: make_vehicle(vid, x, y=y) for vid, (x, y) in enumerate(
@@ -54,13 +58,20 @@ class CamSnapshots(Simulation):
         super()._cam_batch(t)
 
 
-def check_snrs_against_reference(cfg):
+def check_snrs_against_reference(cfg, monkeypatch):
     """Asserts every CH cam_batch payload against reference_link_snrs;
     returns (payloads with an snr, payloads without one)."""
-    sim = CamSnapshots(cfg, seeds=run_seeds(cfg.seed, 0, cfg.scheme))
-    sim.snapshots = []
-    batches = {(e.time, e.ids[0]): e.payload for e in sim.run()
+    sims = []
+
+    def tracked(*args):
+        sims.append(CamSnapshots(*args))
+        return sims[-1]
+
+    monkeypatch.setattr(engine, "Simulation", tracked)
+    batches = {(e.time, e.ids[0]): e.payload
+               for e in run(cfg, seeds=run_seeds(cfg.seed, 0, cfg.scheme))
                if e.kind == "cam_batch" and len(e.ids) == 2}
+    [sim] = sims
     with_snr = without_snr = 0
     for t, by_id, clusters in sim.snapshots:
         for uav, (ch, members) in clusters.items():
@@ -150,6 +161,22 @@ def test_respawn_departure_detected_at_beacon():
     assert departed[0].time == 10.0
 
 
+def test_respawn_mark_cleared_by_seating():
+    # the lone vehicle is CH from t = 0, respawns at t = 65 and stays
+    # covered; the t = 70 round seats it again, so the beacon at t = 80
+    # has no departure to report
+    cfg = dataclasses.replace(_single_cluster_config(), num_vehicles=1,
+                              uav_coverage_radius=1000.0, total_time=100.0)
+    events = run(cfg, seeds=run_seeds(1, 0, "proposed"),
+                 initial_fleet=fleet_of([make_vehicle(0, 355.0, speed=10.0)]))
+    assert [e.time for e in events if e.kind == "vehicle_respawn"] == [65.0]
+    assert [(e.time, e.ids) for e in events if e.kind == "ch_selected"] == \
+        [(0.0, (0, 0)), (70.0, (0, 0))]
+    assert kinds(events).count("ch_departed") == 0
+    assert [e.time for e in events if e.kind == "beacon_ok"] == \
+        [10.0 * k for k in range(1, 10) if k != 7]
+
+
 def test_cluster_emptied_unsets_ch():
     cfg = _single_cluster_config()
     # lone member exits coverage; nobody is left to replace it
@@ -228,12 +255,12 @@ def test_default_run_emits_only_known_kinds():
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_cam_batch_snr_matches_per_link_reference(scheme):
+def test_cam_batch_snr_matches_per_link_reference(scheme, monkeypatch):
     # the golden dense cell: fast fading is drawn, and some CAM slots
     # find a CH alone in its cluster
     cfg = validate(dataclasses.replace(SimConfig(), seed=1, scheme=scheme,
                                        total_time=140.0, **DENSE))
-    with_snr, without_snr = check_snrs_against_reference(cfg)
+    with_snr, without_snr = check_snrs_against_reference(cfg, monkeypatch)
     assert with_snr > 0 and without_snr > 0
 
 

@@ -31,7 +31,7 @@ def reference_step(vehicles, histories, road_length, dt, rng, speed_range,
         else:
             speed = float(rng.uniform(*speed_range))
             out.append(replace(v, x=0.0 if v.dir > 0 else road_length,
-                               speed=speed, generation=v.generation + 1))
+                               speed=speed))
             out_histories.append((speed,))
             respawned.append(v.id)
     return out, out_histories, respawned
@@ -59,7 +59,7 @@ def test_step_advances_by_speed():
 
 
 def test_step_respawns_exiting_vehicle():
-    v = make_vehicle(3, 995.0, speed=10.0, generation=2)
+    v = make_vehicle(3, 995.0, speed=10.0)
     fleet, respawned = step_one(v)
     assert respawned == [0]  # the fleet row, whatever the record's id
     assert (fleet.x.tolist(), fleet.y.tolist()) == ([0.0], [v.y])  # +x entry
@@ -67,7 +67,6 @@ def test_step_respawns_exiting_vehicle():
     assert 10.0 <= speed <= 15.0
     assert fleet.age.tolist() == [0]  # history cleared to (speed,)
     assert fleet.avg_speeds(10).tolist() == [speed]
-    assert fleet.generation.tolist() == [3]
 
 
 def test_step_respawn_minus_direction_enters_at_far_end():
@@ -77,13 +76,9 @@ def test_step_respawn_minus_direction_enters_at_far_end():
     assert fleet.x.tolist() == [1000.0]
 
 
-def test_step_zero_dt_is_identity():
-    v = make_vehicle(0, 100.0, speed=20.0)
-    fleet, respawned = step_one(v, dt=0.0)
-    assert respawned == []
-    assert (fleet.x.tolist(), fleet.y.tolist(), fleet.speed.tolist(),
-            fleet.age.tolist(), fleet.generation.tolist()) == \
-        ([v.x], [v.y], [20.0], [0], [0])
+def test_step_rejects_zero_dt():
+    with pytest.raises(ValueError, match="positive"):
+        step_one(make_vehicle(0, 100.0, speed=20.0), dt=0.0)
 
 
 def test_step_rejects_negative_dt():
@@ -173,7 +168,7 @@ VEHICLE = st.tuples(
 @settings(deadline=None, max_examples=60)
 def test_step_matches_reference_loop(layout, seed, window, slots, dt):
     vehicles = [make_vehicle(i, x, y=-2.0 if d > 0 else 2.0, direction=d,
-                             speed=s, generation=i % 3)
+                             speed=s)
                 for i, (x, s, d) in enumerate(layout)]
     histories = [(v.speed,) for v in vehicles]
     fleet = fleet_of(vehicles)
@@ -185,8 +180,8 @@ def test_step_matches_reference_loop(layout, seed, window, slots, dt):
         assert respawned == ref_respawned
     rows = range(len(vehicles))
     assert [(i, fleet.x.item(i), fleet.y.item(i), fleet.dir.item(i),
-             fleet.speed.item(i), fleet.generation.item(i)) for i in rows] == \
-        [(v.id, v.x, v.y, v.dir, v.speed, v.generation) for v in vehicles]
+             fleet.speed.item(i)) for i in rows] == \
+        [(v.id, v.x, v.y, v.dir, v.speed) for v in vehicles]
     assert fleet.avg_speeds(window).tolist() == [avg_speed(history, window)
                                                  for history in histories]
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import glob
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -84,24 +85,28 @@ def _read_runs(paths: Sequence[str]) -> List[metrics.TraceRun]:
     return runs
 
 
+def _reset_out(out_dir: str, config: SimConfig) -> None:
+    """Give out_dir the echo of config, which a later `metrics` scores
+    with, and remove the traces, aggregates and plots an earlier
+    experiment left there, so that out_dir and `metrics` see only this
+    experiment's output."""
+    os.makedirs(out_dir, exist_ok=True)
+    _atomic_write(os.path.join(out_dir, "config.echo"), dump_config(config))
+    for stale in (glob.glob(os.path.join(out_dir, "traces", "*.trace"))
+                  + glob.glob(os.path.join(out_dir, "aggregate.*.txt"))
+                  + glob.glob(os.path.join(out_dir, "plots", "*.dat"))):
+        os.remove(stale)
+
+
 def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                     out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
     """Fan out one task per run index, on min(workers, runs) processes
     (in this one if that is 1); returns each scheme's header and run
-    metrics per run index, scored in memory by the tasks.
-
-    out_dir gets the echo of config, which a later `metrics` scores
-    with.  Traces, aggregates and plots left in out_dir by an earlier
-    experiment are removed first, so that out_dir and `metrics` see only
-    this experiment's runs.
+    metrics per run index, scored in memory by the tasks.  out_dir is
+    reset first (_reset_out).
     """
-    _echo_config(out_dir, config)
-    trace_dir = os.path.join(out_dir, "traces")
-    os.makedirs(trace_dir, exist_ok=True)
-    for stale in (glob.glob(os.path.join(trace_dir, "*.trace"))
-                  + glob.glob(os.path.join(out_dir, "aggregate.*.txt"))
-                  + glob.glob(os.path.join(out_dir, "plots", "*.dat"))):
-        os.remove(stale)
+    _reset_out(out_dir, config)
+    os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     tasks = [(config, plan, out_dir, k)
              for k, plan in enumerate(seed_plan(config.seed, runs, schemes))]
     workers = min(workers, runs)
@@ -211,11 +216,6 @@ def _load_base_config(args, default_path: Optional[str] = None) -> SimConfig:
     return validate(config)
 
 
-def _echo_config(out_dir: str, config: SimConfig) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "config.echo"), dump_config(config))
-
-
 def _experiment_schemes(args) -> List[str]:
     """The schemes of --scheme (all by default).  A bad scheme name or
     run count is rejected here, before anything under --out is touched."""
@@ -247,7 +247,12 @@ def _cmd_sweep(args) -> int:
     # every point is checked before anything under --out is written
     points = [validate(dataclasses.replace(config, **{field: value}))
               for value in values]
-    _echo_config(args.out, config)
+    # the sweep's own output, and the point directories an earlier
+    # sweep wrote (the ones holding an echo), are replaced
+    _reset_out(args.out, config)
+    for var in ("vehicles", "duration"):
+        for stale in glob.glob(os.path.join(args.out, f"{var}_*", "config.echo")):
+            shutil.rmtree(os.path.dirname(stale))
     series: Dict[str, List[float]] = {s: [] for s in schemes}
     for value, point_cfg in zip(values, points):
         point_dir = os.path.join(args.out,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,8 +42,6 @@ from .trace import SimEvent
 # Distance floor for V2V links: the point-mass mobility model lets
 # vehicles overlap, which would blow up the d^-eta path loss.
 MIN_V2V_DISTANCE = 10.0
-
-_NO_BACKUP = np.empty(0, dtype=np.int64)
 
 
 def place_uavs(config: SimConfig) -> List[UavNode]:
@@ -81,7 +79,7 @@ class _ClusterState:
     ch: Optional[int] = None
     ch_respawned: bool = False
     tenure: int = 0
-    backup: np.ndarray = field(default_factory=lambda: _NO_BACKUP)
+    backup: Optional[np.ndarray] = None  # a keeper's, set with its CH
 
 
 class Traffic:
@@ -135,6 +133,10 @@ class Simulation:
         self.traffic = traffic
         self.fleet, self.uavs = self.traffic.fleet, self.traffic.uavs
         self.scheme_rng = np.random.default_rng(self.seeds.scheme)
+        # whether this scheme keeps a backup list; exactly then its
+        # phases read the neighbor counts (_features)
+        self.keeps_backup = (config.scheme == "proposed"
+                             or config.benchmarks_use_backup)
         self._link_gen = np.random.Generator(np.random.PCG64(0))
         self.clusters: Dict[int, _ClusterState] = {
             u.id: _ClusterState(uav=u) for u in self.uavs}
@@ -181,12 +183,6 @@ class Simulation:
                                      cfg.cluster_interval)
         return v_d, self.traffic.nbr_count[members], residual
 
-    def _uses_backup(self) -> bool:
-        """Whether this scheme keeps a backup list; exactly then its
-        phases read the neighbor counts (_features)."""
-        return (self.config.scheme == "proposed"
-                or self.config.benchmarks_use_backup)
-
     def _select_for_scheme(self, state: _ClusterState, members: np.ndarray):
         """Run the configured selector; returns (chosen id, degraded)."""
         cfg = self.config
@@ -200,8 +196,7 @@ class Simulation:
 
     def _rebuild_backup(self, state: _ClusterState,
                         members: np.ndarray) -> None:
-        if not self._uses_backup():
-            state.backup = _NO_BACKUP
+        if not self.keeps_backup:
             return
         cfg = self.config
         others = members != state.ch
@@ -226,7 +221,6 @@ class Simulation:
         self.round_index += 1
         for state in self.clusters.values():
             state.ch = None
-            state.backup = _NO_BACKUP
             members = self._members(state)
             if not len(members):
                 continue
@@ -322,35 +316,33 @@ class Simulation:
         members that drifted out of coverage and drops them; the
         benchmark selectors have no such step and may seat a stale
         member, which then departs at the next beacon.
+
+        A backup keeper's list never runs dry while its cluster has
+        members: between rounds, every non-CH member is on the backup
+        list, because each rebuild lists all of them and membership
+        only shrinks until the next round.
         """
         u, fleet = state.uav, self.fleet
         self.member_of[state.ch] = -1
         state.ch = None
-        members = self._members(state)
-        if self._uses_backup():
-            gone = [m for m in members.tolist()
+        if self.keeps_backup:
+            gone = [m for m in self._members(state).tolist()
                     if _outside_coverage(u, fleet, m)]
             self.member_of[gone] = -1
-            members = self._members(state)
+        members = self._members(state)
         if not len(members):
-            state.backup = _NO_BACKUP
             return
-        if self._uses_backup():
+        if self.keeps_backup:
             chosen, state.backup = pop_replacement(
                 state.backup, self.member_of[state.backup] == u.id)
-            if chosen is not None:
-                self._seat_ch(state, chosen)
-                self.events.append(SimEvent(t, "ch_replaced_from_backup",
-                                            ids=(u.id, chosen),
-                                            payload={"tenure": state.tenure}))
-                return
-        chosen, degraded = self._select_for_scheme(state, members)
+            kind, payload = "ch_replaced_from_backup", {}
+        else:
+            chosen, degraded = self._select_for_scheme(state, members)
+            kind, payload = "ch_reselected_full", {"degraded": degraded}
         self._seat_ch(state, chosen)
-        state.backup = _NO_BACKUP
-        self.events.append(SimEvent(t, "ch_reselected_full",
-                                    ids=(u.id, chosen),
-                                    payload={"degraded": degraded,
-                                             "tenure": state.tenure}))
+        payload["tenure"] = state.tenure
+        self.events.append(SimEvent(t, kind, ids=(u.id, chosen),
+                                    payload=payload))
 
     # -- main loop -------------------------------------------------------
 
@@ -386,7 +378,7 @@ def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
     k_cluster = int(round(cfg.cluster_interval / dt))
     k_cam = int(round(cfg.cam_interval / dt))
     k_beacon = int(round(cfg.beacon_interval / dt))
-    with_neighbors = any(sim._uses_backup() for sim in sims)
+    with_neighbors = any(sim.keeps_backup for sim in sims)
     for k in range(cfg.num_slots):
         t = k * dt
         is_round = k % k_cluster == 0

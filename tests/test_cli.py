@@ -295,6 +295,33 @@ def test_sweep_point_names_keep_every_digit(tmp_path, monkeypatch):
     assert [float(r.split()[0]) for r in rows] == [1e6, 1000001.0]
 
 
+def test_sweep_over_compare_drops_its_output(tmp_path):
+    out = str(tmp_path / "reuse")
+    assert main(["compare", "--runs", "1", "--duration", "70",
+                 "--out", out]) == 0
+    assert main(["sweep", "--var", "vehicles", "--values", "5",
+                 "--scheme", "proposed", "--duration", "70",
+                 "--out", out]) == 0
+    assert sorted(n for n in tree_bytes(out)
+                  if not n.startswith("vehicles_5/")) == [
+        "config.echo", "plots/sweep_vehicles.dat"]
+
+
+def test_sweep_drops_an_earlier_sweeps_points(tmp_path):
+    out = str(tmp_path / "reuse")
+    sweep = ["sweep", "--scheme", "proposed", "--out", out]
+    assert main(sweep + ["--var", "vehicles", "--values", "5",
+                         "--duration", "70"]) == 0
+    assert main(sweep + ["--var", "duration", "--values", "70"]) == 0
+    # a directory that holds no echo was not written by a sweep
+    os.makedirs(os.path.join(out, "vehicles_notes"))
+    assert main(sweep + ["--var", "vehicles", "--values", "6",
+                         "--duration", "70"]) == 0
+    assert sorted(os.listdir(out)) == [
+        "config.echo", "plots", "vehicles_6", "vehicles_notes"]
+    assert os.listdir(os.path.join(out, "plots")) == ["sweep_vehicles.dat"]
+
+
 def test_sweep_rejects_unsorted_values(tmp_path, capsys):
     out = str(tmp_path / "bad")
     assert main(["sweep", "--var", "vehicles", "--values", "10,5",

@@ -189,6 +189,60 @@ def test_cluster_emptied_unsets_ch():
     assert kinds(events).count("ch_reselected_full") == 0
 
 
+class DepartureRecords(Simulation):
+    """Keeps, after each CH departure, its time, cluster, the CH seated
+    in its place and the members left."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.departures = []
+
+    def _handle_departure(self, t, state):
+        super()._handle_departure(t, state)
+        left = np.flatnonzero(self.member_of == state.uav.id).tolist()
+        self.departures.append((t, state.uav.id, state.ch, left))
+
+
+# the golden variants, and CAM and beacon periods off their defaults
+BACKUP_CASES = {**{v: overrides for v, (overrides, _) in GRID.items()},
+                "cam_interval_20": {"cam_interval": 20.0},
+                "beacon_interval_30_with_backup": {
+                    "beacon_interval": 30.0, "benchmarks_use_backup": True}}
+
+
+@pytest.mark.parametrize("variant", list(BACKUP_CASES))
+def test_backup_list_never_runs_dry(variant, monkeypatch):
+    # every non-CH member is on the backup list between rounds, so a
+    # departure either empties the cluster or seats a backup entry
+    cfg = validate(dataclasses.replace(SimConfig(), seed=1,
+                                       **BACKUP_CASES[variant]))
+    sims = []
+
+    def tracked(*args):
+        sims.append(DepartureRecords(*args))
+        return sims[-1]
+
+    monkeypatch.setattr(engine, "Simulation", tracked)
+    traces = engine.run_paired(cfg, {s: run_seeds(1, 0, s) for s in SCHEMES})
+    keepers = [sim for sim in sims if sim.keeps_backup]
+    assert [sim.config.scheme for sim in keepers] == (
+        list(SCHEMES) if cfg.benchmarks_use_backup else ["proposed"])
+    for sim in keepers:
+        events = traces[sim.config.scheme]
+        assert "ch_reselected_full" not in kinds(events)
+        departed = [i for i, e in enumerate(events) if e.kind == "ch_departed"]
+        assert len(departed) == len(sim.departures) > 0
+        for i, (t, uav, ch, left) in zip(departed, sim.departures):
+            assert events[i].time == t and events[i].ids[0] == uav
+            if left:
+                replaced = events[i + 1]
+                assert (replaced.kind, replaced.time, replaced.ids) == (
+                    "ch_replaced_from_backup", t, (uav, ch))
+                assert ch in left
+            else:
+                assert ch is None
+
+
 # the one UAV hovers over x = 500, so a parked vehicle at x = 700 on
 # y = 0 is at planar distance exactly uav_coverage_radius = 200
 ON_CIRCLE_X = 700.0

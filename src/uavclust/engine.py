@@ -10,9 +10,11 @@ every beacon_interval (CH departure detection and replacement).  Each
 event slot's phases read every fleet row's average speed and neighbor
 count, measured once per slot (Traffic.survey); the neighbor count only
 when some scheme of the run keeps a backup list, its one reader.  The
-recorded CH-member links are sampled after the last slot.  Everything
-is driven by private RNG streams (mobility, scheme, and one fading
-stream per link sample) so a (config, seed) pair reproduces a
+recorded CH-member links are sampled after the last slot, each distinct
+link key of a run index once, in a few numpy passes over all of their
+streams (_sample_cam_links).  Everything is driven by private RNG
+streams (mobility, scheme, and per link sample the stream of its key
+(fading seed, t_ms, lo, hi)) so a (config, seed) pair reproduces a
 byte-identical event trace.
 
 run_paired, the one simulation loop, runs the schemes of one run index
@@ -22,6 +24,7 @@ case.  Both take the run seeds explicitly.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
@@ -36,12 +39,17 @@ from .config import SimConfig, validate
 from .mobility import (Fleet, neighbor_table, residual_path,
                        residual_path_geometric, step)
 from .model import AirPoint, UavNode, left_sum
-from .seeding import RunSeeds, pcg64_states
+from .seeding import (RunSeeds, pcg64_state, pcg64_states, pcg64_words,
+                      ziggurat_exponential, ziggurat_normal)
 from .trace import SimEvent
 
 # Distance floor for V2V links: the point-mass mobility model lets
 # vehicles overlap, which would blow up the d^-eta path loss.
 MIN_V2V_DISTANCE = 10.0
+
+# Link keys sampled per batch of numpy passes: bounds the batch's
+# temporaries (about 200 bytes per key) at no measurable cost.
+LINK_CHUNK = 2048
 
 
 def place_uavs(config: SimConfig) -> List[UavNode]:
@@ -143,8 +151,10 @@ class Simulation:
         self.member_of = np.full(len(self.fleet.x), -1, dtype=np.int64)
         self.events: List[SimEvent] = []
         self.round_index = 0
-        # per CH-member cam_batch: (payload, [(t_ms, lo, hi, distance)])
-        self._cam_links: List[Tuple[dict, List[Tuple[int, int, int, float]]]] = []
+        # per cam_batch with CH-member links: (payload, t_ms, CH, the
+        # other members, their distances to the CH)
+        self._cam_links: List[Tuple[dict, int, int, np.ndarray,
+                                    np.ndarray]] = []
 
     # -- helpers ---------------------------------------------------------
 
@@ -152,7 +162,8 @@ class Simulation:
         """Fading stream for one link at one time: the run's one link
         generator, set to the PCG64 state ``(state, inc)`` that
         ``np.random.default_rng((fading seed, t_ms, lo, hi))`` starts
-        from (see pcg64_states).
+        from (see pcg64_states).  Only links whose draws leave the
+        ziggurat fast path read it (_link_snrs).
 
         Keyed by (fading seed, time, endpoints) so schemes sharing a
         fading seed see identical draws for identical link samples:
@@ -247,47 +258,62 @@ class Simulation:
                 continue
             self._rebuild_backup(state, members)
             ch = state.ch
-            ch_x, ch_y = fleet.x.item(ch), fleet.y.item(ch)
-            links = []
-            for vid, x, y in zip(members.tolist(), fleet.x[members].tolist(),
-                                 fleet.y[members].tolist()):
-                if vid == ch:
-                    continue
-                d = max(MIN_V2V_DISTANCE, math.hypot(ch_x - x, ch_y - y))
-                links.append((t_ms, min(ch, vid), max(ch, vid), d))
             payload = {"members": len(members), "tenure": state.tenure}
-            if links:
-                self._cam_links.append((payload, links))
+            others = members[members != ch]
+            if len(others):
+                ch_x, ch_y = fleet.x.item(ch), fleet.y.item(ch)
+                dist = np.array([
+                    max(MIN_V2V_DISTANCE, math.hypot(ch_x - x, ch_y - y))
+                    for x, y in zip(fleet.x[others].tolist(),
+                                    fleet.y[others].tolist())])
+                self._cam_links.append((payload, t_ms, ch, others, dist))
             self.events.append(SimEvent(t, "cam_batch",
                                         ids=(u.id, ch), payload=payload))
 
-    def _sample_cam_links(self) -> None:
-        """Set each recorded cam_batch payload's "snr" to the mean SNR
-        of its CH-member links, in member order.
+    def _link_snrs(self, states: np.ndarray,
+                   dist: List[float]) -> List[float]:
+        """SNR of each link, in link order: its stream starts from its
+        column of states (pcg64_states), its distance is in dist.
 
-        All link streams of the run are seeded in one batch: one
-        default_rng per link would cost several times the draws.
+        A link's stream draws its shadowing from its first output word
+        and its fast fading from the second.  Where numpy's ziggurat
+        takes a word on its fast path, the draws of all links are made
+        at once (seeding.ziggurat_normal, ziggurat_exponential); the few
+        links with a slow-path draw are drawn from their own stream
+        (_link_snr).
         """
         cfg = self.config
-        keys = np.fromiter((k for _, links in self._cam_links
-                            for link in links for k in link[:3]),
-                           dtype=np.uint64)
-        t_ms, lo, hi = keys.reshape(-1, 3).T
-        states = pcg64_states(self.seeds.fading, t_ms, lo, hi)
-        for payload, links in self._cam_links:
-            snrs = []
-            for *_, d in links:
-                link_rng = self._link_rng(*next(states))
-                shadow = channel.sample_shadowing(link_rng,
-                                                  cfg.shadow_std_db)
-                gain = channel.v2v_large_scale(d, shadow, cfg.v2v_loss_const,
-                                               cfg.v2v_loss_exp)
-                if cfg.snr_fading == "instantaneous":
-                    gain = channel.v2v_gain(
-                        gain, channel.sample_fast_fading(link_rng))
-                snrs.append(channel.v2v_snr(cfg.vehicle_tx_power, gain,
-                                            cfg.noise_power))
-            payload["snr"] = left_sum(snrs) / len(snrs)
+        first, second = pcg64_words(states, 2)
+        z, fast = ziggurat_normal(first)
+        z = 0.0 + cfg.shadow_std_db * z  # Generator.normal(0.0, std)
+        if cfg.snr_fading == "instantaneous":
+            fading, fast_fading = ziggurat_exponential(second)
+            fast &= fast_fading
+        else:
+            fading = np.ones(len(z))  # 1.0 * gain is exactly gain
+        p, noise = cfg.vehicle_tx_power, cfg.noise_power
+        loss, eta = cfg.v2v_loss_const, cfg.v2v_loss_exp
+        large_scale = channel.v2v_large_scale
+        # _link_snr's float math, with sample_shadowing, v2v_gain and
+        # v2v_snr inlined; the powers stay scalar because np.power
+        # differs from ** in last bits.  Only v2v_large_scale's checks
+        # can fail on a draw, and they stay, so links fail in link order.
+        return [p * (f * large_scale(d, 10.0 ** (x / 10.0), loss, eta)) / noise
+                if ok else self._link_snr(*pcg64_state(states, k), d)
+                for k, (ok, x, f, d) in enumerate(zip(
+                    fast.tolist(), z.tolist(), fading.tolist(), dist))]
+
+    def _link_snr(self, state: int, inc: int, d: float) -> float:
+        """One link's SNR, drawn from its own stream (_link_rng)."""
+        cfg = self.config
+        link_rng = self._link_rng(state, inc)
+        shadow = channel.sample_shadowing(link_rng, cfg.shadow_std_db)
+        gain = channel.v2v_large_scale(d, shadow, cfg.v2v_loss_const,
+                                       cfg.v2v_loss_exp)
+        if cfg.snr_fading == "instantaneous":
+            gain = channel.v2v_gain(gain,
+                                    channel.sample_fast_fading(link_rng))
+        return channel.v2v_snr(cfg.vehicle_tx_power, gain, cfg.noise_power)
 
     def _beacon_check(self, t: float) -> None:
         fleet = self.fleet
@@ -364,14 +390,16 @@ def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
                initial_fleet: Optional[Fleet] = None
                ) -> Dict[str, List[SimEvent]]:
     """Each scheme's event trace from one lockstep run over one Traffic;
-    seeds maps the schemes to run seeds with one mobility seed.  A slot's
+    seeds maps the schemes to run seeds with one mobility and one fading
+    seed (seeding.run_seeds of one run index).  A slot's
     phases read the fleet before it steps, so each scheme sees the slots
     a run of its own would."""
-    mobility = {s.mobility for s in seeds.values()}
-    if len(mobility) != 1:
-        raise ValueError("run_paired: the schemes must share one mobility seed")
+    shared = {(s.mobility, s.fading) for s in seeds.values()}
+    if len(shared) != 1:
+        raise ValueError("run_paired: the schemes must share one mobility "
+                         "seed and one fading seed")
     cfg = validate(config)
-    traffic = Traffic(cfg, mobility.pop(), initial_fleet)
+    traffic = Traffic(cfg, shared.pop()[0], initial_fleet)
     sims = [Simulation(replace(cfg, scheme=scheme), s, traffic)
             for scheme, s in seeds.items()]
     dt = cfg.slot_duration
@@ -396,9 +424,56 @@ def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
         respawned = traffic.step()
         for sim in sims:
             sim._respawn(t + dt, respawned)
-    for sim in sims:
-        sim._sample_cam_links()
+    _sample_cam_links(sims)
     return {scheme: sim.events for scheme, sim in zip(seeds, sims)}
+
+
+def _sample_cam_links(sims: List[Simulation]) -> None:
+    """Set each recorded cam_batch payload's "snr" to the mean SNR of
+    its CH-member links, in member order.
+
+    The schemes of a run index share the fleet and the fading seed, so
+    a link key (t_ms, lo, hi) has one distance and one stream in every
+    scheme that records it.  Each distinct key is sampled once, in the
+    order keys were first recorded (scheme by scheme, as if each scheme
+    sampled its own), LINK_CHUNK keys per batch of numpy passes.
+    """
+    batches = [batch for sim in sims for batch in sim._cam_links]
+    if not batches:
+        return
+    payloads, t_ms, ch, others, dist = zip(*batches)
+    counts = [len(o) for o in others]
+    key_number, t_ms, lo, hi, dist = _distinct_links(
+        np.repeat(t_ms, counts), np.repeat(ch, counts),
+        np.concatenate(others), np.concatenate(dist), len(sims[0].fleet.x))
+    snrs = np.empty(len(dist))
+    for start in range(0, len(dist), LINK_CHUNK):
+        part = slice(start, start + LINK_CHUNK)
+        states = pcg64_states(sims[0].seeds.fading, t_ms[part], lo[part],
+                              hi[part])
+        snrs[part] = sims[0]._link_snrs(states, dist[part].tolist())
+    snrs = snrs[key_number].tolist()
+    for payload, end, count in zip(payloads, itertools.accumulate(counts),
+                                   counts):
+        payload["snr"] = left_sum(snrs[end - count:end]) / count
+
+
+def _distinct_links(t_ms, ch, others, dist, n: int):
+    """The distinct link keys (t_ms, lo, hi) among the links given by
+    their time, CH, member and distance, numbered in first-recorded
+    order: each link's key number, then each key's t_ms, lo, hi and
+    distance (the same for every link of a key)."""
+    lo, hi = np.minimum(ch, others), np.maximum(ch, others)
+    dims = (t_ms.max() + 1, n, n)
+    number: Dict[int, int] = {}
+    key_number = np.fromiter(
+        (number.setdefault(k, len(number))
+         for k in np.ravel_multi_index((t_ms, lo, hi), dims).tolist()),
+        dtype=np.intp, count=len(t_ms))
+    keys = np.fromiter(number, dtype=np.int64, count=len(number))
+    key_dist = np.empty(len(keys))
+    key_dist[key_number] = dist
+    return (key_number, *np.unravel_index(keys, dims), key_dist)
 
 
 def run(config: SimConfig, seeds: RunSeeds,

@@ -5,14 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavclust import channel, engine, trace
 from uavclust.config import SimConfig, validate
 from uavclust.engine import MIN_V2V_DISTANCE, Simulation, place_uavs, run
-from uavclust.seeding import run_seeds
+from uavclust.seeding import pcg64_states, run_seeds
 
 from conftest import fleet_of, make_vehicle
 from test_golden import GRID
+from test_seeding import EDGE_KEYS
+from test_ziggurat import SLOW_KEYS
 
 SCHEMES = ("proposed", "vmasc", "random")
 DENSE = {"num_vehicles": 100, "snr_fading": "instantaneous"}
@@ -38,6 +42,18 @@ def reference_link_snrs(cfg, fading_seed, t, ch_vehicle, members):
         snrs.append(channel.v2v_snr(cfg.vehicle_tx_power, gain,
                                     cfg.noise_power))
     return snrs
+
+
+def reference_key_snr(cfg, key, d):
+    """One link sample's SNR at distance d, drawn from its own
+    default_rng(key): the per-key form of reference_link_snrs."""
+    rng = np.random.default_rng(key)
+    shadow = channel.sample_shadowing(rng, cfg.shadow_std_db)
+    gain = channel.v2v_large_scale(d, shadow, cfg.v2v_loss_const,
+                                   cfg.v2v_loss_exp)
+    if cfg.snr_fading == "instantaneous":
+        gain = channel.v2v_gain(gain, channel.sample_fast_fading(rng))
+    return channel.v2v_snr(cfg.vehicle_tx_power, gain, cfg.noise_power)
 
 
 class CamSnapshots(Simulation):
@@ -318,6 +334,74 @@ def test_cam_batch_snr_matches_per_link_reference(scheme, monkeypatch):
     assert with_snr > 0 and without_snr > 0
 
 
+U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix=U64, keys=st.lists(st.tuples(U64, U64, U64), max_size=6),
+       sigma=st.floats(0.0, 20.0),
+       mode=st.sampled_from(["large_scale", "instantaneous"]))
+@example(prefix=7, keys=EDGE_KEYS + SLOW_KEYS[7], sigma=4.0,
+         mode="instantaneous")
+@example(prefix=7, keys=EDGE_KEYS + SLOW_KEYS[7], sigma=4.0,
+         mode="large_scale")
+@example(prefix=2**63 + 12345, keys=SLOW_KEYS[2**63 + 12345], sigma=0.0,
+         mode="instantaneous")
+def test_link_snrs_match_per_key_streams(prefix, keys, sigma, mode):
+    # the batch sampler, fast paths and slow-path fallbacks together,
+    # against one default_rng per key
+    cfg = validate(dataclasses.replace(SimConfig(), shadow_std_db=sigma,
+                                       snr_fading=mode))
+    sim = Simulation(cfg, run_seeds(1, 0, cfg.scheme),
+                     engine.Traffic(cfg, 0))
+    dist = [MIN_V2V_DISTANCE + 7.25 * k for k in range(len(keys))]
+    states = pcg64_states(prefix, *[[key[i] for key in keys]
+                                    for i in range(3)])
+    assert sim._link_snrs(states, dist) == [
+        reference_key_snr(cfg, (prefix, *key), d)
+        for key, d in zip(keys, dist)]
+
+
+def first_reference_failure(sims):
+    """The exception type that reference_link_snrs raises first over the
+    snapshots of sims, scheme by scheme, or None."""
+    for sim in sims:
+        for t, by_id, clusters in sim.snapshots:
+            for ch, members in clusters.values():
+                if ch is None:
+                    continue
+                try:
+                    reference_link_snrs(sim.config, sim.seeds.fading, t,
+                                        by_id[ch], [by_id[m] for m in members])
+                except (OverflowError, ValueError) as exc:
+                    return type(exc)
+    return None
+
+
+def test_degenerate_shadowing_fails_as_the_per_link_reference(monkeypatch):
+    # at 10^4 dB most draws overflow 10 ** (z / 10) (OverflowError) or
+    # underflow it to 0, which v2v_large_scale rejects (ValueError); the
+    # first failing link in the per-link order decides which is raised
+    raised = []
+    for seed in range(1, 9):
+        cfg = validate(dataclasses.replace(SimConfig(), seed=seed,
+                                           shadow_std_db=1e4,
+                                           total_time=70.0))
+        sims = []
+
+        def tracked(*args):
+            sims.append(CamSnapshots(*args))
+            return sims[-1]
+
+        monkeypatch.setattr(engine, "Simulation", tracked)
+        with pytest.raises((OverflowError, ValueError)) as failure:
+            engine.run_paired(cfg, {s: run_seeds(seed, 0, s)
+                                    for s in SCHEMES})
+        assert failure.type is first_reference_failure(sims)
+        raised.append(failure.type)
+    assert set(raised) == {OverflowError, ValueError}
+
+
 # trace-body sha256 (length-prefixed, as in test_golden) of the default
 # 700 s scenario at I = 100 with fast fading, seed 1, run 0; pinned
 # before the neighbor table was shared within a slot.
@@ -401,3 +485,11 @@ def test_paired_run_needs_one_mobility_seed():
     with pytest.raises(ValueError, match="mobility seed"):
         engine.run_paired(SimConfig(), seeds)
 
+
+def test_paired_run_needs_one_fading_seed():
+    # the schemes sample each shared link key once, from one stream
+    seeds = {"proposed": run_seeds(1, 0, "proposed"),
+             "vmasc": dataclasses.replace(run_seeds(1, 0, "vmasc"),
+                                          fading=12345)}
+    with pytest.raises(ValueError, match="fading seed"):
+        engine.run_paired(SimConfig(), seeds)

@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavclust.seeding import pcg64_states, run_seeds, stream_seed
+from uavclust.seeding import pcg64_state, pcg64_states, run_seeds, stream_seed
 
 
 def test_stream_seed_deterministic_and_label_sensitive():
@@ -46,7 +46,8 @@ EDGE_KEYS = [(0, 3, 3), (2**32 - 1, 1, 2), (2**32, 0, 5), (2**40, 4, 4),
 @example(prefix=2**63 + 12345, keys=EDGE_KEYS, sigma=4.0)
 def test_pcg64_states_match_default_rng(prefix, keys, sigma):
     columns = [[key[i] for key in keys] for i in range(3)]
-    states = list(pcg64_states(prefix, *columns))
+    limbs = pcg64_states(prefix, *columns)
+    states = [pcg64_state(limbs, k) for k in range(limbs.shape[1])]
     assert len(states) == len(keys)
     gen = np.random.Generator(np.random.PCG64(0))
     for key, (state, inc) in zip(keys, states):

@@ -75,16 +75,6 @@ def _execute_run_index(task: Tuple[SimConfig, Dict[str, RunSeeds], str, int]
     return runs
 
 
-def _read_runs(paths: Sequence[str]) -> List[metrics.TraceRun]:
-    """Parse the scored events of each trace once into its header and
-    run metrics."""
-    runs = []
-    for path in paths:
-        header, events = trace.read_trace(path, kinds=metrics.SCORED_KINDS)
-        runs.append((header, metrics.run_metrics(events)))
-    return runs
-
-
 def _reset_out(out_dir: str, config: SimConfig) -> None:
     """Give out_dir the echo of config, which a later `metrics` scores
     with, and remove the traces, aggregates and plots an earlier
@@ -277,7 +267,8 @@ def _cmd_metrics(args) -> int:
         print(f"metrics: no trace files in {trace_dir}", file=sys.stderr)
         return 2
     by_scheme: Dict[str, List[metrics.TraceRun]] = {}
-    for run in _read_runs(paths):
+    for path in paths:
+        run = metrics.score_trace(path)
         by_scheme.setdefault(run[0]["scheme"], []).append(run)
     _write_aggregates(args.out, config, by_scheme)
     return 0

@@ -9,14 +9,15 @@ integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .model import left_sum
-from .trace import RESELECTION_KINDS, SimEvent
+from .trace import RESELECTION_KINDS, Row, fold_trace
 
+SELECTION_KINDS = ("ch_selected", "ch_reselected_full")
 # the event kinds run_metrics reads; a trace read for scoring parses no other
-SCORED_KINDS = frozenset(RESELECTION_KINDS + ("ch_selected", "cam_batch"))
+SCORED_KINDS = frozenset(RESELECTION_KINDS + SELECTION_KINDS + ("cam_batch",))
 
 
 @dataclass(frozen=True)
@@ -72,27 +73,39 @@ def robustness_likelihood(r: float, s: float,
                                                      params.gauss_var)))
 
 
-def run_metrics(events: Sequence[SimEvent]) -> RunMetrics:
-    """Fold one event trace into its per-run metrics.
+def run_metrics(rows: Iterable[Row]) -> RunMetrics:
+    """Fold the (time, kind, ids, payload) rows of one run, its events
+    in memory or the parsed lines of its trace, into its metrics; rows
+    of kinds outside SCORED_KINDS are ignored.
 
     The CH-member SNR is averaged per CH tenure first, then across
-    tenures, so long and short tenures weigh equally.
+    tenures, so long and short tenures weigh equally.  A scored row
+    without the fields the fold reads raises ValueError.
     """
     per_cluster: Dict[int, int] = {}
     cumulative: List[Tuple[float, int]] = []
     total = 0
     degraded = 0
-    tenure_samples: Dict[Tuple[int, int], List[float]] = {}
-    for ev in events:
-        if ev.kind in RESELECTION_KINDS:
-            total += 1
-            per_cluster[ev.ids[0]] = per_cluster.get(ev.ids[0], 0) + 1
-            cumulative.append((ev.time, total))
-        if ev.kind in ("ch_selected", "ch_reselected_full") and ev.payload.get("degraded"):
-            degraded += 1
-        if ev.kind == "cam_batch" and "snr" in ev.payload:
-            key = (ev.ids[0], ev.payload["tenure"])
-            tenure_samples.setdefault(key, []).append(ev.payload["snr"])
+    tenure_samples: Dict[Tuple[int, object], List[float]] = {}
+    for time, kind, ids, payload in rows:
+        if kind not in SCORED_KINDS:
+            continue
+        try:
+            if kind == "cam_batch":
+                if "snr" in payload:
+                    # left_sum adds each sample to a float, so 0.0 + snr
+                    # changes no mean; a non-number fails on its own row
+                    tenure_samples.setdefault(
+                        (ids[0], payload["tenure"]), []).append(0.0 + payload["snr"])
+                continue
+            if kind in RESELECTION_KINDS:
+                total += 1
+                per_cluster[ids[0]] = per_cluster.get(ids[0], 0) + 1
+                cumulative.append((time, total))
+            if kind in SELECTION_KINDS and payload.get("degraded"):
+                degraded += 1
+        except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+            raise ValueError(f"malformed {kind} event: {exc!r}") from exc
     tenure_means = [left_sum(v) / len(v) for v in tenure_samples.values()]
     mean_snr = left_sum(tenure_means) / len(tenure_means) if tenure_means else math.nan
     return RunMetrics(per_cluster=per_cluster, total_reselections=total,
@@ -134,6 +147,12 @@ def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:
 # one trace's header and metrics; builtin tuple[...], because typing's
 # alias cache would keep every imported copy of this module alive
 TraceRun = tuple[Dict[str, str], RunMetrics]
+
+
+def score_trace(path: str) -> TraceRun:
+    """The header and metrics of a trace file, in one pass that parses
+    only the lines of SCORED_KINDS."""
+    return fold_trace(path, SCORED_KINDS, run_metrics)
 
 
 def aggregate_traces(traces: Sequence[TraceRun]) -> AggregateMetrics:

@@ -5,8 +5,9 @@ One event per line, tab-separated::
     time<TAB>kind<TAB>id,id,...<TAB>{payload json}
 
 The payload is compact JSON with sorted keys, written by a scalar
-encoder byte for byte as json.dumps writes it (format_payload).  A
-reader that needs only some kinds parses only those (read_trace).
+encoder byte for byte as json.dumps writes it (format_payload).
+read_trace parses every line into events; fold_trace streams a file
+into a fold and parses only the lines of the kinds the fold reads.
 
 The first line is a ``#`` header carrying the config digest, scheme,
 run index and stream seeds, so aggregation can refuse mixed-config
@@ -18,9 +19,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Any, Callable, Collection, Dict, Iterable, List, Mapping,
+                    NamedTuple, Sequence, Tuple, TypeVar)
 
 EVENT_KINDS = (
     "clustering_round", "cam_batch", "beacon_ok", "beacon_missed",
@@ -31,12 +33,18 @@ EVENT_KINDS = (
 RESELECTION_KINDS = ("ch_replaced_from_backup", "ch_reselected_full")
 
 
-@dataclass(frozen=True)
-class SimEvent:
+# an event's fields in order, as a fold over a trace reads them: a
+# SimEvent, or a parsed line whose payload is whatever JSON it holds
+Row = Tuple[float, str, Tuple[int, ...], Any]
+T = TypeVar("T")
+
+
+class SimEvent(NamedTuple):
     time: float
     kind: str
     ids: Tuple[int, ...] = ()
-    payload: Dict = field(default_factory=dict)
+    # read-only, because a default is shared by every event that takes it
+    payload: Mapping[str, Any] = MappingProxyType({})
 
 
 def format_number(value: float) -> str:
@@ -89,14 +97,26 @@ def _split_event(line: str) -> List[str]:
     return fields
 
 
-def _build_event(fields: List[str]) -> SimEvent:
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_row(fields: List[str]) -> Row:
     time_s, kind, ids_s, payload_s = fields
     ids = tuple(map(int, ids_s.split(","))) if ids_s else ()
-    return SimEvent(float(time_s), kind, ids, json.loads(payload_s))
+    # json.loads(payload_s) in one raw_decode call when that consumes
+    # it whole; json.loads itself also skips surrounding whitespace, or
+    # raises
+    try:
+        payload, end = _raw_decode(payload_s)
+    except ValueError:
+        end = -1
+    if end != len(payload_s):
+        payload = json.loads(payload_s)
+    return float(time_s), kind, ids, payload
 
 
 def parse_event(line: str) -> SimEvent:
-    return _build_event(_split_event(line))
+    return SimEvent(*_parse_row(_split_event(line)))
 
 
 def format_header(meta: Dict[str, str]) -> str:
@@ -125,13 +145,42 @@ def write_trace(path: str, meta: Dict[str, str],
     os.replace(tmp, path)
 
 
-def read_trace(path: str, *, kinds: Optional[Collection[str]] = None
-               ) -> Tuple[Dict[str, str], List[SimEvent]]:
-    """The header and events of a trace file; with kinds, only the
-    events of those kinds (the other lines are split, never parsed)."""
+def read_trace(path: str) -> Tuple[Dict[str, str], List[SimEvent]]:
+    """The header and every event of a trace file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = parse_header(fh.readline())
-        rows = (_split_event(line) for line in fh if line.strip())
-        events = [_build_event(row) for row in rows
-                  if kinds is None or row[1] in kinds]
+        events = [SimEvent(*_parse_row(_split_event(line)))
+                  for line in fh if line.strip()]
     return header, events
+
+
+def fold_trace(path: str, kinds: Collection[str],
+               fold: Callable[[Iterable[Row]], T]) -> Tuple[Dict[str, str], T]:
+    """The header of a trace file and fold(rows), where rows streams the
+    parsed lines of the given kinds in file order.
+
+    Every other non-blank line is only split, and must have four
+    fields.  A ValueError from parsing or from the fold, or a payload
+    nested too deep for json, is raised as a ValueError that names the
+    path and the line the rows had reached.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        lines = fh.read().split("\n")
+    lineno = 1
+
+    def rows() -> Iterable[Row]:
+        nonlocal lineno
+        for lineno, line in enumerate(lines, 2):
+            fields = line.split("\t")
+            if len(fields) == 4:
+                # a blank line's kind is blank, so it is never parsed
+                if fields[1] in kinds:
+                    yield _parse_row(fields)
+            elif line.strip():
+                raise ValueError(f"not a trace event: {line!r}")
+
+    try:
+        return parse_header(first), fold(rows())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}, line {lineno}: {exc}") from exc

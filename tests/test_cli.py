@@ -220,24 +220,53 @@ def test_metrics_agrees_with_pooled_compare(tmp_path):
 
 
 def test_each_trace_is_parsed_once(tmp_path, monkeypatch):
-    # compare scores in memory and parses nothing; metrics parses each
-    # trace once, and only the kinds run_metrics reads
-    parsed = []
-    original = trace.read_trace
+    # compare scores in memory and opens no trace; metrics folds each
+    # trace once, parsing only the kinds the fold reads
+    folded, parsed = [], []
+    original = metrics.fold_trace
 
-    def counting_read_trace(path, *, kinds=None):
-        parsed.append((os.path.basename(path), kinds))
-        return original(path, kinds=kinds)
+    def counting_fold_trace(path, kinds, fold):
+        folded.append((os.path.basename(path), kinds))
+        return original(path, kinds, fold)
 
-    monkeypatch.setattr(trace, "read_trace", counting_read_trace)
+    monkeypatch.setattr(metrics, "fold_trace", counting_fold_trace)
+    monkeypatch.setattr(trace, "read_trace", parsed.append)
     out = str(tmp_path / "once")
     assert main(["compare", "--runs", "2", "--duration", "70",
                  "--out", out]) == 0
     names = trace_files(out)
     assert len(names) == 2 * len(SCHEMES)
-    assert parsed == []
+    assert folded == [] and parsed == []
     assert main(["metrics", "--out", out]) == 0
-    assert sorted(parsed) == [(name, metrics.SCORED_KINDS) for name in names]
+    assert sorted(folded) == [(name, metrics.SCORED_KINDS) for name in names]
+    assert parsed == []
+
+
+@pytest.mark.parametrize("line", [
+    # a cam_batch without its tenure
+    '10\tcam_batch\t0,3\t{"members":2,"snr":1e-05}',
+    # a selection whose payload is not an object
+    "0\tch_selected\t0,3\t[1]",
+    # a re-selection without a cluster id
+    '30\tch_reselected_full\t\t{"degraded":false,"tenure":2}',
+    # a string SNR
+    '10\tcam_batch\t0,3\t{"members":2,"snr":"-46","tenure":1}',
+])
+def test_metrics_rejects_a_scored_line_of_the_wrong_shape(tmp_path, capsys,
+                                                          line):
+    out = str(tmp_path / "shape")
+    assert main(["compare", "--runs", "1", "--duration", "70",
+                 "--scheme", "proposed", "--out", out]) == 0
+    path = os.path.join(out, "traces", "proposed_run0000.trace")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[4] = line  # line 5 of the file
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["metrics", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line 5: ")
 
 
 def test_sweep_writes_shape_file(tmp_path):

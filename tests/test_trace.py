@@ -17,7 +17,8 @@ def reference_format_event(event):
     """format_event with the payload written by json.dumps: the oracle
     the scalar payload encoder must match byte for byte."""
     ids = ",".join(str(i) for i in event.ids)
-    payload = json.dumps(event.payload, sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(dict(event.payload), sort_keys=True,
+                         separators=(",", ":"))
     return f"{format_number(event.time)}\t{event.kind}\t{ids}\t{payload}"
 
 _payload_values = st.one_of(

@@ -3,19 +3,24 @@
 A run's vehicles are the rows of one mobility.Fleet, which init_fleet
 draws from the mobility stream; a vehicle's id is its row.
 
-Slot schedule per run: clustering rounds every cluster_interval
-(assignment, CH selection, backup list build), CAM batches every
-cam_interval (backup rebuild, CH-member link recording), beacon checks
-every beacon_interval (CH departure detection and replacement).  Each
-event slot's phases read every fleet row's average speed and neighbor
-count, measured once per slot (Traffic.survey); the neighbor count only
-when some scheme of the run keeps a backup list, its one reader.  The
-recorded CH-member links are sampled after the last slot, each distinct
-link key of a run index once, in a few numpy passes over all of their
-streams (_sample_cam_links).  Everything is driven by private RNG
-streams (mobility, scheme, and per link sample the stream of its key
-(fading seed, t_ms, lo, hi)) so a (config, seed) pair reproduces a
-byte-identical event trace.
+Event schedule per run (_schedule): clustering rounds every
+cluster_interval (assignment, CH selection, backup list rebuild), CAM
+batches every cam_interval (backup rebuild, CH-member link recording),
+beacon checks every beacon_interval (CH departure detection and
+replacement); no other slot has a phase.  Each event slot's phases read
+every fleet row's average speed and neighbor count, measured once per
+slot (Traffic.survey); the neighbor count only when some scheme of the
+run keeps a backup list, its one reader.  Between two event slots the
+fleet advances in one block (mobility.step with a slot count), and the
+rows respawned in each slot of it are reported at that slot's end.  A
+backup rebuild only records what the list is ranked from; the list is
+ranked at the first pop after the rebuild (_handle_departure), since
+most lists are never popped.  The recorded CH-member links are sampled
+after the last slot, each distinct link key of a run index once, in a
+few numpy passes over all of their streams (_sample_cam_links).
+Everything is driven by private RNG streams (mobility, scheme, and per
+link sample the stream of its key (fading seed, t_ms, lo, hi)) so a
+(config, seed) pair reproduces a byte-identical event trace.
 
 run_paired, the one simulation loop, runs the schemes of one run index
 in lockstep over the one Traffic they share; run() is its one-scheme
@@ -87,17 +92,26 @@ class _ClusterState:
     ch: Optional[int] = None
     ch_respawned: bool = False
     tenure: int = 0
-    backup: Optional[np.ndarray] = None  # a keeper's, set with its CH
+    # a keeper's backup list: the inputs of its last rebuild until the
+    # first pop after it ranks them, then the ranked remainder
+    ranking: Optional[tuple] = None
+    backup: Optional[np.ndarray] = None
 
 
 class Traffic:
     """What the schemes of one run index share: UAVs and fleet, and what
     survey measured at the current event slot: every row's average
     speed, its neighbor count if asked for, and at a round the UAV
-    assignment.  A given initial_fleet is copied, never stepped."""
+    assignment.  Each survey replaces these arrays and never writes
+    them, so a backup ranking may hold them until it runs.  A given
+    initial_fleet is copied, never stepped, and must hold no negative
+    speed."""
 
     def __init__(self, config: SimConfig, mobility_seed: int,
                  initial_fleet: Optional[Fleet] = None):
+        if initial_fleet is not None and np.less(initial_fleet.speed,
+                                                 0.0).any():
+            raise ValueError("initial_fleet: speeds must be >= 0")
         self.config = config
         self.rng = np.random.default_rng(mobility_seed)
         self.uavs = place_uavs(config)
@@ -114,12 +128,6 @@ class Traffic:
         if with_assignment:
             self.assignment = assign(self.fleet, self.uavs, cfg.ref_gain,
                                      cfg.noise_power)
-
-    def step(self) -> List[int]:
-        """Advance the fleet one slot; returns the respawned rows."""
-        cfg = self.config
-        return step(self.fleet, cfg.road_length, cfg.slot_duration, self.rng,
-                    (cfg.v_min, cfg.v_max_vehicle))
 
 
 class Simulation:
@@ -178,28 +186,39 @@ class Simulation:
     def _members(self, state: _ClusterState) -> np.ndarray:
         return (self.member_of == state.uav.id).nonzero()[0]
 
-    def _features(self, state: _ClusterState, members: np.ndarray):
-        """(v_d, neighbor count, residual path) of each member: the
-        inputs of the proposed selection and of the backup ranking."""
-        cfg, fleet, uav = self.config, self.fleet, state.uav
-        speed = self.traffic.avg_speed[members]
+    def _snapshot(self, members: np.ndarray) -> tuple:
+        """What _features reads of the current event slot for members:
+        the survey's average speeds and neighbor counts, and in
+        geometric mode the members' positions."""
+        x = (self.fleet.x[members] if self.config.residual_mode == "geometric"
+             else None)
+        return self.traffic.avg_speed, self.traffic.nbr_count, x
+
+    def _features(self, uav: UavNode, members: np.ndarray, avg_speed,
+                  nbr_count, x):
+        """(v_d, neighbor count, residual path) of each member, from
+        one event slot's _snapshot: the inputs of the proposed selection
+        and of the backup ranking.  A row keeps its y and dir for the
+        whole run, so they are read from the fleet."""
+        cfg, fleet = self.config, self.fleet
+        speed = avg_speed[members]
         v_d = np.abs(speed - cluster_avg_speed(speed))
         if cfg.residual_mode == "geometric":
             residual = residual_path_geometric(
-                uav.pos, fleet.x[members], fleet.y[members],
-                fleet.dir[members], speed, cfg.cluster_interval,
-                uav.coverage_radius)
+                uav.pos, x, fleet.y[members], fleet.dir[members], speed,
+                cfg.cluster_interval, uav.coverage_radius)
         else:
             residual = residual_path(uav.coverage_radius, speed,
                                      cfg.cluster_interval)
-        return v_d, self.traffic.nbr_count[members], residual
+        return v_d, nbr_count[members], residual
 
     def _select_for_scheme(self, state: _ClusterState, members: np.ndarray):
         """Run the configured selector; returns (chosen id, degraded)."""
         cfg = self.config
         if cfg.scheme == "proposed":
-            return select_ch(members, *self._features(state, members),
-                             cfg.eps_distance, cfg.eps_neighbors)
+            return select_ch(members, *self._features(
+                state.uav, members, *self._snapshot(members)),
+                cfg.eps_distance, cfg.eps_neighbors)
         if cfg.scheme == "vmasc":
             return select_ch_vmasc(members,
                                    self.traffic.avg_speed[members]), False
@@ -207,12 +226,21 @@ class Simulation:
 
     def _rebuild_backup(self, state: _ClusterState,
                         members: np.ndarray) -> None:
-        if not self.keeps_backup:
-            return
+        """Record what the backup list of the members around the current
+        CH is ranked from; _handle_departure ranks it at the first pop
+        after this rebuild, since most lists are never popped."""
+        if self.keeps_backup:
+            state.ranking = (members, state.ch, *self._snapshot(members))
+            state.backup = None
+
+    def _rank_backup(self, uav: UavNode, members: np.ndarray, ch: int,
+                     *survey) -> np.ndarray:
+        """The backup list of members around CH ch, best first, from
+        one event slot's _snapshot."""
         cfg = self.config
-        others = members != state.ch
-        v_d, nbr_count, residual = self._features(state, members)
-        state.backup = build_backup_list(
+        others = members != ch
+        v_d, nbr_count, residual = self._features(uav, members, *survey)
+        return build_backup_list(
             members[others], v_d[others], nbr_count[others], residual[others],
             (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
             raw_scores=cfg.backup_raw_scores)
@@ -359,6 +387,8 @@ class Simulation:
         if not len(members):
             return
         if self.keeps_backup:
+            if state.backup is None:
+                state.backup = self._rank_backup(u, *state.ranking)
             chosen, state.backup = pop_replacement(
                 state.backup, self.member_of[state.backup] == u.id)
             kind, payload = "ch_replaced_from_backup", {}
@@ -386,14 +416,32 @@ class Simulation:
                 self.member_of[vid] = -1
 
 
+def _schedule(config: SimConfig) -> List[Tuple[int, int, bool, bool, bool]]:
+    """(slot, slots to the next event slot or the end, is_round, is_cam,
+    is_beacon) of every event slot, in slot order: rounds every
+    cluster_interval from slot 0, and off the rounds, CAM batches every
+    cam_interval and beacon checks every beacon_interval."""
+    dt, n = config.slot_duration, config.num_slots
+    k_cluster, k_cam, k_beacon = (int(round(interval / dt)) for interval in (
+        config.cluster_interval, config.cam_interval, config.beacon_interval))
+    slots = sorted({*range(0, n, k_cluster), *range(0, n, k_cam),
+                    *range(k_beacon, n, k_beacon)})
+    return [(k, end - k, k % k_cluster == 0,
+             k % k_cluster != 0 and k % k_cam == 0,
+             k % k_cluster != 0 and k % k_beacon == 0)
+            for k, end in zip(slots, slots[1:] + [n])]
+
+
 def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
                initial_fleet: Optional[Fleet] = None
                ) -> Dict[str, List[SimEvent]]:
     """Each scheme's event trace from one lockstep run over one Traffic;
     seeds maps the schemes to run seeds with one mobility and one fading
-    seed (seeding.run_seeds of one run index).  A slot's
+    seed (seeding.run_seeds of one run index).  An event slot's
     phases read the fleet before it steps, so each scheme sees the slots
-    a run of its own would."""
+    a run of its own would.  Between two event slots the fleet steps in
+    one block, and each slot of it that respawned rows is reported at
+    that slot's end."""
     shared = {(s.mobility, s.fading) for s in seeds.values()}
     if len(shared) != 1:
         raise ValueError("run_paired: the schemes must share one mobility "
@@ -403,17 +451,11 @@ def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
     sims = [Simulation(replace(cfg, scheme=scheme), s, traffic)
             for scheme, s in seeds.items()]
     dt = cfg.slot_duration
-    k_cluster = int(round(cfg.cluster_interval / dt))
-    k_cam = int(round(cfg.cam_interval / dt))
-    k_beacon = int(round(cfg.beacon_interval / dt))
+    speed_range = (cfg.v_min, cfg.v_max_vehicle)
     with_neighbors = any(sim.keeps_backup for sim in sims)
-    for k in range(cfg.num_slots):
+    for k, slots, is_round, is_cam, is_beacon in _schedule(cfg):
         t = k * dt
-        is_round = k % k_cluster == 0
-        is_cam = not is_round and k % k_cam == 0
-        is_beacon = k > 0 and not is_round and k % k_beacon == 0
-        if is_round or is_cam or is_beacon:
-            traffic.survey(with_neighbors, with_assignment=is_round)
+        traffic.survey(with_neighbors, with_assignment=is_round)
         for sim in sims:
             if is_round:
                 sim._clustering_round(t)
@@ -421,9 +463,10 @@ def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
                 sim._cam_batch(t)
             if is_beacon:
                 sim._beacon_check(t)
-        respawned = traffic.step()
-        for sim in sims:
-            sim._respawn(t + dt, respawned)
+        for slot, respawned in step(traffic.fleet, cfg.road_length, dt,
+                                    traffic.rng, speed_range, slots):
+            for sim in sims:
+                sim._respawn((k + slot) * dt + dt, respawned)
     _sample_cam_links(sims)
     return {scheme: sim.events for scheme, sim in zip(seeds, sims)}
 

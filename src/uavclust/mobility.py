@@ -8,8 +8,9 @@ only vehicle state, with no per-vehicle record.
 """
 from __future__ import annotations
 
+import heapq
 import math
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,38 +37,65 @@ class Fleet:
         self.age = np.zeros(len(self.x), dtype=np.int64)
 
     def avg_speeds(self, window: int) -> np.ndarray:
-        """avg_speed of every row's speed history.  Each row's left fold
-        is written as repeated elementwise adds, so its bits match the
-        scalar fold's."""
+        """avg_speed of every row's speed history.  Row k of the folds
+        is 0.0 plus k copies of each speed, added left to right in one
+        np.add.accumulate, so each row's bits match the scalar fold's."""
         count = np.minimum(self.age + 1, window)
-        total = np.zeros_like(self.speed)
-        for k in range(int(count.max(initial=0))):
-            np.add(total, self.speed, out=total, where=k < count)
-        return total / count
+        folds = np.zeros((int(count.max(initial=0)) + 1, len(count)))
+        folds[1:] = self.speed
+        np.add.accumulate(folds, axis=0, out=folds)
+        return folds[count, np.arange(len(count))] / count
 
 
 def step(fleet: Fleet, road_length: float, dt: float,
-         rng: np.random.Generator,
-         speed_range: Tuple[float, float]) -> List[VehicleId]:
-    """Advance every vehicle by dt seconds, in place.
+         rng: np.random.Generator, speed_range: Tuple[float, float],
+         slots: int = 1) -> List[Tuple[int, List[VehicleId]]]:
+    """Advance every vehicle by slots slots of dt seconds, in place.
 
-    Returns the rows respawned this step, each at the entry end of its
-    lane.  Leavers draw their new speed one scalar draw each, in row
-    order, so RNG consumption is deterministic.
+    Returns (slot, rows) for each slot of the block, counted from 0,
+    that respawned rows, each at the entry end of its lane.  Leavers
+    draw their new speed one scalar draw each, in (slot, row) order, so
+    RNG consumption is that of slots one-slot steps.
+
+    A row's positions are the left fold x + inc + inc ..., with inc =
+    dir * speed * dt, made for all rows at once by np.add.accumulate.
+    A row that leaves goes on from its entry end in scalar float math,
+    the same fold with its new speed, and may leave again in the block.
     """
     if dt <= 0:
         raise ValueError(f"step: dt must be positive, got {dt}")
-    new_x = fleet.x + fleet.dir * fleet.speed * dt
-    leaving = ~((0.0 <= new_x) & (new_x <= road_length))
-    fleet.x = new_x
-    fleet.age += 1
-    respawned: List[VehicleId] = np.flatnonzero(leaving).tolist()
-    for i in respawned:
+    if slots < 1:
+        raise ValueError(f"step: slots must be >= 1, got {slots}")
+    path = np.empty((slots + 1, len(fleet.x)))
+    path[0] = fleet.x
+    path[1:] = fleet.dir * fleet.speed * dt
+    np.add.accumulate(path, axis=0, out=path)
+    path = path[1:]
+    off = ~((0.0 <= path) & (path <= road_length))
+    fleet.x = path[-1].copy()
+    fleet.age += slots
+    leavers = np.flatnonzero(off.any(axis=0))
+    # (slot, row) of every departure not yet resolved, earliest first
+    pending = list(zip(off[:, leavers].argmax(axis=0).tolist(),
+                       leavers.tolist()))
+    heapq.heapify(pending)
+    respawned: Dict[int, List[VehicleId]] = {}
+    while pending:
+        slot, i = heapq.heappop(pending)
+        respawned.setdefault(slot, []).append(i)
         speed = float(rng.uniform(*speed_range))
-        fleet.x[i] = 0.0 if fleet.dir[i] > 0 else road_length
+        direction = fleet.dir.item(i)
+        x = 0.0 if direction > 0 else road_length
+        inc = direction * speed * dt
+        for later in range(slot + 1, slots):
+            x += inc
+            if not 0.0 <= x <= road_length:
+                heapq.heappush(pending, (later, i))
+                break
+        fleet.x[i] = x
         fleet.speed[i] = speed
-        fleet.age[i] = 0
-    return respawned
+        fleet.age[i] = slots - 1 - slot
+    return list(respawned.items())
 
 
 def avg_speed(history: Sequence[float], window: int) -> float:

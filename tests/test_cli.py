@@ -5,7 +5,6 @@ import pytest
 
 from uavclust import cli, engine, metrics, trace
 from uavclust.cli import main, seed_plan
-from uavclust.config import SimConfig
 
 SCHEMES = ("proposed", "vmasc", "random")
 
@@ -127,7 +126,9 @@ def test_schemes_of_a_run_index_share_one_fleet(tmp_path, monkeypatch):
         monkeypatch.setattr(engine, name, counted(name))
     assert main(["compare", "--runs", "2", "--out", str(tmp_path / "c")]) == 0
     assert len(trace_files(str(tmp_path / "c"))) == 2 * len(SCHEMES)
-    assert calls == {"step": 2 * SimConfig().num_slots, "assign": 2 * 10}
+    # one step per gap between event slots (70 in a 700 s run) and one
+    # assignment per round, for all schemes of a run index together
+    assert calls == {"step": 2 * 70, "assign": 2 * 10}
 
 
 def test_metrics_reaggregates_existing_traces(tmp_path):

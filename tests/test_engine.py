@@ -9,8 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavclust import channel, engine, trace
+from uavclust.backup import build_backup_list
+from uavclust.chselect import cluster_avg_speed
 from uavclust.config import SimConfig, validate
 from uavclust.engine import MIN_V2V_DISTANCE, Simulation, place_uavs, run
+from uavclust.mobility import residual_path, residual_path_geometric
 from uavclust.seeding import pcg64_states, run_seeds
 
 from conftest import fleet_of, make_vehicle
@@ -257,6 +260,121 @@ def test_backup_list_never_runs_dry(variant, monkeypatch):
                 assert ch in left
             else:
                 assert ch is None
+
+
+def eager_backup_list(sim, state, members):
+    """The backup list of members around the current CH, ranked at once
+    from the current event slot: what each rebuild built before ranking
+    was deferred to the first pop."""
+    cfg, fleet, uav = sim.config, sim.fleet, state.uav
+    speed = sim.traffic.avg_speed[members]
+    v_d = np.abs(speed - cluster_avg_speed(speed))
+    if cfg.residual_mode == "geometric":
+        residual = residual_path_geometric(
+            uav.pos, fleet.x[members], fleet.y[members], fleet.dir[members],
+            speed, cfg.cluster_interval, uav.coverage_radius)
+    else:
+        residual = residual_path(uav.coverage_radius, speed,
+                                 cfg.cluster_interval)
+    others = members != state.ch
+    return build_backup_list(
+        members[others], v_d[others], sim.traffic.nbr_count[members][others],
+        residual[others],
+        (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
+        raw_scores=cfg.backup_raw_scores)
+
+
+class EagerBackups(Simulation):
+    """Ranks each rebuilt backup list eagerly (eager_backup_list) and
+    checks that every pop takes from it, or from what earlier pops left
+    of it; popped receives the (list, remainder) of each pop_replacement
+    call of the run."""
+
+    def __init__(self, popped, *args):
+        super().__init__(*args)
+        self.popped = popped
+        self.eager = {}
+        self.fresh_pops = self.remainder_pops = 0
+
+    def _rebuild_backup(self, state, members):
+        super()._rebuild_backup(state, members)
+        if self.keeps_backup:
+            self.eager[state.uav.id] = (eager_backup_list(self, state,
+                                                          members), True)
+
+    def _handle_departure(self, t, state):
+        calls = len(self.popped)
+        super()._handle_departure(t, state)
+        if len(self.popped) == calls:
+            return
+        [(backup, remainder)] = self.popped[calls:]
+        expected, fresh = self.eager[state.uav.id]
+        assert backup.tolist() == expected.tolist()
+        self.eager[state.uav.id] = (remainder, False)
+        if fresh:
+            self.fresh_pops += 1
+        else:
+            self.remainder_pops += 1
+
+
+# with beacons between CAM batches a list is first popped a slot after
+# its rebuild, and a remainder is popped again before the next one; at
+# I = 35 the rows move enough in between to reorder a geometric ranking
+RANKING_CASES = {**BACKUP_CASES,
+                 "beacon_interval_5": {"beacon_interval": 5.0},
+                 "geometric_beacon_interval_5": {
+                     "beacon_interval": 5.0, "residual_mode": "geometric",
+                     "num_vehicles": 35}}
+
+
+@pytest.mark.parametrize("variant", list(RANKING_CASES))
+def test_backup_ranked_at_first_pop_equals_eager_ranking(variant,
+                                                         monkeypatch):
+    cfg = validate(dataclasses.replace(SimConfig(), seed=1,
+                                       **RANKING_CASES[variant]))
+    popped, sims = [], []
+    real_pop = engine.pop_replacement
+
+    def recording(backup, present):
+        chosen, remainder = real_pop(backup, present)
+        popped.append((backup, remainder))
+        return chosen, remainder
+
+    def tracked(*args):
+        sims.append(EagerBackups(popped, *args))
+        return sims[-1]
+
+    monkeypatch.setattr(engine, "pop_replacement", recording)
+    monkeypatch.setattr(engine, "Simulation", tracked)
+    engine.run_paired(cfg, {s: run_seeds(1, 0, s) for s in SCHEMES})
+    keepers = [sim for sim in sims if sim.keeps_backup]
+    assert keepers and all(sim.fresh_pops > 0 for sim in keepers)
+    assert len(popped) == sum(sim.fresh_pops + sim.remainder_pops
+                              for sim in keepers)
+    if cfg.beacon_interval < cfg.cam_interval:
+        assert any(sim.remainder_pops > 0 for sim in keepers)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_negative_initial_speed_is_rejected_before_any_slot(scheme,
+                                                            monkeypatch):
+    # every scheme keeps a backup list here, whose ranking would reject
+    # the speed only at a first pop, if ever; a parked row (speed 0.0)
+    # stays valid (test_static_vehicles_one_round_no_departures)
+    cfg = validate(dataclasses.replace(SimConfig(), num_vehicles=2,
+                                       scheme=scheme,
+                                       benchmarks_use_backup=True))
+    vehicles = [make_vehicle(0, 100.0, speed=0.0),
+                make_vehicle(1, 500.0, speed=-1.0)]
+
+    def no_slot(*args):
+        raise AssertionError("a slot ran")
+
+    monkeypatch.setattr(engine, "step", no_slot)
+    monkeypatch.setattr(engine.Traffic, "survey", no_slot)
+    with pytest.raises(ValueError, match="initial_fleet: speeds"):
+        run(cfg, seeds=run_seeds(1, 0, scheme),
+            initial_fleet=fleet_of(vehicles))
 
 
 # the one UAV hovers over x = 500, so a parked vehicle at x = 700 on

@@ -61,7 +61,8 @@ def test_step_advances_by_speed():
 def test_step_respawns_exiting_vehicle():
     v = make_vehicle(3, 995.0, speed=10.0)
     fleet, respawned = step_one(v)
-    assert respawned == [0]  # the fleet row, whatever the record's id
+    # slot 0 of the block, the fleet row, whatever the record's id
+    assert respawned == [(0, [0])]
     assert (fleet.x.tolist(), fleet.y.tolist()) == ([0.0], [v.y])  # +x entry
     speed = fleet.speed.item(0)
     assert 10.0 <= speed <= 15.0
@@ -72,13 +73,19 @@ def test_step_respawns_exiting_vehicle():
 def test_step_respawn_minus_direction_enters_at_far_end():
     fleet, respawned = step_one(make_vehicle(1, 5.0, y=2.0, direction=-1,
                                              speed=10.0))
-    assert respawned == [0]
+    assert respawned == [(0, [0])]
     assert fleet.x.tolist() == [1000.0]
 
 
 def test_step_rejects_zero_dt():
     with pytest.raises(ValueError, match="positive"):
         step_one(make_vehicle(0, 100.0, speed=20.0), dt=0.0)
+
+
+def test_step_rejects_an_empty_block():
+    with pytest.raises(ValueError, match="slots"):
+        step(fleet_of([make_vehicle(0, 100.0)]), ROAD_LENGTH, 1.0,
+             np.random.default_rng(0), SPEEDS, 0)
 
 
 def test_step_rejects_negative_dt():
@@ -177,7 +184,7 @@ def test_step_matches_reference_loop(layout, seed, window, slots, dt):
         respawned = step(fleet, ROAD_LENGTH, dt, rng, SPEEDS)
         vehicles, histories, ref_respawned = reference_step(
             vehicles, histories, ROAD_LENGTH, dt, ref_rng, SPEEDS, window)
-        assert respawned == ref_respawned
+        assert respawned == ([(0, ref_respawned)] if ref_respawned else [])
     rows = range(len(vehicles))
     assert [(i, fleet.x.item(i), fleet.y.item(i), fleet.dir.item(i),
              fleet.speed.item(i)) for i in rows] == \
@@ -185,6 +192,58 @@ def test_step_matches_reference_loop(layout, seed, window, slots, dt):
     assert fleet.avg_speeds(window).tolist() == [avg_speed(history, window)
                                                  for history in histories]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def check_block_step(layout, seed, window, slots, dt, road_length):
+    """Steps the layout once by a block of slots, slot by slot, and
+    through reference_step, on a road of road_length (layout x scaled
+    from 0..1000); asserts all three agree and returns the block's
+    respawns."""
+    vehicles = [make_vehicle(i, x * road_length / 1000.0,
+                             y=-2.0 if d > 0 else 2.0, direction=d, speed=s)
+                for i, (x, s, d) in enumerate(layout)]
+    histories = [(v.speed,) for v in vehicles]
+    block, single = fleet_of(vehicles), fleet_of(vehicles)
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    respawned = step(block, road_length, dt, rngs[0], SPEEDS, slots)
+    single_respawned, ref_respawned = [], []
+    for slot in range(slots):
+        single_respawned += [(slot, rows) for _, rows in step(
+            single, road_length, dt, rngs[1], SPEEDS)]
+        vehicles, histories, ref = reference_step(
+            vehicles, histories, road_length, dt, rngs[2], SPEEDS, window)
+        ref_respawned += [(slot, ref)] if ref else []
+    assert respawned == single_respawned == ref_respawned
+    ref_rows = [(v.x, v.speed) for v in vehicles]
+    ref_avgs = [avg_speed(history, window) for history in histories]
+    for fleet in (block, single):
+        assert list(zip(fleet.x.tolist(), fleet.speed.tolist())) == ref_rows
+        assert fleet.avg_speeds(window).tolist() == ref_avgs
+    assert block.age.tolist() == single.age.tolist()
+    assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            == rngs[2].bit_generator.state)
+    return respawned
+
+
+@given(st.lists(VEHICLE, max_size=25), st.integers(min_value=0, max_value=2 ** 31),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=40),
+       st.sampled_from([1.0, 0.5, 2.5]), st.sampled_from([1000.0, 40.0]))
+@settings(deadline=None, max_examples=80)
+def test_block_step_matches_one_slot_steps(layout, seed, window, slots, dt,
+                                           road_length):
+    check_block_step(layout, seed, window, slots, dt, road_length)
+
+
+def test_a_row_leaves_twice_in_one_block():
+    # on a 40 m road a respawned row (10..15 m/s) is off it again within
+    # four slots, and goes on in scalar math inside the block; rows 0
+    # and 2 leave in the first slot, in row order
+    layout = [(875.0, 10.0, 1), (500.0, 0.0, -1), (100.0, 12.0, -1)]
+    respawned = check_block_step(layout, 3, 4, 9, 1.0, 40.0)
+    assert respawned[0] == (0, [0, 2])
+    assert sum(0 in rows for _, rows in respawned) >= 2
+    assert all(1 not in rows for _, rows in respawned)  # parked
 
 
 # positions on a half-metre grid with lanes 120 m apart, so that many

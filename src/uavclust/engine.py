@@ -8,12 +8,12 @@ cluster_interval (assignment, CH selection, backup list rebuild), CAM
 batches every cam_interval (backup rebuild, CH-member link recording),
 beacon checks every beacon_interval (CH departure detection and
 replacement); no other slot has a phase.  Each event slot's phases read
-every fleet row's average speed and neighbor count, measured once per
-slot (Traffic.survey); the neighbor count only when some scheme of the
-run keeps a backup list, its one reader.  Between two event slots the
-fleet advances in one block (mobility.step with a slot count), and the
-rows respawned in each slot of it are reported at that slot's end.  A
-backup rebuild only records what the list is ranked from; the list is
+every fleet row's average speed, neighbor count and position, measured
+once per slot (Traffic.survey); the neighbor count only when some scheme
+of the run keeps a backup list, its one reader.  Between two event slots
+the fleet advances in one block (mobility.step with a slot count), and
+the rows respawned in each slot of it are reported at that slot's end.
+A backup rebuild only records the survey it is ranked from; the list is
 ranked at the first pop after the rebuild (_handle_departure), since
 most lists are never popped.  The recorded CH-member links are sampled
 after the last slot, each distinct link key of a run index once, in a
@@ -101,27 +101,31 @@ class _ClusterState:
 class Traffic:
     """What the schemes of one run index share: UAVs and fleet, and what
     survey measured at the current event slot: every row's average
-    speed, its neighbor count if asked for, and at a round the UAV
-    assignment.  Each survey replaces these arrays and never writes
-    them, so a backup ranking may hold them until it runs.  A given
-    initial_fleet is copied, never stepped, and must hold no negative
-    speed."""
+    speed, its neighbor count if asked for, at a round the UAV
+    assignment, and the slot's position array, held by reference.
+    Survey and step replace these arrays and never write them, so a
+    backup ranking may hold them until it runs.  A given initial_fleet
+    is copied, never stepped, and must hold finite positions and speeds
+    in [0, inf)."""
 
     def __init__(self, config: SimConfig, mobility_seed: int,
                  initial_fleet: Optional[Fleet] = None):
-        if initial_fleet is not None and np.less(initial_fleet.speed,
-                                                 0.0).any():
-            raise ValueError("initial_fleet: speeds must be >= 0")
+        if initial_fleet is not None and not np.isfinite(initial_fleet.x).all():
+            raise ValueError("initial_fleet: positions must be finite")
+        if initial_fleet is not None and not np.all(
+                (0.0 <= initial_fleet.speed) & (initial_fleet.speed < math.inf)):
+            raise ValueError("initial_fleet: speeds must be in [0, inf)")
         self.config = config
         self.rng = np.random.default_rng(mobility_seed)
         self.uavs = place_uavs(config)
         self.fleet = (init_fleet(config, self.rng) if initial_fleet is None
                       else copy.deepcopy(initial_fleet))
-        self.avg_speed = self.nbr_count = self.assignment = None
+        self.avg_speed = self.nbr_count = self.assignment = self.x = None
 
     def survey(self, with_neighbors: bool, with_assignment: bool) -> None:
         """Measure the fleet at an event slot, before its phases run."""
         cfg = self.config
+        self.x = self.fleet.x
         self.avg_speed = self.fleet.avg_speeds(cfg.avg_window)
         if with_neighbors:
             self.nbr_count = neighbor_table(self.fleet, cfg.neighbor_range)
@@ -186,27 +190,19 @@ class Simulation:
     def _members(self, state: _ClusterState) -> np.ndarray:
         return (self.member_of == state.uav.id).nonzero()[0]
 
-    def _snapshot(self, members: np.ndarray) -> tuple:
-        """What _features reads of the current event slot for members:
-        the survey's average speeds and neighbor counts, and in
-        geometric mode the members' positions."""
-        x = (self.fleet.x[members] if self.config.residual_mode == "geometric"
-             else None)
-        return self.traffic.avg_speed, self.traffic.nbr_count, x
-
     def _features(self, uav: UavNode, members: np.ndarray, avg_speed,
                   nbr_count, x):
         """(v_d, neighbor count, residual path) of each member, from
-        one event slot's _snapshot: the inputs of the proposed selection
-        and of the backup ranking.  A row keeps its y and dir for the
-        whole run, so they are read from the fleet."""
+        one event slot's survey (Traffic): the inputs of the proposed
+        selection and of the backup ranking.  A row keeps its y and dir
+        for the whole run, so they are read from the fleet."""
         cfg, fleet = self.config, self.fleet
         speed = avg_speed[members]
         v_d = np.abs(speed - cluster_avg_speed(speed))
         if cfg.residual_mode == "geometric":
             residual = residual_path_geometric(
-                uav.pos, x, fleet.y[members], fleet.dir[members], speed,
-                cfg.cluster_interval, uav.coverage_radius)
+                uav.pos, x[members], fleet.y[members], fleet.dir[members],
+                speed, cfg.cluster_interval, uav.coverage_radius)
         else:
             residual = residual_path(uav.coverage_radius, speed,
                                      cfg.cluster_interval)
@@ -214,14 +210,13 @@ class Simulation:
 
     def _select_for_scheme(self, state: _ClusterState, members: np.ndarray):
         """Run the configured selector; returns (chosen id, degraded)."""
-        cfg = self.config
+        cfg, traffic = self.config, self.traffic
         if cfg.scheme == "proposed":
             return select_ch(members, *self._features(
-                state.uav, members, *self._snapshot(members)),
-                cfg.eps_distance, cfg.eps_neighbors)
+                state.uav, members, traffic.avg_speed, traffic.nbr_count,
+                traffic.x), cfg.eps_distance, cfg.eps_neighbors)
         if cfg.scheme == "vmasc":
-            return select_ch_vmasc(members,
-                                   self.traffic.avg_speed[members]), False
+            return select_ch_vmasc(members, traffic.avg_speed[members]), False
         return select_ch_random(members, self.scheme_rng), False
 
     def _rebuild_backup(self, state: _ClusterState,
@@ -230,13 +225,14 @@ class Simulation:
         CH is ranked from; _handle_departure ranks it at the first pop
         after this rebuild, since most lists are never popped."""
         if self.keeps_backup:
-            state.ranking = (members, state.ch, *self._snapshot(members))
+            state.ranking = (members, state.ch, self.traffic.avg_speed,
+                             self.traffic.nbr_count, self.traffic.x)
             state.backup = None
 
     def _rank_backup(self, uav: UavNode, members: np.ndarray, ch: int,
                      *survey) -> np.ndarray:
         """The backup list of members around CH ch, best first, from
-        one event slot's _snapshot."""
+        one event slot's survey (_features)."""
         cfg = self.config
         others = members != ch
         v_d, nbr_count, residual = self._features(uav, members, *survey)
@@ -307,8 +303,8 @@ class Simulation:
         and its fast fading from the second.  Where numpy's ziggurat
         takes a word on its fast path, the draws of all links are made
         at once (seeding.ziggurat_normal, ziggurat_exponential); the few
-        links with a slow-path draw are drawn from their own stream
-        (_link_snr).
+        links with a slow-path draw take theirs from their own stream
+        (_link_rng).  Every link then takes the one SNR expression.
         """
         cfg = self.config
         first, second = pcg64_words(states, 2)
@@ -319,29 +315,19 @@ class Simulation:
             fast &= fast_fading
         else:
             fading = np.ones(len(z))  # 1.0 * gain is exactly gain
+        for k in np.flatnonzero(~fast).tolist():
+            link_rng = self._link_rng(*pcg64_state(states, k))
+            z[k] = link_rng.normal(0.0, cfg.shadow_std_db)
+            if cfg.snr_fading == "instantaneous":
+                fading[k] = link_rng.exponential(1.0)
         p, noise = cfg.vehicle_tx_power, cfg.noise_power
         loss, eta = cfg.v2v_loss_const, cfg.v2v_loss_exp
         large_scale = channel.v2v_large_scale
-        # _link_snr's float math, with sample_shadowing, v2v_gain and
-        # v2v_snr inlined; the powers stay scalar because np.power
-        # differs from ** in last bits.  Only v2v_large_scale's checks
-        # can fail on a draw, and they stay, so links fail in link order.
+        # channel.sample_shadowing, v2v_gain and v2v_snr's float math; the
+        # powers stay scalar (np.power differs from ** in last bits).  No
+        # draw can fail, so v2v_large_scale's checks fail in link order.
         return [p * (f * large_scale(d, 10.0 ** (x / 10.0), loss, eta)) / noise
-                if ok else self._link_snr(*pcg64_state(states, k), d)
-                for k, (ok, x, f, d) in enumerate(zip(
-                    fast.tolist(), z.tolist(), fading.tolist(), dist))]
-
-    def _link_snr(self, state: int, inc: int, d: float) -> float:
-        """One link's SNR, drawn from its own stream (_link_rng)."""
-        cfg = self.config
-        link_rng = self._link_rng(state, inc)
-        shadow = channel.sample_shadowing(link_rng, cfg.shadow_std_db)
-        gain = channel.v2v_large_scale(d, shadow, cfg.v2v_loss_const,
-                                       cfg.v2v_loss_exp)
-        if cfg.snr_fading == "instantaneous":
-            gain = channel.v2v_gain(gain,
-                                    channel.sample_fast_fading(link_rng))
-        return channel.v2v_snr(cfg.vehicle_tx_power, gain, cfg.noise_power)
+                for x, f, d in zip(z.tolist(), fading.tolist(), dist)]
 
     def _beacon_check(self, t: float) -> None:
         fleet = self.fleet
@@ -379,11 +365,12 @@ class Simulation:
         u, fleet = state.uav, self.fleet
         self.member_of[state.ch] = -1
         state.ch = None
-        if self.keeps_backup:
-            gone = [m for m in self._members(state).tolist()
-                    if _outside_coverage(u, fleet, m)]
-            self.member_of[gone] = -1
         members = self._members(state)
+        if self.keeps_backup:
+            gone = np.array([_outside_coverage(u, fleet, m)
+                             for m in members.tolist()], dtype=bool)
+            self.member_of[members[gone]] = -1
+            members = members[~gone]
         if not len(members):
             return
         if self.keeps_backup:
@@ -403,15 +390,14 @@ class Simulation:
     # -- main loop -------------------------------------------------------
 
     def _respawn(self, t: float, respawned: List[int]) -> None:
+        seated = {state.ch: state for state in self.clusters.values()}
         for vid in respawned:
             self.events.append(SimEvent(t, "vehicle_respawn", ids=(vid,)))
             # a respawn is a new vehicle: it leaves its old cluster.  A
             # respawned CH stays seated until the beacon check reports
             # the mark.
-            for state in self.clusters.values():
-                if state.ch == vid:
-                    state.ch_respawned = True
-                    break
+            if vid in seated:
+                seated[vid].ch_respawned = True
             else:
                 self.member_of[vid] = -1
 

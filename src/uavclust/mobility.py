@@ -58,9 +58,10 @@ def step(fleet: Fleet, road_length: float, dt: float,
     RNG consumption is that of slots one-slot steps.
 
     A row's positions are the left fold x + inc + inc ..., with inc =
-    dir * speed * dt, made for all rows at once by np.add.accumulate.
-    A row that leaves goes on from its entry end in scalar float math,
-    the same fold with its new speed, and may leave again in the block.
+    dir * speed * dt, made for all rows at once by np.add.accumulate
+    into a new fleet.x; the old array is never written.  A row that
+    leaves goes on from its entry end in scalar float math, the same
+    fold with its new speed, and may leave again in the block.
     """
     if dt <= 0:
         raise ValueError(f"step: dt must be positive, got {dt}")

@@ -355,6 +355,18 @@ def test_backup_ranked_at_first_pop_equals_eager_ranking(variant,
         assert any(sim.remainder_pops > 0 for sim in keepers)
 
 
+def run_without_slots(cfg, vehicles, monkeypatch):
+    """Runs cfg from the vehicles, failing if any slot is surveyed or
+    stepped."""
+    def no_slot(*args, **kwargs):
+        raise AssertionError("a slot ran")
+
+    monkeypatch.setattr(engine, "step", no_slot)
+    monkeypatch.setattr(engine.Traffic, "survey", no_slot)
+    return run(cfg, seeds=run_seeds(1, 0, cfg.scheme),
+               initial_fleet=fleet_of(vehicles))
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_negative_initial_speed_is_rejected_before_any_slot(scheme,
                                                             monkeypatch):
@@ -366,15 +378,22 @@ def test_negative_initial_speed_is_rejected_before_any_slot(scheme,
                                        benchmarks_use_backup=True))
     vehicles = [make_vehicle(0, 100.0, speed=0.0),
                 make_vehicle(1, 500.0, speed=-1.0)]
-
-    def no_slot(*args):
-        raise AssertionError("a slot ran")
-
-    monkeypatch.setattr(engine, "step", no_slot)
-    monkeypatch.setattr(engine.Traffic, "survey", no_slot)
     with pytest.raises(ValueError, match="initial_fleet: speeds"):
-        run(cfg, seeds=run_seeds(1, 0, scheme),
-            initial_fleet=fleet_of(vehicles))
+        run_without_slots(cfg, vehicles, monkeypatch)
+
+
+@pytest.mark.parametrize("x, speed, message", [
+    (math.nan, 10.0, "positions"), (math.inf, 10.0, "positions"),
+    (-math.inf, 10.0, "positions"), (500.0, math.nan, "speeds"),
+    (500.0, math.inf, "speeds")])
+def test_non_finite_initial_fleet_is_rejected_before_any_slot(
+        x, speed, message, monkeypatch):
+    # unchecked, a NaN x is assigned to no UAV and fails the round with
+    # a TypeError, and an inf x or a NaN or inf speed runs to the end
+    cfg = validate(dataclasses.replace(SimConfig(), num_vehicles=2))
+    vehicles = [make_vehicle(0, 100.0), make_vehicle(1, x, speed=speed)]
+    with pytest.raises(ValueError, match=f"initial_fleet: {message}"):
+        run_without_slots(cfg, vehicles, monkeypatch)
 
 
 # the one UAV hovers over x = 500, so a parked vehicle at x = 700 on

@@ -205,7 +205,11 @@ def check_block_step(layout, seed, window, slots, dt, road_length):
     histories = [(v.speed,) for v in vehicles]
     block, single = fleet_of(vehicles), fleet_of(vehicles)
     rngs = [np.random.default_rng(seed) for _ in range(3)]
+    held, before = block.x, block.x.tolist()
     respawned = step(block, road_length, dt, rngs[0], SPEEDS, slots)
+    # a survey holds the x array of its slot (engine.Traffic) across the
+    # block: step replaces it and never writes it
+    assert block.x is not held and held.tolist() == before
     single_respawned, ref_respawned = [], []
     for slot in range(slots):
         single_respawned += [(slot, rows) for _, rows in step(

@@ -13,18 +13,18 @@ from .model import UavNode
 def assign(fleet: Fleet, uavs: Sequence[UavNode],
            g0: float, noise: float) -> np.ndarray:
     """Per-row argmax of the A2G SNR over all UAVs: the UAV id of every
-    fleet row.
+    fleet row, in the shape of the fleet's arrays.
 
     Ties break to the lowest UAV id so the result is independent of
     evaluation order.
     """
     if not uavs:
         raise ValueError("assign: need at least one UAV")
-    if not len(fleet.x):
+    if not fleet.x.shape[-1]:
         raise ValueError("assign: need at least one vehicle")
     ordered = sorted(uavs, key=lambda n: n.id)
     column = []
-    for x, y in zip(fleet.x.tolist(), fleet.y.tolist()):
+    for x, y in zip(fleet.x.ravel().tolist(), fleet.y.ravel().tolist()):
         best_uav = None
         best_snr = -1.0
         for u in ordered:
@@ -33,4 +33,4 @@ def assign(fleet: Fleet, uavs: Sequence[UavNode],
             if snr > best_snr:
                 best_uav, best_snr = u.id, snr
         column.append(best_uav)
-    return np.array(column, dtype=np.int64)
+    return np.array(column, dtype=np.int64).reshape(fleet.x.shape)

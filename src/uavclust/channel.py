@@ -45,20 +45,6 @@ def v2v_large_scale(d: float, shadow_mu: float, loss_const: float,
     return shadow_mu * loss_const * d ** (-loss_exp)
 
 
-def v2v_gain(large_scale: float, fast_fading: float) -> float:
-    """Instantaneous V2V gain: exponential fast-fading factor times J_V."""
-    if fast_fading < 0.0:
-        raise ValueError(f"v2v_gain: fading factor cannot be negative, got {fast_fading}")
-    return fast_fading * large_scale
-
-
-def v2v_snr(p_vehicle: float, gain: float, noise: float) -> float:
-    """V2V SNR with the vehicle transmit power."""
-    if noise <= 0.0:
-        raise ValueError(f"v2v_snr: noise power must be positive, got {noise}")
-    return p_vehicle * gain / noise
-
-
 def sample_fast_fading(rng: np.random.Generator) -> float:
     """Unit-mean exponential fast-fading draw."""
     return float(rng.exponential(1.0))

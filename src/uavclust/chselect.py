@@ -45,8 +45,8 @@ def select_ch_random(members: Sequence[VehicleId],
     """Uniform random member, drawn from the caller's scheme stream."""
     if not len(members):
         raise ValueError("select_ch_random: empty cluster")
-    ordered = np.sort(members)
-    return int(ordered[int(rng.integers(0, len(ordered)))])
+    ordered = sorted(np.asarray(members).tolist())
+    return ordered[int(rng.integers(0, len(ordered)))]
 
 
 def select_ch_vmasc(ids: np.ndarray, avg_speed: np.ndarray) -> VehicleId:
@@ -54,7 +54,7 @@ def select_ch_vmasc(ids: np.ndarray, avg_speed: np.ndarray) -> VehicleId:
     its co-members; ties break to the lowest vehicle id.
 
     Each member's sum is a left fold over the co-members in array order.
-    With finite speeds, the zero difference to itself that the cumsum
+    With finite speeds, the zero difference to itself that the fold
     also adds leaves every partial sum unchanged.
     """
     n = len(ids)
@@ -63,5 +63,5 @@ def select_ch_vmasc(ids: np.ndarray, avg_speed: np.ndarray) -> VehicleId:
     if n == 1:
         return int(ids[0])
     diff = np.abs(avg_speed[:, None] - avg_speed[None, :])
-    rel = np.cumsum(diff, axis=1)[:, -1] / (n - 1)
+    rel = np.add.accumulate(diff, axis=1)[:, -1] / (n - 1)
     return int(ids[np.lexsort((ids, rel))[0]])

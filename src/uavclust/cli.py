@@ -36,8 +36,9 @@ def seed_plan(seed_base: int, run_count: int,
     """Per-run, per-scheme stream seeds.
 
     Mobility and fading seeds are shared across schemes at each run
-    index (paired design); only the scheme-random stream differs.  Each
-    run index is one task: its schemes run in lockstep over one fleet.
+    index (paired design); only the scheme-random stream differs.  A
+    run index's schemes run in lockstep over one fleet, in a block of
+    run indices (engine.run_block).
     """
     if run_count < 1:
         raise ValueError("seed_plan: run count must be >= 1")
@@ -49,30 +50,38 @@ def _trace_path(out_dir: str, scheme: str, run_index: int) -> str:
     return os.path.join(out_dir, "traces", f"{scheme}_run{run_index:04d}.trace")
 
 
-def _execute_run_index(task: Tuple[SimConfig, Dict[str, RunSeeds], str, int]
-                       ) -> Dict[str, metrics.TraceRun]:
-    """Worker entry point: simulate every scheme of one run index,
-    persist their traces and score them in memory.
+def _execute_block(task: Tuple[SimConfig, List[Dict[str, RunSeeds]], str, int]
+                   ) -> List[Dict[str, metrics.TraceRun]]:
+    """Worker entry point: simulate every scheme of a block of
+    consecutive run indices, from the first given, persist their traces
+    and score them in memory.
 
     Each scheme's header meta is what parse_header reads back from its
     trace, so the scores equal those `metrics` computes from the files.
     """
-    config, plan, out_dir, run_index = task
-    runs = {}
-    for scheme, events in engine.run_paired(config, plan).items():
-        seeds = plan[scheme]
-        meta = {
-            "config": dataclasses.replace(config, scheme=scheme).digest(),
-            "scheme": scheme,
-            "run": str(run_index),
-            "seed": str(config.seed),
-            "mobility_seed": str(seeds.mobility),
-            "fading_seed": str(seeds.fading),
-            "scheme_seed": str(seeds.scheme),
-        }
-        trace.write_trace(_trace_path(out_dir, scheme, run_index), meta, events)
-        runs[scheme] = (meta, metrics.run_metrics(events))
-    return runs
+    config, plans, out_dir, first = task
+    digests = {scheme: dataclasses.replace(config, scheme=scheme).digest()
+               for scheme in plans[0]}
+    scored = []
+    for run_index, (plan, traces) in enumerate(
+            zip(plans, engine.run_block(config, plans)), first):
+        runs = {}
+        for scheme, events in traces.items():
+            seeds = plan[scheme]
+            meta = {
+                "config": digests[scheme],
+                "scheme": scheme,
+                "run": str(run_index),
+                "seed": str(config.seed),
+                "mobility_seed": str(seeds.mobility),
+                "fading_seed": str(seeds.fading),
+                "scheme_seed": str(seeds.scheme),
+            }
+            trace.write_trace(_trace_path(out_dir, scheme, run_index), meta,
+                              events)
+            runs[scheme] = (meta, metrics.run_metrics(events))
+        scored.append(runs)
+    return scored
 
 
 def _reset_out(out_dir: str, config: SimConfig) -> None:
@@ -90,21 +99,27 @@ def _reset_out(out_dir: str, config: SimConfig) -> None:
 
 def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                     out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
-    """Fan out one task per run index, on min(workers, runs) processes
-    (in this one if that is 1); returns each scheme's header and run
-    metrics per run index, scored in memory by the tasks.  out_dir is
-    reset first (_reset_out).
+    """Fan out one task per block of consecutive run indices, on
+    min(workers, runs) processes (in this one if that is 1); returns
+    each scheme's header and run metrics per run index, scored in
+    memory by the tasks.  A block holds ceil(runs / workers) run
+    indices, at most engine.BLOCK_ROWS fleet rows and at least one run.
+    out_dir is reset first (_reset_out).
     """
     _reset_out(out_dir, config)
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
-    tasks = [(config, plan, out_dir, k)
-             for k, plan in enumerate(seed_plan(config.seed, runs, schemes))]
     workers = min(workers, runs)
+    size = max(1, min(-(-runs // workers),
+                      engine.BLOCK_ROWS // config.num_vehicles))
+    plans = seed_plan(config.seed, runs, schemes)
+    tasks = [(config, plans[k:k + size], out_dir, k)
+             for k in range(0, runs, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(_execute_run_index, tasks))
+            blocks = list(pool.map(_execute_block, tasks))
     else:
-        scored = [_execute_run_index(task) for task in tasks]
+        blocks = [_execute_block(task) for task in tasks]
+    scored = [by_scheme for block in blocks for by_scheme in block]
     return {scheme: [by_scheme[scheme] for by_scheme in scored]
             for scheme in schemes}
 

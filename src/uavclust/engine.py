@@ -1,38 +1,37 @@
-"""Time-stepped simulation loop.
+"""Time-stepped simulation loop over blocks of run indices.
 
 A run's vehicles are the rows of one mobility.Fleet, which init_fleet
-draws from the mobility stream; a vehicle's id is its row.
+draws from the mobility stream; a vehicle's id is its row.  run_block,
+the one simulation loop, runs the run indices of a block in lockstep:
+one Traffic holds their fleets as (runs, vehicles) arrays, and one
+Simulation per (run, scheme) holds that scheme's clusters and events;
+run_paired and run are its one-run cases.  Every stream is a run's own
+(mobility, scheme) or a run's and a link's (fading: the stream of the
+key (fading seed, t_ms, lo, hi)), so a (config, seed) pair reproduces
+byte-identical traces whatever block a run index ran in.
 
 Event schedule per run (_schedule): clustering rounds every
 cluster_interval (assignment, CH selection, backup list rebuild), CAM
 batches every cam_interval (backup rebuild, CH-member link recording),
 beacon checks every beacon_interval (CH departure detection and
 replacement); no other slot has a phase.  Each event slot's phases read
-every fleet row's average speed, neighbor count and position, measured
-once per slot (Traffic.survey); the neighbor count only when some scheme
-of the run keeps a backup list, its one reader.  Between two event slots
-the fleet advances in one block (mobility.step with a slot count), and
-the rows respawned in each slot of it are reported at that slot's end.
-A backup rebuild only records the survey it is ranked from; the list is
-ranked at the first pop after the rebuild (_handle_departure), since
-most lists are never popped.  The recorded CH-member links are sampled
-after the last slot, each distinct link key of a run index once, in a
-few numpy passes over all of their streams (_sample_cam_links).
-Everything is driven by private RNG streams (mobility, scheme, and per
-link sample the stream of its key (fading seed, t_ms, lo, hi)) so a
-(config, seed) pair reproduces a byte-identical event trace.
-
-run_paired, the one simulation loop, runs the schemes of one run index
-in lockstep over the one Traffic they share; run() is its one-scheme
-case.  Both take the run seeds explicitly.
+what Traffic.survey measured there for the whole block, and the members
+of every cluster of the block from one grouping of its member_of rows
+(_cluster_members); selections, departures and backup pops stay scalar,
+in cluster order per (run, scheme).  Between two event slots the fleet
+advances in one step of several slots, whose respawned rows leave their
+clusters in one masked write (_respawn).  A backup rebuild only records
+the survey it is ranked from; the list is ranked at the first pop after
+it (_handle_departure), since most lists are never popped.  The
+recorded CH-member links are sampled after the last slot, each distinct
+link key once, in a few numpy passes (_sample_cam_links).
 """
 from __future__ import annotations
 
-import copy
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,10 +42,10 @@ from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_
 from .config import SimConfig, validate
 from .mobility import (Fleet, neighbor_table, residual_path,
                        residual_path_geometric, step)
-from .model import AirPoint, UavNode, left_sum
+from .model import AirPoint, UavNode
 from .seeding import (RunSeeds, pcg64_state, pcg64_states, pcg64_words,
                       ziggurat_exponential, ziggurat_normal)
-from .trace import SimEvent
+from .trace import NO_PAYLOAD, SimEvent, make_event
 
 # Distance floor for V2V links: the point-mass mobility model lets
 # vehicles overlap, which would blow up the d^-eta path loss.
@@ -55,6 +54,16 @@ MIN_V2V_DISTANCE = 10.0
 # Link keys sampled per batch of numpy passes: bounds the batch's
 # temporaries (about 200 bytes per key) at no measurable cost.
 LINK_CHUNK = 2048
+
+# the ch_departed payloads, by reason: read-only, because they are
+# shared by every such event
+_DEPARTED = {reason: MappingProxyType({"reason": reason})
+             for reason in ("coverage", "respawn")}
+
+# Fleet rows (runs x vehicles) per block, and at least one run: a block
+# holds its (runs, I, I) neighbor arrays and, until they are written,
+# the events of its run indices (about 0.25 MB each at I = 12).
+BLOCK_ROWS = 64
 
 
 def place_uavs(config: SimConfig) -> List[UavNode]:
@@ -79,13 +88,6 @@ def init_fleet(config: SimConfig, rng: np.random.Generator) -> Fleet:
                  [1 if lane == 0 else -1 for lane in lanes], speeds)
 
 
-def _outside_coverage(uav: UavNode, fleet: Fleet, i: int) -> bool:
-    """Whether fleet row i is beyond the UAV's planar coverage radius;
-    a vehicle exactly on the circle is covered."""
-    return math.hypot(uav.pos.x - fleet.x.item(i),
-                      uav.pos.y - fleet.y.item(i)) > uav.coverage_radius
-
-
 @dataclass
 class _ClusterState:
     uav: UavNode
@@ -99,74 +101,119 @@ class _ClusterState:
 
 
 class Traffic:
-    """What the schemes of one run index share: UAVs and fleet, and what
-    survey measured at the current event slot: every row's average
+    """What the runs of a block share with their schemes: UAVs, one
+    mobility stream per run, the fleet as (runs, vehicles) arrays, and
+    what survey measured at the current event slot: every row's average
     speed, its neighbor count if asked for, at a round the UAV
-    assignment, and the slot's position array, held by reference.
-    Survey and step replace these arrays and never write them, so a
-    backup ranking may hold them until it runs.  A given initial_fleet
-    is copied, never stepped, and must hold finite positions and speeds
-    in [0, inf)."""
+    assignment, at a beacon check whether each UAV covers it (outside,
+    (runs, UAVs, vehicles)), and the slot's position array, held by
+    reference.  Survey and step replace these arrays and never write
+    them, so a backup ranking may hold them until it runs.  A given
+    initial_fleet starts every run, is copied, never stepped, and must
+    hold finite positions and speeds in [0, inf)."""
 
-    def __init__(self, config: SimConfig, mobility_seed: int,
+    def __init__(self, config: SimConfig, *mobility_seeds: int,
                  initial_fleet: Optional[Fleet] = None):
-        if initial_fleet is not None and not np.isfinite(initial_fleet.x).all():
+        if initial_fleet is not None and not (
+                np.isfinite(initial_fleet.x).all()
+                and np.isfinite(initial_fleet.y).all()):
             raise ValueError("initial_fleet: positions must be finite")
         if initial_fleet is not None and not np.all(
                 (0.0 <= initial_fleet.speed) & (initial_fleet.speed < math.inf)):
             raise ValueError("initial_fleet: speeds must be in [0, inf)")
         self.config = config
-        self.rng = np.random.default_rng(mobility_seed)
+        self.rngs = [np.random.default_rng(seed) for seed in mobility_seeds]
         self.uavs = place_uavs(config)
-        self.fleet = (init_fleet(config, self.rng) if initial_fleet is None
-                      else copy.deepcopy(initial_fleet))
-        self.avg_speed = self.nbr_count = self.assignment = self.x = None
+        # each UAV's hover x, y and coverage radius, one row per UAV
+        self._hover = np.array([[u.pos.x, u.pos.y, u.coverage_radius]
+                                for u in self.uavs]).T[:, :, None]
+        fleets = [init_fleet(config, rng) if initial_fleet is None
+                  else initial_fleet for rng in self.rngs]
+        self.fleet = Fleet(*(np.stack([getattr(f, column) for f in fleets])
+                             for column in ("x", "y", "dir", "speed")))
+        self.fleet.age = np.stack([f.age for f in fleets])
+        self.avg_speed = self.nbr_count = self.assignment = None
+        self.outside = self.x = None
+        # the ids of events: one tuple per (UAV, vehicle) and per vehicle,
+        # shared by every event of the block that names them
+        vehicles = self.fleet.x.shape[1]
+        self.cluster_ids = [[(u.id, v) for v in range(vehicles)]
+                            for u in self.uavs]
+        self.vehicle_ids = [(v,) for v in range(vehicles)]
 
-    def survey(self, with_neighbors: bool, with_assignment: bool) -> None:
+    def survey(self, with_neighbors: bool, with_assignment: bool,
+               with_coverage: bool) -> None:
         """Measure the fleet at an event slot, before its phases run."""
-        cfg = self.config
-        self.x = self.fleet.x
-        self.avg_speed = self.fleet.avg_speeds(cfg.avg_window)
+        cfg, fleet = self.config, self.fleet
+        self.x = fleet.x
+        self.avg_speed = fleet.avg_speeds(cfg.avg_window)
         if with_neighbors:
-            self.nbr_count = neighbor_table(self.fleet, cfg.neighbor_range)
+            self.nbr_count = neighbor_table(fleet, cfg.neighbor_range)
         if with_assignment:
-            self.assignment = assign(self.fleet, self.uavs, cfg.ref_gain,
+            self.assignment = assign(fleet, self.uavs, cfg.ref_gain,
                                      cfg.noise_power)
+        if with_coverage:
+            self.outside = self._outside()
+
+    def _outside(self) -> np.ndarray:
+        """Whether each row is beyond each UAV's planar coverage radius,
+        (runs, UAVs, vehicles); a vehicle exactly on the circle is
+        covered.  np.hypot and math.hypot may round apart in the last
+        bit: pairs this close to the circle take the scalar expression."""
+        x, y = self.fleet.x, self.fleet.y
+        ux, uy, radius = self._hover
+        dist = np.hypot(ux - x[:, None, :], uy - y[:, None, :])
+        outside = dist > radius
+        close = np.abs(dist - radius) <= 1e-9 * radius
+        for run, u, i in zip(*close.nonzero()) if close.any() else ():
+            uav = self.uavs[u]
+            outside[run, u, i] = math.hypot(
+                uav.pos.x - x[run, i],
+                uav.pos.y - y[run, i]) > uav.coverage_radius
+        return outside
 
 
 class Simulation:
-    """One scheme's run over a Traffic that the other schemes of its run
-    index may share; run_paired drives it.
+    """One scheme's run over row `row` of a Traffic that the other
+    schemes and runs of its block share; run_block drives it.
 
-    member_of holds each fleet row's cluster: its UAV id, or -1.  A
-    vehicle's id is its fleet row, so a cluster's members, read from
-    the column, come in ascending id order.  Between
-    phases a cluster has a CH exactly when it has members: a round or a
-    departure that leaves members seats one, and a respawn removes only
-    non-CH members.  A respawned CH stays seated, marked ch_respawned,
-    until the next beacon check reports it or a new CH is seated.
+    member_of holds each of its run's fleet rows' cluster: its UAV id,
+    or -1; run_block makes it a row of the block's member_of array.  A
+    vehicle's id is its fleet row, so a cluster's members, read from the
+    column, come in ascending id order.  Between phases a cluster has a
+    CH exactly when it has members, and its CH is one of them: a round
+    or a departure that leaves members seats one, and a respawn removes
+    only non-CH members.  A respawned CH stays seated, marked
+    ch_respawned, until the next beacon check reports it or a new CH is
+    seated.  At rounds and CAM batches, members holds each cluster's
+    members, in cluster order, as run_block grouped them.
     """
 
-    def __init__(self, config: SimConfig, seeds: RunSeeds, traffic: Traffic):
+    def __init__(self, config: SimConfig, seeds: RunSeeds, traffic: Traffic,
+                 row: int = 0):
         self.config = validate(config)
         self.seeds = seeds
         self.traffic = traffic
-        self.fleet, self.uavs = self.traffic.fleet, self.traffic.uavs
+        self.row = row
+        self.y, self.dir = traffic.fleet.y[row], traffic.fleet.dir[row]
         self.scheme_rng = np.random.default_rng(self.seeds.scheme)
         # whether this scheme keeps a backup list; exactly then its
         # phases read the neighbor counts (_features)
         self.keeps_backup = (config.scheme == "proposed"
                              or config.benchmarks_use_backup)
+        # the ch_selected payloads, by degraded
+        self._selected = [MappingProxyType({"scheme": config.scheme,
+                                            "degraded": degraded})
+                          for degraded in (False, True)]
         self._link_gen = np.random.Generator(np.random.PCG64(0))
         self.clusters: Dict[int, _ClusterState] = {
-            u.id: _ClusterState(uav=u) for u in self.uavs}
-        self.member_of = np.full(len(self.fleet.x), -1, dtype=np.int64)
+            u.id: _ClusterState(uav=u) for u in traffic.uavs}
+        self.member_of = np.full(traffic.fleet.x.shape[-1], -1, dtype=np.int64)
+        self.members: List[np.ndarray] = []
         self.events: List[SimEvent] = []
         self.round_index = 0
-        # per cam_batch with CH-member links: (payload, t_ms, CH, the
-        # other members, their distances to the CH)
-        self._cam_links: List[Tuple[dict, int, int, np.ndarray,
-                                    np.ndarray]] = []
+        # the payloads of its cam_batch events with CH-member links
+        self.cam_payloads: List[dict] = []
 
     # -- helpers ---------------------------------------------------------
 
@@ -187,26 +234,23 @@ class Simulation:
             "has_uint32": 0, "uinteger": 0}
         return self._link_gen
 
-    def _members(self, state: _ClusterState) -> np.ndarray:
-        return (self.member_of == state.uav.id).nonzero()[0]
-
     def _features(self, uav: UavNode, members: np.ndarray, avg_speed,
                   nbr_count, x):
         """(v_d, neighbor count, residual path) of each member, from
-        one event slot's survey (Traffic): the inputs of the proposed
-        selection and of the backup ranking.  A row keeps its y and dir
-        for the whole run, so they are read from the fleet."""
-        cfg, fleet = self.config, self.fleet
-        speed = avg_speed[members]
+        one event slot's survey of the block (Traffic): the inputs of
+        the proposed selection and of the backup ranking.  A row keeps
+        its y and dir for the whole run."""
+        cfg, row = self.config, self.row
+        speed = avg_speed[row][members]
         v_d = np.abs(speed - cluster_avg_speed(speed))
         if cfg.residual_mode == "geometric":
             residual = residual_path_geometric(
-                uav.pos, x[members], fleet.y[members], fleet.dir[members],
+                uav.pos, x[row][members], self.y[members], self.dir[members],
                 speed, cfg.cluster_interval, uav.coverage_radius)
         else:
             residual = residual_path(uav.coverage_radius, speed,
                                      cfg.cluster_interval)
-        return v_d, nbr_count[members], residual
+        return v_d, nbr_count[row][members], residual
 
     def _select_for_scheme(self, state: _ClusterState, members: np.ndarray):
         """Run the configured selector; returns (chosen id, degraded)."""
@@ -216,7 +260,8 @@ class Simulation:
                 state.uav, members, traffic.avg_speed, traffic.nbr_count,
                 traffic.x), cfg.eps_distance, cfg.eps_neighbors)
         if cfg.scheme == "vmasc":
-            return select_ch_vmasc(members, traffic.avg_speed[members]), False
+            return select_ch_vmasc(
+                members, traffic.avg_speed[self.row][members]), False
         return select_ch_random(members, self.scheme_rng), False
 
     def _rebuild_backup(self, state: _ClusterState,
@@ -249,50 +294,42 @@ class Simulation:
     # -- scheduled phases ------------------------------------------------
 
     def _clustering_round(self, t: float) -> None:
-        cfg = self.config
-        self.member_of = self.traffic.assignment.copy()
-        self.events.append(SimEvent(t, "clustering_round",
-                                    payload={"round": self.round_index}))
+        """Seat a CH in every cluster of the assignment that run_block
+        wrote to member_of."""
+        events = self.events
+        events.append(make_event((t, "clustering_round", (),
+                                  {"round": self.round_index})))
         self.round_index += 1
-        for state in self.clusters.values():
+        for state, members, ids in zip(self.clusters.values(), self.members,
+                                       self.traffic.cluster_ids):
             state.ch = None
-            members = self._members(state)
             if not len(members):
                 continue
             chosen, degraded = self._select_for_scheme(state, members)
             self._seat_ch(state, chosen)
-            self.events.append(SimEvent(t, "ch_selected",
-                                        ids=(state.uav.id, chosen),
-                                        payload={"scheme": cfg.scheme,
-                                                 "degraded": degraded}))
+            events.append(make_event((t, "ch_selected", ids[chosen],
+                                      self._selected[degraded])))
             self._rebuild_backup(state, members)
 
     def _cam_batch(self, t: float) -> None:
-        """CAM round: rebuild backups and record each CH-member link.
+        """CAM round: rebuild backups and emit each cluster's cam_batch.
 
-        The links' SNR is sampled after the run (_sample_cam_links); it
-        never feeds back into the simulation.
+        run_block records the CH-member links, whose SNR is sampled
+        after the run (_sample_cam_links); it never feeds back into the
+        simulation.
         """
-        t_ms = int(round(t * 1000))
-        fleet = self.fleet
-        for state in self.clusters.values():
-            u = state.uav
-            members = self._members(state)
-            if not len(members):
+        events = self.events
+        for state, members, ids in zip(self.clusters.values(), self.members,
+                                       self.traffic.cluster_ids):
+            count = len(members)
+            if not count:
                 continue
             self._rebuild_backup(state, members)
-            ch = state.ch
-            payload = {"members": len(members), "tenure": state.tenure}
-            others = members[members != ch]
-            if len(others):
-                ch_x, ch_y = fleet.x.item(ch), fleet.y.item(ch)
-                dist = np.array([
-                    max(MIN_V2V_DISTANCE, math.hypot(ch_x - x, ch_y - y))
-                    for x, y in zip(fleet.x[others].tolist(),
-                                    fleet.y[others].tolist())])
-                self._cam_links.append((payload, t_ms, ch, others, dist))
-            self.events.append(SimEvent(t, "cam_batch",
-                                        ids=(u.id, ch), payload=payload))
+            payload = {"members": count, "tenure": state.tenure}
+            if count > 1:
+                self.cam_payloads.append(payload)
+            events.append(make_event((t, "cam_batch", ids[state.ch],
+                                      payload)))
 
     def _link_snrs(self, states: np.ndarray,
                    dist: List[float]) -> List[float]:
@@ -323,29 +360,32 @@ class Simulation:
         p, noise = cfg.vehicle_tx_power, cfg.noise_power
         loss, eta = cfg.v2v_loss_const, cfg.v2v_loss_exp
         large_scale = channel.v2v_large_scale
-        # channel.sample_shadowing, v2v_gain and v2v_snr's float math; the
-        # powers stay scalar (np.power differs from ** in last bits).  No
-        # draw can fail, so v2v_large_scale's checks fail in link order.
+        # the shadowing draw's dB-to-ratio, then fading times large-scale
+        # gain and p * gain / noise; the powers stay scalar (np.power
+        # differs from ** in last bits).  No draw can fail, so
+        # v2v_large_scale's checks fail in link order.
         return [p * (f * large_scale(d, 10.0 ** (x / 10.0), loss, eta)) / noise
                 for x, f, d in zip(z.tolist(), fading.tolist(), dist)]
 
     def _beacon_check(self, t: float) -> None:
-        fleet = self.fleet
-        for state in self.clusters.values():
-            u, i = state.uav, state.ch
+        outside = self.traffic.outside[self.row]
+        events = self.events
+        for state, cluster_ids in zip(self.clusters.values(),
+                                      self.traffic.cluster_ids):
+            i = state.ch
             if i is None:
                 continue
-            reason = None
+            ids = cluster_ids[i]
             if state.ch_respawned:
                 reason = "respawn"
-            elif _outside_coverage(u, fleet, i):
+            elif outside[ids]:
                 reason = "coverage"
-            if reason is None:
-                self.events.append(SimEvent(t, "beacon_ok", ids=(u.id, i)))
+            else:
+                events.append(make_event((t, "beacon_ok", ids, NO_PAYLOAD)))
                 continue
-            self.events.append(SimEvent(t, "beacon_missed", ids=(u.id, i)))
-            self.events.append(SimEvent(t, "ch_departed", ids=(u.id, i),
-                                        payload={"reason": reason}))
+            events.append(make_event((t, "beacon_missed", ids, NO_PAYLOAD)))
+            events.append(make_event((t, "ch_departed", ids,
+                                      _DEPARTED[reason])))
             self._handle_departure(t, state)
 
     def _handle_departure(self, t: float, state: _ClusterState) -> None:
@@ -362,13 +402,12 @@ class Simulation:
         list, because each rebuild lists all of them and membership
         only shrinks until the next round.
         """
-        u, fleet = state.uav, self.fleet
+        u = state.uav
         self.member_of[state.ch] = -1
         state.ch = None
-        members = self._members(state)
+        members = (self.member_of == u.id).nonzero()[0]
         if self.keeps_backup:
-            gone = np.array([_outside_coverage(u, fleet, m)
-                             for m in members.tolist()], dtype=bool)
+            gone = self.traffic.outside[self.row, u.id, members]
             self.member_of[members[gone]] = -1
             members = members[~gone]
         if not len(members):
@@ -384,22 +423,9 @@ class Simulation:
             kind, payload = "ch_reselected_full", {"degraded": degraded}
         self._seat_ch(state, chosen)
         payload["tenure"] = state.tenure
-        self.events.append(SimEvent(t, kind, ids=(u.id, chosen),
-                                    payload=payload))
-
-    # -- main loop -------------------------------------------------------
-
-    def _respawn(self, t: float, respawned: List[int]) -> None:
-        seated = {state.ch: state for state in self.clusters.values()}
-        for vid in respawned:
-            self.events.append(SimEvent(t, "vehicle_respawn", ids=(vid,)))
-            # a respawn is a new vehicle: it leaves its old cluster.  A
-            # respawned CH stays seated until the beacon check reports
-            # the mark.
-            if vid in seated:
-                seated[vid].ch_respawned = True
-            else:
-                self.member_of[vid] = -1
+        self.events.append(make_event((t, kind,
+                                       self.traffic.cluster_ids[u.id][chosen],
+                                       payload)))
 
 
 def _schedule(config: SimConfig) -> List[Tuple[int, int, bool, bool, bool]]:
@@ -418,91 +444,223 @@ def _schedule(config: SimConfig) -> List[Tuple[int, int, bool, bool, bool]]:
             for k, end in zip(slots, slots[1:] + [n])]
 
 
-def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
-               initial_fleet: Optional[Fleet] = None
-               ) -> Dict[str, List[SimEvent]]:
-    """Each scheme's event trace from one lockstep run over one Traffic;
-    seeds maps the schemes to run seeds with one mobility and one fading
-    seed (seeding.run_seeds of one run index).  An event slot's
-    phases read the fleet before it steps, so each scheme sees the slots
-    a run of its own would.  Between two event slots the fleet steps in
-    one block, and each slot of it that respawned rows is reported at
-    that slot's end."""
-    shared = {(s.mobility, s.fading) for s in seeds.values()}
-    if len(shared) != 1:
-        raise ValueError("run_paired: the schemes must share one mobility "
+def _cluster_members(member_of: np.ndarray, clusters: int
+                     ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """Group the members of every cluster of every simulation of a
+    block, from its member_of rows (one per simulation), with one stable
+    argsort.  Returns each (simulation, cluster) group's member ids,
+    ascending, simulation-major; then, for every assigned row in that
+    order, its group number (simulation * clusters + UAV id) and id."""
+    sims, vehicles = member_of.shape
+    groups = sims * clusters
+    key = np.where(member_of < 0, groups,
+                   member_of + clusters * np.arange(sims)[:, None]).ravel()
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=groups + 1)[:groups])
+    assigned = order[:ends[-1]]
+    ids = assigned % vehicles
+    bounds = [0, *ends.tolist()]
+    return ([ids[a:b] for a, b in zip(bounds, bounds[1:])], key[assigned],
+            ids)
+
+
+def _respawn(sims: List[Simulation], member_of: np.ndarray, t_at,
+             respawned) -> None:
+    """Report the rows respawned in each slot of one fleet step, at that
+    slot's end (t_at(slot)), in every scheme of their run, and take them
+    out of their clusters in one masked write of the block's member_of
+    (runs, schemes, vehicles); a respawned CH stays seated and marked
+    (ch_respawned) until the next beacon check.
+
+    respawned is mobility.step's list of (slot, flat rows) of the block
+    fleet.  A respawn is a new vehicle, so only the set of rows matters
+    to the clusters: no phase runs between two event slots."""
+    runs, schemes, vehicles = member_of.shape
+    vehicle_ids = sims[0].traffic.vehicle_ids
+    for slot, rows in respawned:
+        t = t_at(slot)
+        for row in rows:
+            run, vid = divmod(row, vehicles)
+            event = make_event((t, "vehicle_respawn", vehicle_ids[vid],
+                                NO_PAYLOAD))
+            for sim in sims[run * schemes:(run + 1) * schemes]:
+                sim.events.append(event)
+    hit = {row for _, rows in respawned for row in rows}
+    hit_run, hit_row = np.divmod(np.fromiter(hit, dtype=np.int64,
+                                             count=len(hit)), vehicles)
+    member_of[hit_run, :, hit_row] = -1
+    # put the seated CHs among them back
+    for sim in sims:
+        first = sim.row * vehicles
+        for state in sim.clusters.values():
+            if state.ch is not None and first + state.ch in hit:
+                state.ch_respawned = True
+                sim.member_of[state.ch] = state.uav.id
+
+
+def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
+              initial_fleet: Optional[Fleet] = None
+              ) -> List[Dict[str, List[SimEvent]]]:
+    """Each run index's scheme traces, from one lockstep run of the
+    block of run indices given by their seed plans (cli.seed_plan rows).
+
+    Every plan maps the same schemes, in the same order, to run seeds
+    with one mobility and one fading seed (seeding.run_seeds of one run
+    index).  An event slot's phases read the fleet before it steps, so
+    each scheme sees the slots a run of its own would.  Between two
+    event slots the fleet steps in one block, and each slot of it that
+    respawned rows is reported at that slot's end."""
+    schemes = list(plans[0])
+    if any(list(plan) != schemes for plan in plans):
+        raise ValueError("run_block: every run must list the same schemes")
+    shared = [{(s.mobility, s.fading) for s in plan.values()} for plan in plans]
+    if any(len(pair) != 1 for pair in shared):
+        raise ValueError("run_block: the schemes must share one mobility "
                          "seed and one fading seed")
     cfg = validate(config)
-    traffic = Traffic(cfg, shared.pop()[0], initial_fleet)
-    sims = [Simulation(replace(cfg, scheme=scheme), s, traffic)
-            for scheme, s in seeds.items()]
+    traffic = Traffic(cfg, *(pair.pop()[0] for pair in shared),
+                      initial_fleet=initial_fleet)
+    sims = [Simulation(replace(cfg, scheme=scheme), plan[scheme], traffic, b)
+            for b, plan in enumerate(plans) for scheme in schemes]
+    runs, vehicles = traffic.fleet.x.shape
+    clusters = len(traffic.uavs)
+    member_of = np.full((runs, len(schemes), vehicles), -1, dtype=np.int64)
+    rows = member_of.reshape(len(sims), vehicles)
+    for sim, row in zip(sims, rows):
+        sim.member_of = row
+    states = [state for sim in sims for state in sim.clusters.values()]
+    links = []
     dt = cfg.slot_duration
     speed_range = (cfg.v_min, cfg.v_max_vehicle)
     with_neighbors = any(sim.keeps_backup for sim in sims)
     for k, slots, is_round, is_cam, is_beacon in _schedule(cfg):
         t = k * dt
-        traffic.survey(with_neighbors, with_assignment=is_round)
+        traffic.survey(with_neighbors, is_round, is_beacon)
+        if is_round:
+            member_of[:] = traffic.assignment[:, None, :]
+        if is_round or is_cam:
+            groups, group_of, ids = _cluster_members(rows, clusters)
+            for r, sim in enumerate(sims):
+                sim.members = groups[r * clusters:(r + 1) * clusters]
         for sim in sims:
             if is_round:
                 sim._clustering_round(t)
             elif is_cam:
                 sim._cam_batch(t)
-            if is_beacon:
-                sim._beacon_check(t)
-        for slot, respawned in step(traffic.fleet, cfg.road_length, dt,
-                                    traffic.rng, speed_range, slots):
+        if is_cam:
+            # each member of a cluster other than its CH is a CH-member
+            # link, recorded with the slot's positions
+            chs = np.array([-1 if s.ch is None else s.ch for s in states])
+            link = ids != chs[group_of]
+            if link.any():
+                links.append((int(round(t * 1000)), traffic.x,
+                              group_of[link] // clusters,
+                              chs[group_of[link]], ids[link]))
+        if is_beacon:
             for sim in sims:
-                sim._respawn((k + slot) * dt + dt, respawned)
-    _sample_cam_links(sims)
-    return {scheme: sim.events for scheme, sim in zip(seeds, sims)}
+                sim._beacon_check(t)
+        respawned = step(traffic.fleet, cfg.road_length, dt, traffic.rngs,
+                         speed_range, slots)
+        if respawned:
+            _respawn(sims, member_of, lambda slot: (k + slot) * dt + dt,
+                     respawned)
+    _sample_cam_links(sims, links, traffic.fleet.y)
+    return [{scheme: sim.events for scheme, sim in
+             zip(schemes, sims[b * len(schemes):(b + 1) * len(schemes)])}
+            for b in range(runs)]
 
 
-def _sample_cam_links(sims: List[Simulation]) -> None:
+def _sample_cam_links(sims: List[Simulation], links, y: np.ndarray) -> None:
     """Set each recorded cam_batch payload's "snr" to the mean SNR of
     its CH-member links, in member order.
+
+    links holds, per CAM slot with links, its t_ms, position array and
+    the simulation, CH and member of each of its links; y is the block
+    fleet's y.  The links are sampled run by run (_run_link_snrs), each
+    run's scheme by scheme, as if each scheme sampled its own.
+    """
+    if not links:
+        return
+    t_ms, xs, sim, ch, member = zip(*links)
+    slot = np.repeat(np.arange(len(links)), [len(s) for s in sim])
+    sim, ch, member = (np.concatenate(a) for a in (sim, ch, member))
+    order = np.argsort(sim, kind="stable")
+    slot, sim = slot[order], sim[order]
+    lo, hi = np.minimum(ch, member)[order], np.maximum(ch, member)[order]
+    x, t_ms = np.stack(xs), np.array(t_ms)
+    schemes = len(sims) // len(y)
+    snrs = np.empty(len(sim))
+    bounds = np.searchsorted(sim, range(0, len(sims) + 1, schemes)).tolist()
+    for run, (first, end) in enumerate(zip(bounds, bounds[1:])):
+        if first < end:
+            part = slice(first, end)
+            snrs[part] = _run_link_snrs(sims[run * schemes], t_ms, x[:, run],
+                                        y[run], slot[part], lo[part], hi[part])
+    _set_mean_snrs([p for s in sims for p in s.cam_payloads], snrs)
+
+
+def _run_link_snrs(sampler: Simulation, t_ms: np.ndarray, x: np.ndarray,
+                   y: np.ndarray, slot: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
+    """The SNR of each CH-member link of one run, given by its CAM slot
+    (an index into t_ms and into x, the (slots, vehicles) positions) and
+    its endpoints lo < hi.
 
     The schemes of a run index share the fleet and the fading seed, so
     a link key (t_ms, lo, hi) has one distance and one stream in every
     scheme that records it.  Each distinct key is sampled once, in the
-    order keys were first recorded (scheme by scheme, as if each scheme
-    sampled its own), LINK_CHUNK keys per batch of numpy passes.
+    order keys were first recorded, LINK_CHUNK keys per batch of numpy
+    passes, through the sampler's _link_snrs.  A key's distance is
+    math.hypot of its endpoints' offsets, floored at MIN_V2V_DISTANCE;
+    the sign of the offsets does not matter, so it is the same from
+    either endpoint.
     """
-    batches = [batch for sim in sims for batch in sim._cam_links]
-    if not batches:
-        return
-    payloads, t_ms, ch, others, dist = zip(*batches)
-    counts = [len(o) for o in others]
-    key_number, t_ms, lo, hi, dist = _distinct_links(
-        np.repeat(t_ms, counts), np.repeat(ch, counts),
-        np.concatenate(others), np.concatenate(dist), len(sims[0].fleet.x))
+    dims = (len(t_ms), len(y), len(y))
+    keys, first, key_number = np.unique(
+        np.ravel_multi_index((slot, lo, hi), dims), return_index=True,
+        return_inverse=True)
+    # renumber the keys in the order they were first recorded
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    key_slot, key_lo, key_hi = np.unravel_index(keys[order], dims)
+    dx = x[key_slot, key_lo] - x[key_slot, key_hi]
+    dy = y[key_lo] - y[key_hi]
+    dist = np.maximum(MIN_V2V_DISTANCE, np.fromiter(
+        map(math.hypot, dx.tolist(), dy.tolist()), dtype=float,
+        count=len(dx)))
+    key_t_ms = t_ms[key_slot]
     snrs = np.empty(len(dist))
     for start in range(0, len(dist), LINK_CHUNK):
         part = slice(start, start + LINK_CHUNK)
-        states = pcg64_states(sims[0].seeds.fading, t_ms[part], lo[part],
-                              hi[part])
-        snrs[part] = sims[0]._link_snrs(states, dist[part].tolist())
-    snrs = snrs[key_number].tolist()
-    for payload, end, count in zip(payloads, itertools.accumulate(counts),
-                                   counts):
-        payload["snr"] = left_sum(snrs[end - count:end]) / count
+        states = pcg64_states(sampler.seeds.fading, key_t_ms[part],
+                              key_lo[part], key_hi[part])
+        snrs[part] = sampler._link_snrs(states, dist[part].tolist())
+    return snrs[rank[key_number]]
 
 
-def _distinct_links(t_ms, ch, others, dist, n: int):
-    """The distinct link keys (t_ms, lo, hi) among the links given by
-    their time, CH, member and distance, numbered in first-recorded
-    order: each link's key number, then each key's t_ms, lo, hi and
-    distance (the same for every link of a key)."""
-    lo, hi = np.minimum(ch, others), np.maximum(ch, others)
-    dims = (t_ms.max() + 1, n, n)
-    number: Dict[int, int] = {}
-    key_number = np.fromiter(
-        (number.setdefault(k, len(number))
-         for k in np.ravel_multi_index((t_ms, lo, hi), dims).tolist()),
-        dtype=np.intp, count=len(t_ms))
-    keys = np.fromiter(number, dtype=np.int64, count=len(number))
-    key_dist = np.empty(len(keys))
-    key_dist[key_number] = dist
-    return (key_number, *np.unravel_index(keys, dims), key_dist)
+def _set_mean_snrs(payloads: List[dict], snrs: np.ndarray) -> None:
+    """Set each payload's "snr" to the mean of its payload["members"] - 1
+    consecutive link SNRs.  Each mean is the left fold from 0.0 (as
+    model.left_sum) of one row of a zero-padded matrix, made for all
+    payloads at once by np.add.accumulate, over the count."""
+    counts = np.array([p["members"] - 1 for p in payloads])
+    starts = np.cumsum(counts) - counts
+    row = np.repeat(np.arange(len(counts)), counts)
+    folds = np.zeros((len(counts), int(counts.max()) + 1))
+    folds[row, np.arange(len(snrs)) - starts[row] + 1] = snrs
+    np.add.accumulate(folds, axis=1, out=folds)
+    means = folds[np.arange(len(counts)), counts] / counts
+    for payload, snr in zip(payloads, means.tolist()):
+        payload["snr"] = snr
+
+
+def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
+               initial_fleet: Optional[Fleet] = None
+               ) -> Dict[str, List[SimEvent]]:
+    """Each scheme's event trace from one lockstep run over one fleet:
+    run_block of one run index."""
+    return run_block(config, [seeds], initial_fleet)[0]
 
 
 def run(config: SimConfig, seeds: RunSeeds,

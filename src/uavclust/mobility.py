@@ -4,13 +4,15 @@ Constant speed per road traversal; a vehicle leaving the road respawns
 at the entry end of its lane with a freshly sampled speed and a cleared
 speed history, keeping the population size constant.  One Fleet of
 numpy arrays holds the whole population, one row per vehicle: a run's
-only vehicle state, with no per-vehicle record.
+only vehicle state, with no per-vehicle record.  A Fleet may also hold
+a block of runs, one run per row of (runs, vehicles) arrays; step,
+avg_speeds and neighbor_table treat each run on its own.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,7 +24,8 @@ class Fleet:
     is its row.
 
     x, y, dir (+1 or -1 along the road axis), speed (m/s) and age
-    (steps since spawn) are numpy arrays.  A respawned row is a new
+    (steps since spawn) are numpy arrays, of one shape: (vehicles,) for
+    one run or (runs, vehicles) for a block of runs.  A respawned row is a new
     vehicle; step reports it, and the Fleet keeps no trace of the
     vehicle that left the road.  A speed history starts as (speed,) at
     spawn and gains one sample of the same constant speed per step, so
@@ -34,28 +37,35 @@ class Fleet:
         self.y = np.array(y, dtype=float)
         self.dir = np.array(dir, dtype=np.int64)
         self.speed = np.array(speed, dtype=float)
-        self.age = np.zeros(len(self.x), dtype=np.int64)
+        self.age = np.zeros(self.x.shape, dtype=np.int64)
 
     def avg_speeds(self, window: int) -> np.ndarray:
-        """avg_speed of every row's speed history.  Row k of the folds
-        is 0.0 plus k copies of each speed, added left to right in one
+        """avg_speed of every row's speed history.  Fold k is 0.0 plus k
+        copies of each speed, added left to right in one
         np.add.accumulate, so each row's bits match the scalar fold's."""
         count = np.minimum(self.age + 1, window)
-        folds = np.zeros((int(count.max(initial=0)) + 1, len(count)))
+        folds = np.zeros((int(count.max(initial=0)) + 1, *count.shape))
         folds[1:] = self.speed
         np.add.accumulate(folds, axis=0, out=folds)
-        return folds[count, np.arange(len(count))] / count
+        rows = folds.reshape(len(folds), -1)
+        return rows[count.ravel(), np.arange(count.size)].reshape(
+            count.shape) / count
 
 
 def step(fleet: Fleet, road_length: float, dt: float,
-         rng: np.random.Generator, speed_range: Tuple[float, float],
+         rng: Union[np.random.Generator, Sequence[np.random.Generator]],
+         speed_range: Tuple[float, float],
          slots: int = 1) -> List[Tuple[int, List[VehicleId]]]:
     """Advance every vehicle by slots slots of dt seconds, in place.
 
-    Returns (slot, rows) for each slot of the block, counted from 0,
-    that respawned rows, each at the entry end of its lane.  Leavers
-    draw their new speed one scalar draw each, in (slot, row) order, so
-    RNG consumption is that of slots one-slot steps.
+    rng is the mobility Generator of a one-run fleet, or of a block
+    fleet a sequence of them, one per run.  Returns (slot, rows) for
+    each slot of the block, counted from 0, that respawned rows, each
+    at the entry end of its lane; rows are flat indices into the
+    fleet's arrays (run * vehicles + vehicle in a block), ascending.
+    Leavers draw their new speed from their run's stream, one scalar
+    draw each, in (slot, row) order, so each run's RNG consumption is
+    that of slots one-slot steps of that run alone.
 
     A row's positions are the left fold x + inc + inc ..., with inc =
     dir * speed * dt, made for all rows at once by np.add.accumulate
@@ -67,35 +77,41 @@ def step(fleet: Fleet, road_length: float, dt: float,
         raise ValueError(f"step: dt must be positive, got {dt}")
     if slots < 1:
         raise ValueError(f"step: slots must be >= 1, got {slots}")
-    path = np.empty((slots + 1, len(fleet.x)))
+    rngs = [rng] if fleet.x.ndim == 1 else rng
+    low, span = speed_range[0], speed_range[1] - speed_range[0]
+    vehicles = fleet.x.shape[-1]
+    path = np.empty((slots + 1, *fleet.x.shape))
     path[0] = fleet.x
     path[1:] = fleet.dir * fleet.speed * dt
     np.add.accumulate(path, axis=0, out=path)
-    path = path[1:]
+    path = path[1:].reshape(slots, -1)
     off = ~((0.0 <= path) & (path <= road_length))
-    fleet.x = path[-1].copy()
+    fleet.x = path[-1].reshape(fleet.x.shape).copy()
     fleet.age += slots
     leavers = np.flatnonzero(off.any(axis=0))
     # (slot, row) of every departure not yet resolved, earliest first
     pending = list(zip(off[:, leavers].argmax(axis=0).tolist(),
                        leavers.tolist()))
     heapq.heapify(pending)
+    x, speed, age = (a.reshape(-1) for a in (fleet.x, fleet.speed, fleet.age))
+    direction = fleet.dir.reshape(-1)
     respawned: Dict[int, List[VehicleId]] = {}
     while pending:
         slot, i = heapq.heappop(pending)
         respawned.setdefault(slot, []).append(i)
-        speed = float(rng.uniform(*speed_range))
-        direction = fleet.dir.item(i)
-        x = 0.0 if direction > 0 else road_length
-        inc = direction * speed * dt
+        # Generator.uniform(low, high)'s own expression and draw
+        new_speed = low + span * rngs[i // vehicles].random()
+        sign = direction.item(i)
+        pos = 0.0 if sign > 0 else road_length
+        inc = sign * new_speed * dt
         for later in range(slot + 1, slots):
-            x += inc
-            if not 0.0 <= x <= road_length:
+            pos += inc
+            if not 0.0 <= pos <= road_length:
                 heapq.heappush(pending, (later, i))
                 break
-        fleet.x[i] = x
-        fleet.speed[i] = speed
-        fleet.age[i] = slots - 1 - slot
+        x[i] = pos
+        speed[i] = new_speed
+        age[i] = slots - 1 - slot
     return list(respawned.items())
 
 
@@ -142,15 +158,20 @@ def residual_path_geometric(uav: AirPoint, x, y, direction, v_avg,
 
 
 def neighbor_table(fleet: Fleet, rng_range: float) -> np.ndarray:
-    """Number of other vehicles within planar range, per fleet row."""
+    """Number of other vehicles of its run within planar range, per
+    fleet row."""
     if rng_range <= 0.0:
         raise ValueError(f"neighbor_table: range must be positive, got {rng_range}")
     x, y = fleet.x, fleet.y
-    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    dist = np.hypot(x[..., :, None] - x[..., None, :],
+                    y[..., :, None] - y[..., None, :])
     near = dist <= rng_range
     # np.hypot and math.hypot may round apart in the last bit: pairs this
     # close to the range are decided by the scalar expression.
-    for i, j in zip(*np.nonzero(np.abs(dist - rng_range) <= 1e-9 * rng_range)):
-        near[i, j] = math.hypot(x[i] - x[j], y[i] - y[j]) <= rng_range
-    np.fill_diagonal(near, False)
-    return near.sum(axis=1)
+    close = np.abs(dist - rng_range) <= 1e-9 * rng_range
+    for *run, i, j in zip(*close.nonzero()) if close.any() else ():
+        a, b = (*run, i), (*run, j)
+        near[(*a, j)] = math.hypot(x[a] - x[b], y[a] - y[b]) <= rng_range
+    rows = np.arange(x.shape[-1])
+    near[..., rows, rows] = False
+    return near.sum(axis=-1)

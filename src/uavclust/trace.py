@@ -16,6 +16,7 @@ trace ever appears under the final name.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -39,12 +40,22 @@ Row = Tuple[float, str, Tuple[int, ...], Any]
 T = TypeVar("T")
 
 
+# the payload of an event without one; read-only, because it is shared
+# by every such event
+NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
+
+
 class SimEvent(NamedTuple):
     time: float
     kind: str
     ids: Tuple[int, ...] = ()
-    # read-only, because a default is shared by every event that takes it
-    payload: Mapping[str, Any] = MappingProxyType({})
+    payload: Mapping[str, Any] = NO_PAYLOAD
+
+
+# SimEvent((time, kind, ids, payload)): all four fields in one tuple,
+# without the argument handling of SimEvent(...), which costs the
+# engine about twice as much per event
+make_event = functools.partial(tuple.__new__, SimEvent)
 
 
 def format_number(value: float) -> str:
@@ -115,10 +126,6 @@ def _parse_row(fields: List[str]) -> Row:
     return float(time_s), kind, ids, payload
 
 
-def parse_event(line: str) -> SimEvent:
-    return SimEvent(*_parse_row(_split_event(line)))
-
-
 def format_header(meta: Dict[str, str]) -> str:
     parts = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
     return f"# uavclust-trace {parts}"
@@ -135,13 +142,65 @@ def parse_header(line: str) -> Dict[str, str]:
     return meta
 
 
+def _float_text(value: float) -> str:
+    """A finite float as json.dumps writes it; NaN and infinities (for
+    which value - value is not 0.0) as _json_scalar writes them."""
+    return float.__repr__(value) if value - value == 0.0 else _json_scalar(value)
+
+
+# payload value formatters by exact type; any other type, subclasses of
+# these included, goes through _json_scalar
+_SCALAR_TEXT: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+}
+
+
+def format_events(events: Iterable[SimEvent]) -> str:
+    """The lines of format_event for every event, each ending in a
+    newline, in one string.
+
+    Each distinct time is formatted once (format_number; 0.0 and -0.0,
+    which compare equal, are formatted each time), and each distinct
+    key order of a payload sorts and encodes its keys once.
+    """
+    times: Dict[float, str] = {}
+    key_texts: Dict[tuple, List[Tuple[str, str]]] = {}
+    scalar_text = _SCALAR_TEXT.get
+    lines = []
+    for time, kind, ids, payload in events:
+        time_text = times.get(time)
+        if time_text is None or not time:
+            time_text = times[time] = format_number(time)
+        if len(ids) == 2:
+            ids_text = f"{ids[0]},{ids[1]}"
+        else:
+            ids_text = ",".join(map(str, ids))
+        if payload:
+            order = tuple(payload)
+            keys = key_texts.get(order)
+            if keys is None:
+                keys = key_texts[order] = [
+                    (key, encode_basestring_ascii(key) + ":")
+                    for key in sorted(payload)]
+            items = []
+            for key, text in keys:
+                value = payload[key]
+                items.append(text + scalar_text(type(value), _json_scalar)(value))
+            payload_text = "{" + ",".join(items) + "}"
+        else:
+            payload_text = "{}"
+        lines.append(f"{time_text}\t{kind}\t{ids_text}\t{payload_text}\n")
+    return "".join(lines)
+
+
 def write_trace(path: str, meta: Dict[str, str],
                 events: Sequence[SimEvent]) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(format_header(meta) + "\n")
-        for event in events:
-            fh.write(format_event(event) + "\n")
+        fh.write(format_header(meta) + "\n" + format_events(events))
     os.replace(tmp, path)
 
 

@@ -127,8 +127,40 @@ def test_schemes_of_a_run_index_share_one_fleet(tmp_path, monkeypatch):
     assert main(["compare", "--runs", "2", "--out", str(tmp_path / "c")]) == 0
     assert len(trace_files(str(tmp_path / "c"))) == 2 * len(SCHEMES)
     # one step per gap between event slots (70 in a 700 s run) and one
-    # assignment per round, for all schemes of a run index together
-    assert calls == {"step": 2 * 70, "assign": 2 * 10}
+    # assignment per round, for all schemes and run indices of a block
+    # together; at one worker and I = 12 both run indices are one block
+    assert calls == {"step": 70, "assign": 10}
+
+
+def test_a_block_holds_at_most_block_rows_vehicles(tmp_path, monkeypatch):
+    sizes = []
+    real = engine.run_block
+
+    def recorded(config, plans):
+        sizes.append(len(plans) * config.num_vehicles)
+        return real(config, plans)
+
+    monkeypatch.setattr(engine, "run_block", recorded)
+    for vehicles, runs in ((12, 12), (100, 2)):
+        assert main(["compare", "--runs", str(runs), "--vehicles",
+                     str(vehicles), "--duration", "20", "--out",
+                     str(tmp_path / f"v{vehicles}")]) == 0
+    # engine.BLOCK_ROWS = 64: 64 // 12 = 5 runs of I = 12 per block, and
+    # one run of I = 100
+    assert sizes == [60, 60, 24, 100, 100]
+
+
+def test_traces_do_not_depend_on_the_worker_count(tmp_path):
+    # 5 runs make one block at one worker, blocks of 3 and 2 at two
+    # workers and blocks of 2, 2 and 1 at four
+    trees = []
+    for workers in (1, 2, 4):
+        out = str(tmp_path / f"w{workers}")
+        assert main(["compare", "--runs", "5", "--workers", str(workers),
+                     "--out", out]) == 0
+        trees.append(tree_bytes(os.path.join(out, "traces")))
+    assert len(trees[0]) == 5 * len(SCHEMES)
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_metrics_reaggregates_existing_traces(tmp_path):

@@ -17,6 +17,7 @@ from uavclust.mobility import residual_path, residual_path_geometric
 from uavclust.seeding import pcg64_states, run_seeds
 
 from conftest import fleet_of, make_vehicle
+from oracle import v2v_gain, v2v_snr
 from test_golden import GRID
 from test_seeding import EDGE_KEYS
 from test_ziggurat import SLOW_KEYS
@@ -41,9 +42,8 @@ def reference_link_snrs(cfg, fading_seed, t, ch_vehicle, members):
         gain = channel.v2v_large_scale(d, shadow, cfg.v2v_loss_const,
                                        cfg.v2v_loss_exp)
         if cfg.snr_fading == "instantaneous":
-            gain = channel.v2v_gain(gain, channel.sample_fast_fading(rng))
-        snrs.append(channel.v2v_snr(cfg.vehicle_tx_power, gain,
-                                    cfg.noise_power))
+            gain = v2v_gain(gain, channel.sample_fast_fading(rng))
+        snrs.append(v2v_snr(cfg.vehicle_tx_power, gain, cfg.noise_power))
     return snrs
 
 
@@ -55,8 +55,8 @@ def reference_key_snr(cfg, key, d):
     gain = channel.v2v_large_scale(d, shadow, cfg.v2v_loss_const,
                                    cfg.v2v_loss_exp)
     if cfg.snr_fading == "instantaneous":
-        gain = channel.v2v_gain(gain, channel.sample_fast_fading(rng))
-    return channel.v2v_snr(cfg.vehicle_tx_power, gain, cfg.noise_power)
+        gain = v2v_gain(gain, channel.sample_fast_fading(rng))
+    return v2v_snr(cfg.vehicle_tx_power, gain, cfg.noise_power)
 
 
 class CamSnapshots(Simulation):
@@ -68,9 +68,9 @@ class CamSnapshots(Simulation):
         self.snapshots = []
 
     def _cam_batch(self, t):
-        f = self.fleet
+        f, row = self.traffic.fleet, self.row
         by_id = {vid: make_vehicle(vid, x, y=y) for vid, (x, y) in enumerate(
-            zip(f.x.tolist(), f.y.tolist()))}
+            zip(f.x[row].tolist(), f.y[row].tolist()))}
         self.snapshots.append((t, by_id, {
             u: (s.ch, np.flatnonzero(self.member_of == u).tolist())
             for u, s in self.clusters.items()}))
@@ -266,19 +266,22 @@ def eager_backup_list(sim, state, members):
     """The backup list of members around the current CH, ranked at once
     from the current event slot: what each rebuild built before ranking
     was deferred to the first pop."""
-    cfg, fleet, uav = sim.config, sim.fleet, state.uav
-    speed = sim.traffic.avg_speed[members]
+    cfg, uav, row = sim.config, state.uav, sim.row
+    fleet = sim.traffic.fleet
+    speed = sim.traffic.avg_speed[row][members]
     v_d = np.abs(speed - cluster_avg_speed(speed))
     if cfg.residual_mode == "geometric":
         residual = residual_path_geometric(
-            uav.pos, fleet.x[members], fleet.y[members], fleet.dir[members],
+            uav.pos, fleet.x[row][members], fleet.y[row][members],
+            fleet.dir[row][members],
             speed, cfg.cluster_interval, uav.coverage_radius)
     else:
         residual = residual_path(uav.coverage_radius, speed,
                                  cfg.cluster_interval)
     others = members != state.ch
     return build_backup_list(
-        members[others], v_d[others], sim.traffic.nbr_count[members][others],
+        members[others], v_d[others],
+        sim.traffic.nbr_count[row][members][others],
         residual[others],
         (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
         raw_scores=cfg.backup_raw_scores)
@@ -393,6 +396,16 @@ def test_non_finite_initial_fleet_is_rejected_before_any_slot(
     cfg = validate(dataclasses.replace(SimConfig(), num_vehicles=2))
     vehicles = [make_vehicle(0, 100.0), make_vehicle(1, x, speed=speed)]
     with pytest.raises(ValueError, match=f"initial_fleet: {message}"):
+        run_without_slots(cfg, vehicles, monkeypatch)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_y_is_rejected_before_any_slot(y, monkeypatch):
+    # unchecked, a NaN y is assigned to no UAV and fails the round with
+    # a TypeError
+    cfg = validate(dataclasses.replace(SimConfig(), num_vehicles=2))
+    vehicles = [make_vehicle(0, 100.0), make_vehicle(1, 500.0, y=y)]
+    with pytest.raises(ValueError, match="initial_fleet: positions"):
         run_without_slots(cfg, vehicles, monkeypatch)
 
 
@@ -606,14 +619,52 @@ def test_paired_run_matches_separate_runs(variant):
                for events in paired.values())
 
 
+# both directions, spread speeds: respawns, departures and backups
+GIVEN_VEHICLES = [make_vehicle(i, 40.0 + 80.0 * i, y=-2.0 if i % 2 else 2.0,
+                               direction=-1 if i % 2 else 1,
+                               speed=11.0 + 0.5 * i)
+                  for i in range(12)]
+
+
 def test_paired_run_matches_separate_runs_from_given_vehicles():
-    # both directions, spread speeds: respawns, departures and backups
-    vehicles = [make_vehicle(i, 40.0 + 80.0 * i, y=-2.0 if i % 2 else 2.0,
-                             direction=-1 if i % 2 else 1,
-                             speed=11.0 + 0.5 * i)
-                for i in range(12)]
-    paired = paired_matches_separate(validate(SimConfig()), fleet_of(vehicles))
+    paired = paired_matches_separate(validate(SimConfig()),
+                                     fleet_of(GIVEN_VEHICLES))
     assert any(e.kind == "ch_departed" for e in paired["proposed"])
+
+
+def blocks_match_paired_runs(cfg, initial_fleet=None, runs=5):
+    """Runs run indices 0..runs-1 in blocks of 1, 2, 3 and 5 and checks
+    every run index's traces against run_paired of it alone."""
+    plans = [{s: run_seeds(cfg.seed, k, s) for s in SCHEMES}
+             for k in range(runs)]
+    paired = [engine.run_paired(cfg, plan, initial_fleet) for plan in plans]
+    for size in (1, 2, 3, 5):
+        blocks = [engine.run_block(cfg, plans[k:k + size], initial_fleet)
+                  for k in range(0, runs, size)]
+        assert [traces for block in blocks for traces in block] == paired
+    return paired
+
+
+@pytest.mark.parametrize("variant", list(GRID))
+def test_block_matches_paired_runs(variant):
+    overrides, _ = GRID[variant]
+    paired = blocks_match_paired_runs(
+        validate(dataclasses.replace(SimConfig(), seed=1, **overrides)))
+    assert len({str(traces) for traces in paired}) == len(paired)
+
+
+def test_block_matches_paired_runs_from_given_vehicles():
+    paired = blocks_match_paired_runs(validate(SimConfig()),
+                                      fleet_of(GIVEN_VEHICLES))
+    assert all(any(e.kind == "ch_departed" for e in traces["proposed"])
+               for traces in paired)
+
+
+def test_block_runs_must_list_the_same_schemes():
+    plans = [{s: run_seeds(1, 0, s) for s in SCHEMES},
+             {s: run_seeds(1, 1, s) for s in reversed(SCHEMES)}]
+    with pytest.raises(ValueError, match="same schemes"):
+        engine.run_block(SimConfig(), plans)
 
 
 def test_paired_run_needs_one_mobility_seed():

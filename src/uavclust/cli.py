@@ -90,7 +90,7 @@ def _reset_out(out_dir: str, config: SimConfig) -> None:
     experiment left there, so that out_dir and `metrics` see only this
     experiment's output."""
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "config.echo"), dump_config(config))
+    trace.atomic_write(os.path.join(out_dir, "config.echo"), dump_config(config))
     for stale in (glob.glob(os.path.join(out_dir, "traces", "*.trace"))
                   + glob.glob(os.path.join(out_dir, "aggregate.*.txt"))
                   + glob.glob(os.path.join(out_dir, "plots", "*.dat"))):
@@ -122,13 +122,6 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     scored = [by_scheme for block in blocks for by_scheme in block]
     return {scheme: [by_scheme[scheme] for by_scheme in scored]
             for scheme in schemes}
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _likelihood_params(config: SimConfig) -> metrics.LikelihoodParams:
@@ -164,8 +157,8 @@ def _write_aggregates(out_dir: str, config: SimConfig,
             lines.append(f"normalized_reselections: {sc.normalized_reselections!r}")
             lines.append(f"normalized_snr: {sc.normalized_snr!r}")
             lines.append(f"robustness_likelihood: {sc.likelihood!r}")
-        _atomic_write(os.path.join(out_dir, f"aggregate.{scheme}.txt"),
-                      "\n".join(lines) + "\n")
+        trace.atomic_write(os.path.join(out_dir, f"aggregate.{scheme}.txt"),
+                           "\n".join(lines) + "\n")
     return per_scheme
 
 
@@ -183,7 +176,7 @@ def _write_plot(path: str, x_name: str, xs: Sequence[float],
             value = series[scheme][i] / peak if peak > 0 else 0.0
             row.append(f"{value:.6f}")
         lines.append(" ".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    trace.atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_experiment(config: SimConfig, schemes: Sequence[str], runs: int,

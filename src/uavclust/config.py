@@ -98,8 +98,13 @@ def _is_multiple(interval: float, dt: float) -> bool:
 
 def validate(config: SimConfig) -> SimConfig:
     """Check every invariant; return the config or raise ConfigError."""
-    errors: List[str] = []
     c = config
+    errors = [f"{name}: must be finite" for name, value in vars(c).items()
+              if (isinstance(value, float) and not math.isfinite(value))
+              or (isinstance(value, tuple) and not all(map(math.isfinite, value)))]
+    # reported alone: the checks below would pass a NaN or fail on it
+    if errors:
+        raise ConfigError(errors)
 
     for name in ("num_vehicles", "num_uavs"):
         if getattr(c, name) < 1:

@@ -5,10 +5,11 @@ draws from the mobility stream; a vehicle's id is its row.  run_block,
 the one simulation loop, runs the run indices of a block in lockstep:
 one Traffic holds their fleets as (runs, vehicles) arrays, and one
 Simulation per (run, scheme) holds that scheme's clusters and events;
-run_paired and run are its one-run cases.  Every stream is a run's own
-(mobility, scheme) or a run's and a link's (fading: the stream of the
-key (fading seed, t_ms, lo, hi)), so a (config, seed) pair reproduces
-byte-identical traces whatever block a run index ran in.
+run is its case of one run index and one scheme.  Every stream is a
+run's own (mobility, scheme) or a run's and a link's (fading: the
+stream of the key (fading seed, t_ms, lo, hi)), so a (config, seed)
+pair reproduces byte-identical traces whatever block a run index ran
+in.
 
 Event schedule per run (_schedule): clustering rounds every
 cluster_interval (assignment, CH selection, backup list rebuild), CAM
@@ -23,8 +24,9 @@ advances in one step of several slots, whose respawned rows leave their
 clusters in one masked write (_respawn).  A backup rebuild only records
 the survey it is ranked from; the list is ranked at the first pop after
 it (_handle_departure), since most lists are never popped.  The
-recorded CH-member links are sampled after the last slot, each distinct
-link key once, in a few numpy passes (_sample_cam_links).
+recorded CH-member links of the whole block are sampled after the last
+slot, each distinct link key once, in a few numpy passes
+(_sample_cam_links).
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .backup import build_backup_list, pop_replacement
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
 from .config import SimConfig, validate
 from .mobility import (Fleet, neighbor_table, residual_path,
-                       residual_path_geometric, step)
+                       residual_path_geometric, step, within)
 from .model import AirPoint, UavNode
 from .seeding import (RunSeeds, pcg64_state, pcg64_states, pcg64_words,
                       ziggurat_exponential, ziggurat_normal)
@@ -158,19 +160,10 @@ class Traffic:
     def _outside(self) -> np.ndarray:
         """Whether each row is beyond each UAV's planar coverage radius,
         (runs, UAVs, vehicles); a vehicle exactly on the circle is
-        covered.  np.hypot and math.hypot may round apart in the last
-        bit: pairs this close to the circle take the scalar expression."""
+        covered (mobility.within)."""
         x, y = self.fleet.x, self.fleet.y
         ux, uy, radius = self._hover
-        dist = np.hypot(ux - x[:, None, :], uy - y[:, None, :])
-        outside = dist > radius
-        close = np.abs(dist - radius) <= 1e-9 * radius
-        for run, u, i in zip(*close.nonzero()) if close.any() else ():
-            uav = self.uavs[u]
-            outside[run, u, i] = math.hypot(
-                uav.pos.x - x[run, i],
-                uav.pos.y - y[run, i]) > uav.coverage_radius
-        return outside
+        return ~within(ux - x[:, None, :], uy - y[:, None, :], radius)
 
 
 class Simulation:
@@ -218,8 +211,8 @@ class Simulation:
     # -- helpers ---------------------------------------------------------
 
     def _link_rng(self, state: int, inc: int) -> np.random.Generator:
-        """Fading stream for one link at one time: the run's one link
-        generator, set to the PCG64 state ``(state, inc)`` that
+        """Fading stream for one link at one time: the simulation's one
+        link generator, set to the PCG64 state ``(state, inc)`` that
         ``np.random.default_rng((fading seed, t_ms, lo, hi))`` starts
         from (see pcg64_states).  Only links whose draws leave the
         ziggurat fast path read it (_link_snrs).
@@ -576,8 +569,15 @@ def _sample_cam_links(sims: List[Simulation], links, y: np.ndarray) -> None:
 
     links holds, per CAM slot with links, its t_ms, position array and
     the simulation, CH and member of each of its links; y is the block
-    fleet's y.  The links are sampled run by run (_run_link_snrs), each
-    run's scheme by scheme, as if each scheme sampled its own.
+    fleet's y.  The schemes of a run index share the fleet and the
+    fading seed, so a link key (run, slot, lo, hi) has one distance and
+    one stream, that of (fading seed, t_ms, lo, hi), in every scheme
+    that records it.  Each distinct key is sampled once, in the order
+    keys were first recorded, the links taken run by run and each run's
+    scheme by scheme, LINK_CHUNK keys per batch of numpy passes
+    (Simulation._link_snrs).  A key's distance is math.hypot of its
+    endpoints' offsets, floored at MIN_V2V_DISTANCE; the sign of the
+    offsets does not matter, so it is the same from either endpoint.
     """
     if not links:
         return
@@ -585,58 +585,34 @@ def _sample_cam_links(sims: List[Simulation], links, y: np.ndarray) -> None:
     slot = np.repeat(np.arange(len(links)), [len(s) for s in sim])
     sim, ch, member = (np.concatenate(a) for a in (sim, ch, member))
     order = np.argsort(sim, kind="stable")
-    slot, sim = slot[order], sim[order]
-    lo, hi = np.minimum(ch, member)[order], np.maximum(ch, member)[order]
-    x, t_ms = np.stack(xs), np.array(t_ms)
-    schemes = len(sims) // len(y)
-    snrs = np.empty(len(sim))
-    bounds = np.searchsorted(sim, range(0, len(sims) + 1, schemes)).tolist()
-    for run, (first, end) in enumerate(zip(bounds, bounds[1:])):
-        if first < end:
-            part = slice(first, end)
-            snrs[part] = _run_link_snrs(sims[run * schemes], t_ms, x[:, run],
-                                        y[run], slot[part], lo[part], hi[part])
-    _set_mean_snrs([p for s in sims for p in s.cam_payloads], snrs)
-
-
-def _run_link_snrs(sampler: Simulation, t_ms: np.ndarray, x: np.ndarray,
-                   y: np.ndarray, slot: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> np.ndarray:
-    """The SNR of each CH-member link of one run, given by its CAM slot
-    (an index into t_ms and into x, the (slots, vehicles) positions) and
-    its endpoints lo < hi.
-
-    The schemes of a run index share the fleet and the fading seed, so
-    a link key (t_ms, lo, hi) has one distance and one stream in every
-    scheme that records it.  Each distinct key is sampled once, in the
-    order keys were first recorded, LINK_CHUNK keys per batch of numpy
-    passes, through the sampler's _link_snrs.  A key's distance is
-    math.hypot of its endpoints' offsets, floored at MIN_V2V_DISTANCE;
-    the sign of the offsets does not matter, so it is the same from
-    either endpoint.
-    """
-    dims = (len(t_ms), len(y), len(y))
-    keys, first, key_number = np.unique(
-        np.ravel_multi_index((slot, lo, hi), dims), return_index=True,
-        return_inverse=True)
+    runs, vehicles = y.shape
+    schemes = len(sims) // runs
+    dims = (runs, len(links), vehicles, vehicles)
+    keys, first, key_number = np.unique(np.ravel_multi_index(
+        (sim[order] // schemes, slot[order],
+         np.minimum(ch, member)[order], np.maximum(ch, member)[order]), dims),
+        return_index=True, return_inverse=True)
     # renumber the keys in the order they were first recorded
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    key_slot, key_lo, key_hi = np.unravel_index(keys[order], dims)
-    dx = x[key_slot, key_lo] - x[key_slot, key_hi]
-    dy = y[key_lo] - y[key_hi]
+    run, key_slot, lo, hi = np.unravel_index(keys[order], dims)
+    x = np.stack(xs)
+    dx = x[key_slot, run, lo] - x[key_slot, run, hi]
+    dy = y[run, lo] - y[run, hi]
     dist = np.maximum(MIN_V2V_DISTANCE, np.fromiter(
         map(math.hypot, dx.tolist(), dy.tolist()), dtype=float,
         count=len(dx)))
-    key_t_ms = t_ms[key_slot]
+    fading = np.array([s.seeds.fading for s in sims[::schemes]],
+                      dtype=np.uint64)[run]
+    key_t_ms = np.array(t_ms)[key_slot]
     snrs = np.empty(len(dist))
     for start in range(0, len(dist), LINK_CHUNK):
         part = slice(start, start + LINK_CHUNK)
-        states = pcg64_states(sampler.seeds.fading, key_t_ms[part],
-                              key_lo[part], key_hi[part])
-        snrs[part] = sampler._link_snrs(states, dist[part].tolist())
-    return snrs[rank[key_number]]
+        states = pcg64_states(fading[part], key_t_ms[part], lo[part], hi[part])
+        snrs[part] = sims[0]._link_snrs(states, dist[part].tolist())
+    _set_mean_snrs([p for s in sims for p in s.cam_payloads],
+                   snrs[rank[key_number]])
 
 
 def _set_mean_snrs(payloads: List[dict], snrs: np.ndarray) -> None:
@@ -655,16 +631,9 @@ def _set_mean_snrs(payloads: List[dict], snrs: np.ndarray) -> None:
         payload["snr"] = snr
 
 
-def run_paired(config: SimConfig, seeds: Dict[str, RunSeeds],
-               initial_fleet: Optional[Fleet] = None
-               ) -> Dict[str, List[SimEvent]]:
-    """Each scheme's event trace from one lockstep run over one fleet:
-    run_block of one run index."""
-    return run_block(config, [seeds], initial_fleet)[0]
-
-
 def run(config: SimConfig, seeds: RunSeeds,
         initial_fleet: Optional[Fleet] = None) -> List[SimEvent]:
-    """Execute one run and return its complete event trace."""
-    return run_paired(config, {config.scheme: seeds},
-                      initial_fleet)[config.scheme]
+    """Execute one run and return its complete event trace: run_block
+    of one run index and one scheme."""
+    return run_block(config, [{config.scheme: seeds}],
+                     initial_fleet)[0][config.scheme]

@@ -157,21 +157,29 @@ def residual_path_geometric(uav: AirPoint, x, y, direction, v_avg,
     return exit_dist - v_avg * dt
 
 
+def within(dx, dy, radius) -> np.ndarray:
+    """Whether np.hypot(dx, dy) <= radius, elementwise over the broadcast
+    arrays.  np.hypot and math.hypot may round apart in the last bit:
+    offsets within 1e-9 * radius of the radius are decided by the
+    scalar math.hypot(dx, dy) <= radius."""
+    dist = np.hypot(dx, dy)
+    near = dist <= radius
+    close = np.abs(dist - radius) <= 1e-9 * radius
+    if close.any():
+        dx, dy, radius = (np.broadcast_to(v, dist.shape)[close].tolist()
+                          for v in (dx, dy, radius))
+        near[close] = [math.hypot(a, b) <= r for a, b, r in zip(dx, dy, radius)]
+    return near
+
+
 def neighbor_table(fleet: Fleet, rng_range: float) -> np.ndarray:
     """Number of other vehicles of its run within planar range, per
     fleet row."""
     if rng_range <= 0.0:
         raise ValueError(f"neighbor_table: range must be positive, got {rng_range}")
     x, y = fleet.x, fleet.y
-    dist = np.hypot(x[..., :, None] - x[..., None, :],
-                    y[..., :, None] - y[..., None, :])
-    near = dist <= rng_range
-    # np.hypot and math.hypot may round apart in the last bit: pairs this
-    # close to the range are decided by the scalar expression.
-    close = np.abs(dist - rng_range) <= 1e-9 * rng_range
-    for *run, i, j in zip(*close.nonzero()) if close.any() else ():
-        a, b = (*run, i), (*run, j)
-        near[(*a, j)] = math.hypot(x[a] - x[b], y[a] - y[b]) <= rng_range
+    near = within(x[..., :, None] - x[..., None, :],
+                  y[..., :, None] - y[..., None, :], rng_range)
     rows = np.arange(x.shape[-1])
     near[..., rows, rows] = False
     return near.sum(axis=-1)

@@ -56,15 +56,6 @@ _POOL_SIZE = 4
 _MULT_HI, _MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # PCG64
 
 
-def _int_words(n: int) -> List[int]:
-    """Little-endian 32-bit words of n, as SeedSequence splits an int."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
 def _seed_sequence_state(entropy: List[np.ndarray]) -> List[np.ndarray]:
     """SeedSequence(entropy words).generate_state(4, uint64) as its eight
     uint32 words, for a batch of equal-length entropies.
@@ -106,27 +97,27 @@ def _seed_sequence_state(entropy: List[np.ndarray]) -> List[np.ndarray]:
     return state
 
 
-def pcg64_states(prefix: int, *columns) -> np.ndarray:
-    """PCG64 state and inc of ``np.random.default_rng((prefix, *key))``
-    for every key, where key k takes the k-th element of each column:
-    a (4, n) uint64 array whose rows are the high and low 64 bits of
-    the state, then of the inc (see pcg64_state for one key as ints).
+def pcg64_states(*columns) -> np.ndarray:
+    """PCG64 state and inc of ``np.random.default_rng(key)`` for every
+    key, where key k takes the k-th element of each column: a (4, n)
+    uint64 array whose rows are the high and low 64 bits of the state,
+    then of the inc (see pcg64_state for one key as ints).
 
-    The prefix and the column values are non-negative integers, the
-    column values below 2**64.  A key's entropy is the concatenation of
-    each value's 32-bit words, so keys are hashed in groups that share
-    the same word layout.
+    A column is a sequence or a scalar, which stands for the same value
+    in every key.  The values are non-negative integers below 2**64.
+    A key's entropy is the concatenation of each value's 32-bit words,
+    so keys are hashed in groups that share the same word layout.
     """
-    cols = [np.asarray(c, dtype=np.uint64) for c in columns]
-    n = len(cols[0]) if cols else 1
-    words = [np.full(n, w, dtype=np.uint32) for w in _int_words(prefix)]
+    cols = [c.ravel() for c in np.broadcast_arrays(
+        *(np.asarray(c, dtype=np.uint64) for c in columns))]
+    n = len(cols[0])
     layout = np.zeros(n, dtype=np.int64)  # bit i: column i takes 2 words
     for i, c in enumerate(cols):
         layout |= (c > _MASK32).astype(np.int64) << i
     out = np.empty((n, 8), dtype="<u4")
     for code in np.flatnonzero(np.bincount(layout)).tolist():
         rows = np.flatnonzero(layout == code)
-        entropy = [w[rows] for w in words]
+        entropy = []
         for i, c in enumerate(cols):
             entropy.append((c[rows] & _MASK32).astype(np.uint32))
             if code >> i & 1:

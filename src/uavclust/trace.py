@@ -5,14 +5,15 @@ One event per line, tab-separated::
     time<TAB>kind<TAB>id,id,...<TAB>{payload json}
 
 The payload is compact JSON with sorted keys, written by a scalar
-encoder byte for byte as json.dumps writes it (format_payload).
-read_trace parses every line into events; fold_trace streams a file
-into a fold and parses only the lines of the kinds the fold reads.
+encoder byte for byte as json.dumps writes it.  format_events is the
+one writer of event lines and fold_trace the one reader: it streams a
+file into a fold and parses only the lines of the kinds the fold reads;
+read_trace is its fold into a list of events.
 
 The first line is a ``#`` header carrying the config digest, scheme,
 run index and stream seeds, so aggregation can refuse mixed-config
-input.  Files are written to a temp name and renamed so no partial
-trace ever appears under the final name.
+input.  Files are written to a temp name and renamed (atomic_write) so
+no partial trace ever appears under the final name.
 """
 from __future__ import annotations
 
@@ -85,29 +86,6 @@ def _json_scalar(value) -> str:
     raise TypeError(f"trace payload value {value!r} is not a JSON scalar")
 
 
-def format_payload(payload: Dict) -> str:
-    """json.dumps(payload, sort_keys=True, separators=(",", ":")) for str
-    keys and scalar values; strings go through json's own escaper."""
-    if not payload:
-        return "{}"
-    items = [f"{encode_basestring_ascii(key)}:{_json_scalar(payload[key])}"
-             for key in sorted(payload)]
-    return "{" + ",".join(items) + "}"
-
-
-def format_event(event: SimEvent) -> str:
-    ids = ",".join(map(str, event.ids))
-    return (f"{format_number(event.time)}\t{event.kind}\t{ids}\t"
-            f"{format_payload(event.payload)}")
-
-
-def _split_event(line: str) -> List[str]:
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != 4:
-        raise ValueError(f"not a trace event: {line!r}")
-    return fields
-
-
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -159,8 +137,11 @@ _SCALAR_TEXT: Dict[type, Callable[[Any], str]] = {
 
 
 def format_events(events: Iterable[SimEvent]) -> str:
-    """The lines of format_event for every event, each ending in a
-    newline, in one string.
+    """One line per event, each ending in a newline, in one string:
+    format_number(time), kind, the ids joined by commas and the payload
+    as json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    writes it, tab-separated.  Payload keys are str and values JSON
+    scalars; any other value raises TypeError.
 
     Each distinct time is formatted once (format_number; 0.0 and -0.0,
     which compare equal, are formatted each time), and each distinct
@@ -196,21 +177,25 @@ def format_events(events: Iterable[SimEvent]) -> str:
     return "".join(lines)
 
 
-def write_trace(path: str, meta: Dict[str, str],
-                events: Sequence[SimEvent]) -> None:
+def atomic_write(path: str, text: str) -> None:
+    """Write text to a temp name and rename it to path, so no partial
+    file ever appears under path."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(format_header(meta) + "\n" + format_events(events))
+        fh.write(text)
     os.replace(tmp, path)
 
 
+def write_trace(path: str, meta: Dict[str, str],
+                events: Sequence[SimEvent]) -> None:
+    atomic_write(path, format_header(meta) + "\n" + format_events(events))
+
+
 def read_trace(path: str) -> Tuple[Dict[str, str], List[SimEvent]]:
-    """The header and every event of a trace file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = parse_header(fh.readline())
-        events = [SimEvent(*_parse_row(_split_event(line)))
-                  for line in fh if line.strip()]
-    return header, events
+    """The header and every event of a known kind (EVENT_KINDS) of a
+    trace file, through fold_trace."""
+    return fold_trace(path, EVENT_KINDS,
+                      lambda rows: [make_event(row) for row in rows])
 
 
 def fold_trace(path: str, kinds: Collection[str],

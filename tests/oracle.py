@@ -4,7 +4,7 @@ The simulator samples V2V links in batches (engine._link_snrs) and
 scores traces in one streaming fold (trace.fold_trace); these are the
 scalar forms the tests check them against.
 """
-from uavclust.trace import SimEvent, _parse_row, _split_event
+from uavclust.trace import SimEvent, _parse_row
 
 
 def v2v_gain(large_scale: float, fast_fading: float) -> float:
@@ -22,5 +22,6 @@ def v2v_snr(p_vehicle: float, gain: float, noise: float) -> float:
 
 
 def parse_event(line: str) -> SimEvent:
-    """One trace line as the event it was written from."""
-    return SimEvent(*_parse_row(_split_event(line)))
+    """One trace line, with or without its newline, as the event it was
+    written from."""
+    return SimEvent(*_parse_row(line.rstrip("\n").split("\t")))

@@ -81,3 +81,19 @@ def test_digest_stable_and_sensitive():
 
 def test_num_slots():
     assert SimConfig().num_slots == 700
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig)
+                if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS + ["lane_offsets"])
+def test_non_finite_float_is_rejected(name, value):
+    # unchecked, a NaN radius, range or shadowing spread runs to a NaN
+    # SNR, and an infinite road length fails inside the mobility draws
+    if name == "lane_offsets":
+        value = (-2.0, value)
+    with pytest.raises(ConfigError) as exc:
+        validate(dataclasses.replace(SimConfig(), **{name: value}))
+    assert exc.value.errors == [f"{name}: must be finite"]

@@ -242,7 +242,7 @@ def test_backup_list_never_runs_dry(variant, monkeypatch):
         return sims[-1]
 
     monkeypatch.setattr(engine, "Simulation", tracked)
-    traces = engine.run_paired(cfg, {s: run_seeds(1, 0, s) for s in SCHEMES})
+    traces = engine.run_block(cfg, [{s: run_seeds(1, 0, s) for s in SCHEMES}])[0]
     keepers = [sim for sim in sims if sim.keeps_backup]
     assert [sim.config.scheme for sim in keepers] == (
         list(SCHEMES) if cfg.benchmarks_use_backup else ["proposed"])
@@ -349,7 +349,7 @@ def test_backup_ranked_at_first_pop_equals_eager_ranking(variant,
 
     monkeypatch.setattr(engine, "pop_replacement", recording)
     monkeypatch.setattr(engine, "Simulation", tracked)
-    engine.run_paired(cfg, {s: run_seeds(1, 0, s) for s in SCHEMES})
+    engine.run_block(cfg, [{s: run_seeds(1, 0, s) for s in SCHEMES}])
     keepers = [sim for sim in sims if sim.keeps_backup]
     assert keepers and all(sim.fresh_pops > 0 for sim in keepers)
     assert len(popped) == sum(sim.fresh_pops + sim.remainder_pops
@@ -545,8 +545,8 @@ def test_degenerate_shadowing_fails_as_the_per_link_reference(monkeypatch):
 
         monkeypatch.setattr(engine, "Simulation", tracked)
         with pytest.raises((OverflowError, ValueError)) as failure:
-            engine.run_paired(cfg, {s: run_seeds(seed, 0, s)
-                                    for s in SCHEMES})
+            engine.run_block(cfg, [{s: run_seeds(seed, 0, s)
+                                    for s in SCHEMES}])
         assert failure.type is first_reference_failure(sims)
         raised.append(failure.type)
     assert set(raised) == {OverflowError, ValueError}
@@ -587,7 +587,7 @@ def test_one_neighbor_table_per_event_slot(scheme, monkeypatch):
                                        **DENSE))
     events, tables = run_counting_neighbor_tables(cfg, monkeypatch)
     assert tables == NEIGHBOR_TABLES[scheme]
-    body = "".join(trace.format_event(e) + "\n" for e in events).encode()
+    body = trace.format_events(events).encode()
     digest = hashlib.sha256(len(body).to_bytes(8, "big") + body).hexdigest()
     assert digest == DENSE_700S[scheme]
 
@@ -601,7 +601,7 @@ def test_benchmark_with_backup_list_builds_neighbor_tables(monkeypatch):
 
 def paired_matches_separate(cfg, initial_fleet=None):
     seeds = {s: run_seeds(cfg.seed, 0, s) for s in SCHEMES}
-    paired = engine.run_paired(cfg, seeds, initial_fleet=initial_fleet)
+    paired = engine.run_block(cfg, [seeds], initial_fleet)[0]
     assert list(paired) == list(SCHEMES)
     for scheme in SCHEMES:
         alone = run(dataclasses.replace(cfg, scheme=scheme),
@@ -634,10 +634,11 @@ def test_paired_run_matches_separate_runs_from_given_vehicles():
 
 def blocks_match_paired_runs(cfg, initial_fleet=None, runs=5):
     """Runs run indices 0..runs-1 in blocks of 1, 2, 3 and 5 and checks
-    every run index's traces against run_paired of it alone."""
+    every run index's traces against a block of it alone."""
     plans = [{s: run_seeds(cfg.seed, k, s) for s in SCHEMES}
              for k in range(runs)]
-    paired = [engine.run_paired(cfg, plan, initial_fleet) for plan in plans]
+    paired = [engine.run_block(cfg, [plan], initial_fleet)[0]
+              for plan in plans]
     for size in (1, 2, 3, 5):
         blocks = [engine.run_block(cfg, plans[k:k + size], initial_fleet)
                   for k in range(0, runs, size)]
@@ -671,7 +672,7 @@ def test_paired_run_needs_one_mobility_seed():
     seeds = {"proposed": run_seeds(1, 0, "proposed"),
              "vmasc": run_seeds(1, 1, "vmasc")}
     with pytest.raises(ValueError, match="mobility seed"):
-        engine.run_paired(SimConfig(), seeds)
+        engine.run_block(SimConfig(), [seeds])
 
 
 def test_paired_run_needs_one_fading_seed():
@@ -680,4 +681,4 @@ def test_paired_run_needs_one_fading_seed():
              "vmasc": dataclasses.replace(run_seeds(1, 0, "vmasc"),
                                           fading=12345)}
     with pytest.raises(ValueError, match="fading seed"):
-        engine.run_paired(SimConfig(), seeds)
+        engine.run_block(SimConfig(), [seeds])

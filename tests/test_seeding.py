@@ -59,3 +59,15 @@ def test_pcg64_states_match_default_rng(prefix, keys, sigma):
                                    "has_uint32": 0, "uinteger": 0}
         assert gen.normal(0.0, sigma) == fresh.normal(0.0, sigma)
         assert gen.exponential(1.0) == fresh.exponential(1.0)
+
+
+def test_pcg64_states_take_a_seed_per_key():
+    # one-word and two-word seeds in one column, as a block's fading
+    # seeds are, crossed with keys of every word layout
+    keys = [(seed, *key) for seed in (7, 2**63 + 12345, 2**32)
+            for key in EDGE_KEYS]
+    limbs = pcg64_states(*([key[i] for key in keys] for i in range(4)))
+    for k, key in enumerate(keys):
+        state, inc = pcg64_state(limbs, k)
+        assert np.random.default_rng(key).bit_generator.state["state"] == {
+            "state": state, "inc": inc}

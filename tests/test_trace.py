@@ -2,21 +2,23 @@
 import json
 import math
 import os
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavclust.trace import (EVENT_KINDS, SimEvent, format_event,
-                            format_header, format_number, format_payload,
-                            parse_header, read_trace, write_trace)
+from uavclust.trace import (EVENT_KINDS, SimEvent, format_events,
+                            format_header, format_number, parse_header,
+                            read_trace, write_trace)
 
 from oracle import parse_event
 
 
 def reference_format_event(event):
-    """format_event with the payload written by json.dumps: the oracle
-    the scalar payload encoder must match byte for byte."""
+    """One event's trace line, without its newline, with the payload
+    written by json.dumps: the oracle the writer's scalar payload
+    encoder must match byte for byte."""
     ids = ",".join(str(i) for i in event.ids)
     payload = json.dumps(dict(event.payload), sort_keys=True,
                          separators=(",", ":"))
@@ -36,26 +38,26 @@ _events = st.builds(
 def test_event_round_trip():
     ev = SimEvent(30.0, "ch_selected", ids=(1, 4),
                   payload={"scheme": "proposed", "degraded": False})
-    assert parse_event(format_event(ev)) == ev
+    assert parse_event(format_events([ev])) == ev
 
 
 def test_event_round_trip_no_ids():
     ev = SimEvent(0.0, "clustering_round", payload={"round": 0})
-    assert parse_event(format_event(ev)) == ev
+    assert parse_event(format_events([ev])) == ev
 
 
 @given(_events)
 @example(SimEvent(100000.5, "beacon_ok", ids=(0, 5)))
 @example(SimEvent(1234567.0, "clustering_round", payload={"round": 3}))
 def test_event_round_trip_property(ev):
-    assert parse_event(format_event(ev)) == ev
+    assert parse_event(format_events([ev])) == ev
 
 
 def test_format_is_tab_separated_with_sorted_payload():
     ev = SimEvent(10.0, "cam_batch", ids=(0, 3),
                   payload={"tenure": 1, "members": 4})
-    line = format_event(ev)
-    assert line == '10\tcam_batch\t0,3\t{"members":4,"tenure":1}'
+    line = format_events([ev])
+    assert line == '10\tcam_batch\t0,3\t{"members":4,"tenure":1}\n'
 
 
 def test_header_round_trip():
@@ -102,9 +104,9 @@ _any_events = st.builds(
                   payload={"reason": 'q"b\\s\tt \u00e9\u6f22\U0001f600\n',
                            "k\"ey": True, "off": False}))
 def test_format_event_matches_json_dumps(ev):
-    line = format_event(ev)
-    assert line == reference_format_event(ev)
-    assert format_event(parse_event(line)) == line
+    line = format_events([ev])
+    assert line == reference_format_event(ev) + "\n"
+    assert format_events([parse_event(line)]) == line
 
 
 ODD_EVENTS = [
@@ -126,19 +128,38 @@ ODD_EVENTS = [
 ]
 
 
-def test_trace_writer_matches_format_event(tmp_path):
+def test_trace_writer_matches_json_dumps(tmp_path):
     # the writer formats each distinct time once and caches each payload
-    # key order; neither may change a byte of format_event's lines
+    # key order; neither may change a byte of the oracle's lines
     events = ODD_EVENTS + ODD_EVENTS[::-1]
     path = str(tmp_path / "odd.trace")
     write_trace(path, {"scheme": "proposed"}, events)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    assert lines[1:] == [format_event(ev) for ev in events] + [""]
+    assert lines[1:] == [reference_format_event(ev) for ev in events] + [""]
 
 
-def test_format_payload_rejects_non_scalars():
+def test_format_events_rejects_non_scalars():
+    for payload in ({"members": [1, 2]}, {"ch": None},
+                    {"snr": 1.0, "ids": (1, 2)}):
+        with pytest.raises(TypeError):
+            format_events([SimEvent(10.0, "cam_batch", (0, 3), payload)])
+
+
+def test_unformattable_trace_leaves_no_file(tmp_path):
+    # the text is built before any file is opened
+    path = str(tmp_path / "bad.trace")
+    events = [SimEvent(10.0, "cam_batch", (0, 3), {"members": [1, 2]})]
     with pytest.raises(TypeError):
-        format_payload({"members": [1, 2]})
-    with pytest.raises(TypeError):
-        format_payload({"ch": None})
+        write_trace(path, {"scheme": "proposed"}, events)
+    assert os.listdir(tmp_path) == []
+
+
+def test_read_trace_names_the_path_and_line_of_a_malformed_line(tmp_path):
+    path = str(tmp_path / "bad.trace")
+    write_trace(path, {"scheme": "proposed"}, ODD_EVENTS[:2])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("10\tbeacon_ok\t0,1\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}, line 4: not a trace event")):
+        read_trace(path)

@@ -144,22 +144,37 @@ def compare(results: Dict, metrics: Dict, pairs: int) -> Dict:
 
 
 def verdicts(report: Dict, metrics: Dict) -> None:
-    """The no_regression and spread lines of the report."""
+    """The no_regression and spread lines of the report.
+
+    A metric is within or beyond its bound by the ratio of the medians,
+    and unresolved where the parent's spread (IQR over median) is wider
+    than the bound, unless every run of the change beats every run of
+    the parent in the metric's direction.
+    """
     lines, spreads = [], []
     for workload, entry in report["workloads"].items():
         for name, spec in metrics.items():
             stats = entry[name]
             ratio = stats["change_over_parent_median"]
-            worse = ratio - 1.0 if spec["better"] == "lower" else 1.0 - ratio
-            within = "within" if worse <= spec["bound"] else "beyond"
+            sign = 1.0 if spec["better"] == "higher" else -1.0
+            worse = sign * (1.0 - ratio)
+            spread = {s: (stats[s]["q3"] - stats[s]["q1"]) / stats[s]["median"]
+                      for s in SIDES}
+            beats_all = (min(sign * v for v in stats["change"]["runs"])
+                         > max(sign * v for v in stats["parent"]["runs"]))
+            if spread["parent"] > spec["bound"] and not beats_all:
+                verdict = (f"unresolved: the parent's spread "
+                           f"{spread['parent']:.2f} is wider than its "
+                           f"{spec['bound']} bound")
+            else:
+                verdict = (f"{'within' if worse <= spec['bound'] else 'beyond'}"
+                           f" its {spec['bound']} bound")
             lines.append(
                 f"{workload} {name} {stats['parent']['median']} -> "
                 f"{stats['change']['median']} (x{ratio:.4f}, change better "
-                f"in {stats['change_better_pairs']}, {within} its "
-                f"{spec['bound']} bound)")
+                f"in {stats['change_better_pairs']}, {verdict})")
             spreads.append(f"{workload} {name} " + " / ".join(
-                f"{(stats[s]['q3'] - stats[s]['q1']) / stats[s]['median']:.2f}"
-                for s in SIDES))
+                f"{spread[s]:.2f}" for s in SIDES))
     report["no_regression"] = "; ".join(lines)
     report["spread"] = ("interquartile range over median, parent / change: "
                         + "; ".join(spreads))

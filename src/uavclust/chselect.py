@@ -1,8 +1,8 @@
 """Cluster-head selection: the proposed threshold scheme plus the random
 and lowest-average-relative-speed (VMaSC) benchmarks.
 
-A cluster is given as arrays over its members: their vehicle ids and,
-at the same index, each member's features.
+A cluster is given as sequences (plain lists in the engine) over its
+members: their vehicle ids and, at the same index, their features.
 """
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ def cluster_avg_speed(member_avg_speeds: Sequence[float]) -> float:
     return left_sum(member_avg_speeds) / len(member_avg_speeds)
 
 
-def select_ch(ids: np.ndarray, v_d: np.ndarray, nbr_count: np.ndarray,
-              residual: np.ndarray, eps_distance: float,
-              eps_neighbors: int) -> Tuple[VehicleId, bool]:
+def select_ch(ids: Sequence[VehicleId], v_d: Sequence[float],
+              nbr_count: Sequence[int], residual: Sequence[float],
+              eps_distance: float, eps_neighbors: int) -> Tuple[VehicleId, bool]:
     """Pick the CH: members in increasing (v_d, id) order, the first one
     whose residual path and neighbor count clear both thresholds.
 
@@ -32,12 +32,12 @@ def select_ch(ids: np.ndarray, v_d: np.ndarray, nbr_count: np.ndarray,
     """
     if not len(ids):
         raise ValueError("select_ch: empty cluster")
-    order = np.lexsort((ids, v_d))
-    passed = order[(residual[order] >= eps_distance)
-                   & (nbr_count[order] >= eps_neighbors)]
-    if len(passed):
-        return int(ids[passed[0]]), False
-    return int(ids[order[0]]), True
+    # ids are distinct, so the counts and paths never break a tie
+    ordered = sorted(zip(v_d, ids, nbr_count, residual))
+    for _, vid, count, path in ordered:
+        if path >= eps_distance and count >= eps_neighbors:
+            return vid, False
+    return ordered[0][1], True
 
 
 def select_ch_random(members: Sequence[VehicleId],
@@ -45,23 +45,24 @@ def select_ch_random(members: Sequence[VehicleId],
     """Uniform random member, drawn from the caller's scheme stream."""
     if not len(members):
         raise ValueError("select_ch_random: empty cluster")
-    ordered = sorted(np.asarray(members).tolist())
+    ordered = sorted(members)
     return ordered[int(rng.integers(0, len(ordered)))]
 
 
-def select_ch_vmasc(ids: np.ndarray, avg_speed: np.ndarray) -> VehicleId:
+def select_ch_vmasc(ids: Sequence[VehicleId],
+                    avg_speed: Sequence[float]) -> VehicleId:
     """Member with the lowest mean absolute average-speed difference to
     its co-members; ties break to the lowest vehicle id.
 
-    Each member's sum is a left fold over the co-members in array order.
-    With finite speeds, the zero difference to itself that the fold
-    also adds leaves every partial sum unchanged.
+    Each member's sum is a left fold over the co-members in sequence
+    order (np.add.accumulate).  With finite speeds, the zero difference
+    to itself that the fold also adds leaves every partial sum unchanged.
     """
     n = len(ids)
     if not n:
         raise ValueError("select_ch_vmasc: empty cluster")
     if n == 1:
-        return int(ids[0])
-    diff = np.abs(avg_speed[:, None] - avg_speed[None, :])
+        return ids[0]
+    diff = np.abs(np.subtract.outer(avg_speed, avg_speed))
     rel = np.add.accumulate(diff, axis=1)[:, -1] / (n - 1)
-    return int(ids[np.lexsort((ids, rel))[0]])
+    return min(zip(rel.tolist(), ids))[1]

@@ -215,14 +215,16 @@ def _load_base_config(args, default_path: Optional[str] = None) -> SimConfig:
 
 
 def _experiment_schemes(args) -> List[str]:
-    """The schemes of --scheme (all by default).  A bad scheme name or
-    run count is rejected here, before anything under --out is touched."""
+    """The schemes of --scheme (all by default).  Bad schemes, runs or
+    workers are rejected here, before anything under --out is touched."""
     schemes = args.scheme.split(",") if args.scheme else list(SCHEMES)
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
         raise ValueError(f"unknown scheme(s) {unknown}; expected {list(SCHEMES)}")
     if args.runs < 1:
         raise ValueError(f"--runs must be >= 1, got {args.runs}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     return schemes
 
 
@@ -277,6 +279,9 @@ def _cmd_metrics(args) -> int:
     by_scheme: Dict[str, List[metrics.TraceRun]] = {}
     for path in paths:
         run = metrics.score_trace(path)
+        for key in ("config", "scheme", "seed"):  # what the aggregates read
+            if key not in run[0]:
+                raise ValueError(f"{path}, line 1: the trace header has no {key}=")
         by_scheme.setdefault(run[0]["scheme"], []).append(run)
     _write_aggregates(args.out, config, by_scheme)
     return 0

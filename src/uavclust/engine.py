@@ -16,10 +16,10 @@ cluster_interval (assignment, CH selection, backup list rebuild), CAM
 batches every cam_interval (backup rebuild, CH-member link recording),
 beacon checks every beacon_interval (CH departure detection and
 replacement); no other slot has a phase.  Each event slot's phases read
-what Traffic.survey measured there for the whole block, and the members
-of every cluster of the block from one grouping of its member_of rows
-(_cluster_members); selections, departures and backup pops stay scalar,
-in cluster order per (run, scheme).  Between two event slots the fleet
+what Traffic.survey measured there for the whole block, and at rounds
+and CAM batches each (run, scheme) groups its member_of row into member
+lists; selections, rankings, departures and backup pops run in plain
+Python over them, cluster by cluster.  Between two event slots the fleet
 advances in one step of several slots, whose respawned rows leave their
 clusters in one masked write (_respawn).  A backup rebuild only records
 the survey it is ranked from; the list is ranked at the first pop after
@@ -99,20 +99,20 @@ class _ClusterState:
     # a keeper's backup list: the inputs of its last rebuild until the
     # first pop after it ranks them, then the ranked remainder
     ranking: Optional[tuple] = None
-    backup: Optional[np.ndarray] = None
+    backup: Optional[List[int]] = None
 
 
 class Traffic:
     """What the runs of a block share with their schemes: UAVs, one
     mobility stream per run, the fleet as (runs, vehicles) arrays, and
     what survey measured at the current event slot: every row's average
-    speed, its neighbor count if asked for, at a round the UAV
-    assignment, at a beacon check whether each UAV covers it (outside,
-    (runs, UAVs, vehicles)), and the slot's position array, held by
-    reference.  Survey and step replace these arrays and never write
-    them, so a backup ranking may hold them until it runs.  A given
-    initial_fleet starts every run, is copied, never stepped, and must
-    hold finite positions and speeds in [0, inf)."""
+    speed and its neighbor count if asked for (lists per run), at a
+    round the UAV assignment, at a beacon check whether each UAV covers
+    it (outside, (runs, UAVs, vehicles)), and the slot's position
+    array, held by reference.  Survey and step replace these and never
+    write them, so a backup ranking may hold them until it runs.  A
+    given initial_fleet starts every run, is copied, never stepped, and
+    must hold finite positions and speeds in [0, inf)."""
 
     def __init__(self, config: SimConfig, *mobility_seeds: int,
                  initial_fleet: Optional[Fleet] = None):
@@ -148,9 +148,9 @@ class Traffic:
         """Measure the fleet at an event slot, before its phases run."""
         cfg, fleet = self.config, self.fleet
         self.x = fleet.x
-        self.avg_speed = fleet.avg_speeds(cfg.avg_window)
+        self.avg_speed = fleet.avg_speeds(cfg.avg_window).tolist()
         if with_neighbors:
-            self.nbr_count = neighbor_table(fleet, cfg.neighbor_range)
+            self.nbr_count = neighbor_table(fleet, cfg.neighbor_range).tolist()
         if with_assignment:
             self.assignment = assign(fleet, self.uavs, cfg.ref_gain,
                                      cfg.noise_power)
@@ -178,13 +178,13 @@ class Simulation:
     or a departure that leaves members seats one, and a respawn removes
     only non-CH members.  A respawned CH stays seated, marked
     ch_respawned, until the next beacon check reports it or a new CH is
-    seated.  At rounds and CAM batches, members holds each cluster's
-    members, in cluster order, as run_block grouped them.
+    seated.  members holds each cluster's member list as run_block last
+    grouped them, at a round or CAM batch.  config must be validated.
     """
 
     def __init__(self, config: SimConfig, seeds: RunSeeds, traffic: Traffic,
                  row: int = 0):
-        self.config = validate(config)
+        self.config = config
         self.seeds = seeds
         self.traffic = traffic
         self.row = row
@@ -202,7 +202,7 @@ class Simulation:
         self.clusters: Dict[int, _ClusterState] = {
             u.id: _ClusterState(uav=u) for u in traffic.uavs}
         self.member_of = np.full(traffic.fleet.x.shape[-1], -1, dtype=np.int64)
-        self.members: List[np.ndarray] = []
+        self.members: List[List[int]] = []
         self.events: List[SimEvent] = []
         self.round_index = 0
         # the payloads of its cam_batch events with CH-member links
@@ -227,25 +227,26 @@ class Simulation:
             "has_uint32": 0, "uinteger": 0}
         return self._link_gen
 
-    def _features(self, uav: UavNode, members: np.ndarray, avg_speed,
+    def _features(self, uav: UavNode, members: List[int], avg_speed,
                   nbr_count, x):
-        """(v_d, neighbor count, residual path) of each member, from
-        one event slot's survey of the block (Traffic): the inputs of
-        the proposed selection and of the backup ranking.  A row keeps
-        its y and dir for the whole run."""
+        """(v_d, neighbor count, residual path) lists of the members,
+        from one event slot's survey of the block (Traffic): the inputs
+        of the proposed selection and of the backup ranking.  A row
+        keeps its y and dir for the whole run."""
         cfg, row = self.config, self.row
-        speed = avg_speed[row][members]
-        v_d = np.abs(speed - cluster_avg_speed(speed))
+        speed = [avg_speed[row][k] for k in members]
+        v_cl = cluster_avg_speed(speed)
         if cfg.residual_mode == "geometric":
             residual = residual_path_geometric(
                 uav.pos, x[row][members], self.y[members], self.dir[members],
-                speed, cfg.cluster_interval, uav.coverage_radius)
+                np.array(speed), cfg.cluster_interval, uav.coverage_radius)
         else:
-            residual = residual_path(uav.coverage_radius, speed,
+            residual = residual_path(uav.coverage_radius, np.array(speed),
                                      cfg.cluster_interval)
-        return v_d, nbr_count[row][members], residual
+        return ([abs(v - v_cl) for v in speed],
+                [nbr_count[row][k] for k in members], residual.tolist())
 
-    def _select_for_scheme(self, state: _ClusterState, members: np.ndarray):
+    def _select_for_scheme(self, state: _ClusterState, members: List[int]):
         """Run the configured selector; returns (chosen id, degraded)."""
         cfg, traffic = self.config, self.traffic
         if cfg.scheme == "proposed":
@@ -253,12 +254,12 @@ class Simulation:
                 state.uav, members, traffic.avg_speed, traffic.nbr_count,
                 traffic.x), cfg.eps_distance, cfg.eps_neighbors)
         if cfg.scheme == "vmasc":
-            return select_ch_vmasc(
-                members, traffic.avg_speed[self.row][members]), False
+            speeds = traffic.avg_speed[self.row]
+            return select_ch_vmasc(members, [speeds[k] for k in members]), False
         return select_ch_random(members, self.scheme_rng), False
 
     def _rebuild_backup(self, state: _ClusterState,
-                        members: np.ndarray) -> None:
+                        members: List[int]) -> None:
         """Record what the backup list of the members around the current
         CH is ranked from; _handle_departure ranks it at the first pop
         after this rebuild, since most lists are never popped."""
@@ -267,15 +268,15 @@ class Simulation:
                              self.traffic.nbr_count, self.traffic.x)
             state.backup = None
 
-    def _rank_backup(self, uav: UavNode, members: np.ndarray, ch: int,
-                     *survey) -> np.ndarray:
+    def _rank_backup(self, uav: UavNode, members: List[int], ch: int,
+                     *survey) -> List[int]:
         """The backup list of members around CH ch, best first, from
         one event slot's survey (_features)."""
         cfg = self.config
-        others = members != ch
-        v_d, nbr_count, residual = self._features(uav, members, *survey)
+        others = [k for k, vid in enumerate(members) if vid != ch]
         return build_backup_list(
-            members[others], v_d[others], nbr_count[others], residual[others],
+            *([column[k] for k in others] for column in (
+                members, *self._features(uav, members, *survey))),
             (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
             raw_scores=cfg.backup_raw_scores)
 
@@ -296,7 +297,7 @@ class Simulation:
         for state, members, ids in zip(self.clusters.values(), self.members,
                                        self.traffic.cluster_ids):
             state.ch = None
-            if not len(members):
+            if not members:
                 continue
             chosen, degraded = self._select_for_scheme(state, members)
             self._seat_ch(state, chosen)
@@ -393,23 +394,24 @@ class Simulation:
         A backup keeper's list never runs dry while its cluster has
         members: between rounds, every non-CH member is on the backup
         list, because each rebuild lists all of them and membership
-        only shrinks until the next round.
+        only shrinks until the next round: its members are those of its
+        last grouping that member_of still places in it.
         """
-        u = state.uav
-        self.member_of[state.ch] = -1
+        u, member_of = state.uav, self.member_of
+        member_of[state.ch] = -1
         state.ch = None
-        members = (self.member_of == u.id).nonzero()[0]
+        members = [vid for vid in self.members[u.id] if member_of[vid] == u.id]
         if self.keeps_backup:
-            gone = self.traffic.outside[self.row, u.id, members]
-            self.member_of[members[gone]] = -1
-            members = members[~gone]
-        if not len(members):
+            outside = self.traffic.outside[self.row, u.id]
+            member_of[[vid for vid in members if outside[vid]]] = -1
+            members = [vid for vid in members if not outside[vid]]
+        if not members:
             return
         if self.keeps_backup:
             if state.backup is None:
                 state.backup = self._rank_backup(u, *state.ranking)
             chosen, state.backup = pop_replacement(
-                state.backup, self.member_of[state.backup] == u.id)
+                state.backup, [member_of[vid] == u.id for vid in state.backup])
             kind, payload = "ch_replaced_from_backup", {}
         else:
             chosen, degraded = self._select_for_scheme(state, members)
@@ -435,26 +437,6 @@ def _schedule(config: SimConfig) -> List[Tuple[int, int, bool, bool, bool]]:
              k % k_cluster != 0 and k % k_cam == 0,
              k % k_cluster != 0 and k % k_beacon == 0)
             for k, end in zip(slots, slots[1:] + [n])]
-
-
-def _cluster_members(member_of: np.ndarray, clusters: int
-                     ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
-    """Group the members of every cluster of every simulation of a
-    block, from its member_of rows (one per simulation), with one stable
-    argsort.  Returns each (simulation, cluster) group's member ids,
-    ascending, simulation-major; then, for every assigned row in that
-    order, its group number (simulation * clusters + UAV id) and id."""
-    sims, vehicles = member_of.shape
-    groups = sims * clusters
-    key = np.where(member_of < 0, groups,
-                   member_of + clusters * np.arange(sims)[:, None]).ravel()
-    order = np.argsort(key, kind="stable")
-    ends = np.cumsum(np.bincount(key, minlength=groups + 1)[:groups])
-    assigned = order[:ends[-1]]
-    ids = assigned % vehicles
-    bounds = [0, *ends.tolist()]
-    return ([ids[a:b] for a, b in zip(bounds, bounds[1:])], key[assigned],
-            ids)
 
 
 def _respawn(sims: List[Simulation], member_of: np.ndarray, t_at,
@@ -516,12 +498,10 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
     sims = [Simulation(replace(cfg, scheme=scheme), plan[scheme], traffic, b)
             for b, plan in enumerate(plans) for scheme in schemes]
     runs, vehicles = traffic.fleet.x.shape
-    clusters = len(traffic.uavs)
     member_of = np.full((runs, len(schemes), vehicles), -1, dtype=np.int64)
     rows = member_of.reshape(len(sims), vehicles)
     for sim, row in zip(sims, rows):
         sim.member_of = row
-    states = [state for sim in sims for state in sim.clusters.values()]
     links = []
     dt = cfg.slot_duration
     speed_range = (cfg.v_min, cfg.v_max_vehicle)
@@ -532,9 +512,11 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
         if is_round:
             member_of[:] = traffic.assignment[:, None, :]
         if is_round or is_cam:
-            groups, group_of, ids = _cluster_members(rows, clusters)
-            for r, sim in enumerate(sims):
-                sim.members = groups[r * clusters:(r + 1) * clusters]
+            for sim, row in zip(sims, rows.tolist()):
+                sim.members = [[] for _ in traffic.uavs]
+                for vid, uav in enumerate(row):
+                    if uav >= 0:
+                        sim.members[uav].append(vid)
         for sim in sims:
             if is_round:
                 sim._clustering_round(t)
@@ -542,13 +524,13 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
                 sim._cam_batch(t)
         if is_cam:
             # each member of a cluster other than its CH is a CH-member
-            # link, recorded with the slot's positions
-            chs = np.array([-1 if s.ch is None else s.ch for s in states])
-            link = ids != chs[group_of]
-            if link.any():
-                links.append((int(round(t * 1000)), traffic.x,
-                              group_of[link] // clusters,
-                              chs[group_of[link]], ids[link]))
+            # link (sim, CH, member), recorded with the slot's positions
+            link = [(s, state.ch, vid) for s, sim in enumerate(sims)
+                    for state, members in zip(sim.clusters.values(),
+                                              sim.members)
+                    for vid in members if vid != state.ch]
+            if link:
+                links.append((int(round(t * 1000)), traffic.x, *zip(*link)))
         if is_beacon:
             for sim in sims:
                 sim._beacon_check(t)

@@ -159,7 +159,7 @@ def test_criterion_2_brute_force_equivalence():
                               lambda c: (-c[2], c[0])),
                              ((0.0, 0.0, 1.0),
                               lambda c: (-c[3], c[0]))):
-            got = build_backup_list(*columns, weights).tolist()
+            got = build_backup_list(*columns, weights)
             want = [c[0] for c in sorted(cands, key=key)]
             assert got == want, (weights, got, want)
         instances += 1

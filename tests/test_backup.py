@@ -38,21 +38,25 @@ def reference_build_backup_list(candidates, weights, raw_scores=False):
     return sorted(scored, key=lambda e: (-e[1], e[0]))
 
 
-def columns(candidates):
-    """(ids, v_d, neighbor counts, residuals) arrays of candidate tuples."""
+def columns(candidates, as_lists=False):
+    """(ids, v_d, neighbor counts, residuals) of candidate tuples: numpy
+    arrays, or plain lists as the engine passes them."""
     ids, v_d, nbrs, residual = zip(*candidates)
+    if as_lists:
+        return list(ids), list(v_d), list(nbrs), list(residual)
     return (np.array(ids), np.array(v_d, dtype=float), np.array(nbrs),
             np.array(residual, dtype=float))
 
 
-def ranked(candidates, weights=WEIGHTS, raw_scores=False):
+def ranked(candidates, weights=WEIGHTS, raw_scores=False, as_lists=False):
     """(ids best first, their scores) of build_backup_list."""
-    ids, v_d, nbrs, residual = columns(candidates)
-    order = build_backup_list(ids, v_d, nbrs, residual, weights, raw_scores)
-    scores = dict(zip(ids.tolist(),
+    ids, v_d, nbrs, residual = columns(candidates, as_lists)
+    order = list(build_backup_list(ids, v_d, nbrs, residual, weights,
+                                   raw_scores))
+    scores = dict(zip(list(ids),
                       backup_scores(v_d, nbrs, residual, weights,
-                                    raw_scores).tolist()))
-    return order.tolist(), [scores[vid] for vid in order.tolist()]
+                                    raw_scores)))
+    return order, [scores[vid] for vid in order]
 
 
 def test_three_candidate_hand_oracle():
@@ -76,8 +80,8 @@ def test_identical_candidates_tie_by_id():
 
 def test_empty_candidates_give_empty_list():
     empty = np.array([], dtype=int)
-    assert build_backup_list(empty, np.array([]), empty, np.array([]),
-                             WEIGHTS).tolist() == []
+    assert list(build_backup_list(empty, np.array([]), empty, np.array([]),
+                                  WEIGHTS)) == []
 
 
 def test_single_criterion_reductions():
@@ -127,9 +131,9 @@ def test_scores_bounded_and_sorted(rows):
     assert all(0.0 <= s <= 1.0 + 1e-12 for s in scores)
     assert all(a >= b for a, b in zip(scores, scores[1:]))
     # the best rank on every criterion is always awarded
-    assert _rank_scores(v_d, reverse=False).max() == pytest.approx(1.0)
-    assert _rank_scores(nbrs, reverse=True).max() == pytest.approx(1.0)
-    assert _rank_scores(residual, reverse=True).max() == pytest.approx(1.0)
+    assert max(_rank_scores(v_d, reverse=False)) == pytest.approx(1.0)
+    assert max(_rank_scores(nbrs, reverse=True)) == pytest.approx(1.0)
+    assert max(_rank_scores(residual, reverse=True)) == pytest.approx(1.0)
 
 
 # a few distinct finite values, each drawn many times: mostly ties
@@ -138,13 +142,14 @@ TIED_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False),
     lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
 
 
-@given(TIED_VALUES, st.booleans())
-@example([0.0, -0.0, 0.0, 1.0, -0.0], False)
-@example([0.0, -0.0, 0.0, 1.0, -0.0], True)
-@example([2.5, 2.5, 2.5], True)
+@given(TIED_VALUES, st.booleans(), st.booleans())
+@example([0.0, -0.0, 0.0, 1.0, -0.0], False, False)
+@example([0.0, -0.0, 0.0, 1.0, -0.0], True, True)
+@example([2.5, 2.5, 2.5], True, False)
 @settings(deadline=None, max_examples=300)
-def test_rank_scores_match_pairwise_counts(values, reverse):
-    assert _rank_scores(np.array(values), reverse).tolist() == \
+def test_rank_scores_match_pairwise_counts(values, reverse, as_lists):
+    given_values = list(values) if as_lists else np.array(values)
+    assert list(_rank_scores(given_values, reverse)) == \
         reference_rank_scores(values, reverse)
 
 
@@ -169,13 +174,16 @@ def candidate_lists(draw):
 @given(candidate_lists(),
        st.sampled_from([WEIGHTS, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                         (0.0, 0.0, 1.0), (0.2, 0.3, 0.5)]),
-       st.booleans())
+       st.booleans(), st.booleans())
 @example([(0, 1.0, 3, 400.0), (1, -0.0, 3, 0.0), (2, 0.0, 3, -0.0)],
-         WEIGHTS, False)
-@example([(5, 2.0, 1, 50.0)], WEIGHTS, True)
+         WEIGHTS, False, False)
+@example([(0, 1.0, 3, 400.0), (1, -0.0, 3, 0.0), (2, 0.0, 3, -0.0)],
+         WEIGHTS, False, True)
+@example([(5, 2.0, 1, 50.0)], WEIGHTS, True, True)
 @settings(deadline=None, max_examples=300)
-def test_build_backup_list_matches_reference(cands, weights, raw_scores):
-    order, scores = ranked(cands, weights, raw_scores)
+def test_build_backup_list_matches_reference(cands, weights, raw_scores,
+                                             as_lists):
+    order, scores = ranked(cands, weights, raw_scores, as_lists)
     want = reference_build_backup_list(cands, weights, raw_scores)
     assert order == [vid for vid, _ in want]
     assert scores == [score for _, score in want]

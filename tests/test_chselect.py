@@ -167,31 +167,43 @@ def clusters(draw):
 
 
 @given(clusters(), st.sampled_from([None, 0.0, -0.0, 12.5]),
-       st.sampled_from([-1e12, 0.0, 100.0, 1e9]), st.integers(0, 4))
+       st.sampled_from([-1e12, 0.0, 100.0, 1e9]), st.integers(0, 4),
+       st.booleans())
 @example((np.array([0, 1, 2]), [14.0, 16.0, 15.0], [1, 1, 0],
-          [400.0, 400.0, 400.0]), None, 100.0, 1)
-@example((np.array([3]), [-0.0], [0], [0.0]), 0.0, 0.0, 0)
+          [400.0, 400.0, 400.0]), None, 100.0, 1, False)
+@example((np.array([0, 1, 2]), [14.0, 16.0, 15.0], [1, 1, 0],
+          [400.0, 400.0, 400.0]), None, 100.0, 1, True)
+@example((np.array([3]), [-0.0], [0], [0.0]), 0.0, 0.0, 0, True)
 @settings(deadline=None, max_examples=300)
 def test_select_ch_matches_reference(cluster, v_cl, eps_distance,
-                                     eps_neighbors):
+                                     eps_neighbors, as_lists):
     ids, speeds, nbrs, residuals = cluster
     if v_cl is None:  # the engine's v_cl: the cluster mean
         v_cl = cluster_avg_speed(speeds)
-    got = select_ch(ids, np.abs(np.array(speeds) - v_cl), np.array(nbrs),
-                    np.array(residuals), eps_distance, eps_neighbors)
+    if as_lists:  # as the engine passes them
+        got = select_ch(ids.tolist(), [abs(s - v_cl) for s in speeds],
+                        nbrs, residuals, eps_distance, eps_neighbors)
+    else:
+        got = select_ch(ids, np.abs(np.array(speeds) - v_cl),
+                        np.array(nbrs), np.array(residuals), eps_distance,
+                        eps_neighbors)
     want = reference_select_ch(
         list(zip(ids.tolist(), speeds, nbrs, residuals)), v_cl,
         eps_distance, eps_neighbors)
     assert got == want
 
 
-@given(st.one_of(TIED_SPEEDS, FREE_SPEEDS), st.data())
-@example([12.0, 14.0, 13.0, 13.0], None)
-@example([0.0, -0.0, 0.0], None)
-@example([7.0], None)
+@given(st.one_of(TIED_SPEEDS, FREE_SPEEDS), st.data(), st.booleans())
+@example([12.0, 14.0, 13.0, 13.0], None, False)
+@example([12.0, 14.0, 13.0, 13.0], None, True)
+@example([0.0, -0.0, 0.0], None, False)
+@example([7.0], None, True)
 @settings(deadline=None, max_examples=300)
-def test_select_ch_vmasc_matches_reference(speeds, data):
+def test_select_ch_vmasc_matches_reference(speeds, data, as_lists):
     ids = (np.arange(len(speeds)) if data is None
            else member_ids(data.draw, len(speeds)))
-    got = select_ch_vmasc(ids, np.array(speeds))
+    if as_lists:  # as the engine passes them
+        got = select_ch_vmasc(ids.tolist(), list(speeds))
+    else:
+        got = select_ch_vmasc(ids, np.array(speeds))
     assert got == reference_select_ch_vmasc(list(zip(ids.tolist(), speeds)))

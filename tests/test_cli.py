@@ -224,6 +224,21 @@ def test_rejected_experiment_leaves_out_untouched(tmp_path, capsys):
     assert "--runs" in err and "nosuch" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_are_rejected_before_out_is_touched(
+        tmp_path, capsys, workers):
+    out = str(tmp_path / "done")
+    assert main(["compare", "--runs", "1", "--duration", "70",
+                 "--out", out]) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main(["compare", "--runs", "2", "--workers", workers,
+                 "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --workers must be >= 1, got {workers}\n"
+    assert tree_bytes(out) == before
+
+
 def test_metrics_scores_with_the_echoed_config(tmp_path):
     cfg = tmp_path / "weights.cfg"
     cfg.write_text("weight_reselect = 0.9\nweight_snr = 0.1\n")
@@ -300,6 +315,26 @@ def test_metrics_rejects_a_scored_line_of_the_wrong_shape(tmp_path, capsys,
     assert main(["metrics", "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}, line 5: ")
+
+
+@pytest.mark.parametrize("key", ["config", "scheme", "seed"])
+def test_metrics_rejects_a_header_without_a_key_it_reads(tmp_path, capsys,
+                                                         key):
+    out = str(tmp_path / "header")
+    assert main(["compare", "--runs", "1", "--duration", "70",
+                 "--scheme", "proposed", "--out", out]) == 0
+    path = os.path.join(out, "traces", "proposed_run0000.trace")
+    with open(path, "r", encoding="utf-8") as fh:
+        header, body = fh.read().split("\n", 1)
+    kept = [part for part in header.split(" ")
+            if not part.startswith(f"{key}=")]
+    assert len(kept) == len(header.split(" ")) - 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(" ".join(kept) + "\n" + body)
+    capsys.readouterr()
+    assert main(["metrics", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}, line 1: the trace header has no {key}=\n")
 
 
 def test_sweep_writes_shape_file(tmp_path):

@@ -267,8 +267,8 @@ def eager_backup_list(sim, state, members):
     from the current event slot: what each rebuild built before ranking
     was deferred to the first pop."""
     cfg, uav, row = sim.config, state.uav, sim.row
-    fleet = sim.traffic.fleet
-    speed = sim.traffic.avg_speed[row][members]
+    fleet, members = sim.traffic.fleet, np.array(members)
+    speed = np.array(sim.traffic.avg_speed[row])[members]
     v_d = np.abs(speed - cluster_avg_speed(speed))
     if cfg.residual_mode == "geometric":
         residual = residual_path_geometric(
@@ -281,7 +281,7 @@ def eager_backup_list(sim, state, members):
     others = members != state.ch
     return build_backup_list(
         members[others], v_d[others],
-        sim.traffic.nbr_count[row][members][others],
+        np.array(sim.traffic.nbr_count[row])[members][others],
         residual[others],
         (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
         raw_scores=cfg.backup_raw_scores)
@@ -312,7 +312,7 @@ class EagerBackups(Simulation):
             return
         [(backup, remainder)] = self.popped[calls:]
         expected, fresh = self.eager[state.uav.id]
-        assert backup.tolist() == expected.tolist()
+        assert list(backup) == list(expected)
         self.eager[state.uav.id] = (remainder, False)
         if fresh:
             self.fresh_pops += 1

@@ -16,21 +16,30 @@ def assign(fleet: Fleet, uavs: Sequence[UavNode],
     fleet row, in the shape of the fleet's arrays.
 
     Ties break to the lowest UAV id so the result is independent of
-    evaluation order.
+    evaluation order.  One array pass ranks the UAVs of every row; a
+    row whose best SNR is not clearly positive or is within 1e-9
+    (relative) of the second is decided by scalar SNRs, UAV by UAV, as
+    the two forms may round apart in the last bits.
     """
     if not uavs:
         raise ValueError("assign: need at least one UAV")
     if not fleet.x.shape[-1]:
         raise ValueError("assign: need at least one vehicle")
     ordered = sorted(uavs, key=lambda n: n.id)
-    column = []
-    for x, y in zip(fleet.x.ravel().tolist(), fleet.y.ravel().tolist()):
-        best_uav = None
+    x, y = fleet.x.ravel(), fleet.y.ravel()
+    ux, uy, h, power = np.array([[u.pos.x, u.pos.y, u.pos.h, u.tx_power]
+                                 for u in ordered]).T[:, :, None]
+    snrs = power * (g0 / ((ux - x) ** 2 + (uy - y) ** 2 + h ** 2)) / noise
+    top = np.sort(snrs, axis=0)
+    second = top[-2] if len(ordered) > 1 else 0.0
+    column = np.array([u.id for u in ordered])[snrs.argmax(axis=0)]
+    for i in np.flatnonzero(~((top[-1] - second > 1e-9 * top[-1])
+                              & (second >= 0.0))).tolist():
         best_snr = -1.0
         for u in ordered:
-            d = channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h, x, y)
+            d = channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h,
+                                     x.item(i), y.item(i))
             snr = channel.a2g_snr(u.tx_power, channel.a2g_gain(d, g0), noise)
             if snr > best_snr:
-                best_uav, best_snr = u.id, snr
-        column.append(best_uav)
-    return np.array(column, dtype=np.int64).reshape(fleet.x.shape)
+                column[i], best_snr = u.id, snr
+    return column.reshape(fleet.x.shape)

@@ -100,7 +100,7 @@ def _reset_out(out_dir: str, config: SimConfig) -> None:
 def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                     out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
     """Fan out one task per block of consecutive run indices, on
-    min(workers, runs) processes (in this one if that is 1); returns
+    min(workers, runs) processes: this one and a pool of the rest; returns
     each scheme's header and run metrics per run index, scored in
     memory by the tasks.  A block holds ceil(runs / workers) run
     indices, at most engine.BLOCK_ROWS fleet rows and at least one run.
@@ -115,8 +115,14 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     tasks = [(config, plans[k:k + size], out_dir, k)
              for k in range(0, runs, size)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_execute_block, tasks))
+        # this process runs every workers-th block, from the first,
+        # while workers - 1 pool processes share the others
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            theirs = pool.map(_execute_block, [
+                task for k, task in enumerate(tasks) if k % workers])
+            mine = iter([_execute_block(task) for task in tasks[::workers]])
+            blocks = [next(theirs if k % workers else mine)
+                      for k in range(len(tasks))]
     else:
         blocks = [_execute_block(task) for task in tasks]
     scored = [by_scheme for block in blocks for by_scheme in block]

@@ -23,7 +23,9 @@ Python over them, cluster by cluster.  Between two event slots the fleet
 advances in one step of several slots, whose respawned rows leave their
 clusters in one masked write (_respawn).  A backup rebuild only records
 the survey it is ranked from; the list is ranked at the first pop after
-it (_handle_departure), since most lists are never popped.  The
+it (_handle_departure), since most lists are never popped.  Neighbor
+counts are made only where read: every row's at rounds, for the
+proposed selection, and a cluster's own members' at its first pop.  The
 recorded CH-member links of the whole block are sampled after the last
 slot, each distinct link key once, in a few numpy passes
 (_sample_cam_links).
@@ -42,8 +44,8 @@ from .assignment import assign
 from .backup import build_backup_list, pop_replacement
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
 from .config import SimConfig, validate
-from .mobility import (Fleet, neighbor_table, residual_path,
-                       residual_path_geometric, step, within)
+from .mobility import (Fleet, neighbor_counts, neighbor_table,
+                       residual_path, residual_path_geometric, step, within)
 from .model import AirPoint, UavNode
 from .seeding import (RunSeeds, pcg64_state, pcg64_states, pcg64_words,
                       ziggurat_exponential, ziggurat_normal)
@@ -106,13 +108,14 @@ class Traffic:
     """What the runs of a block share with their schemes: UAVs, one
     mobility stream per run, the fleet as (runs, vehicles) arrays, and
     what survey measured at the current event slot: every row's average
-    speed and its neighbor count if asked for (lists per run), at a
-    round the UAV assignment, at a beacon check whether each UAV covers
-    it (outside, (runs, UAVs, vehicles)), and the slot's position
-    array, held by reference.  Survey and step replace these and never
-    write them, so a backup ranking may hold them until it runs.  A
-    given initial_fleet starts every run, is copied, never stepped, and
-    must hold finite positions and speeds in [0, inf)."""
+    speed (lists per run), at a round the UAV assignment and, if asked
+    for, every row's neighbor count (lists per run; None at any other
+    slot), at a beacon check whether each UAV covers it (outside, (runs,
+    UAVs, vehicles)), and the slot's position array, held by reference.
+    Survey and step replace these and never write them, so a backup
+    ranking may hold them until it runs.  A given initial_fleet starts
+    every run, is copied, never stepped, and must hold finite positions
+    and speeds in [0, inf)."""
 
     def __init__(self, config: SimConfig, *mobility_seeds: int,
                  initial_fleet: Optional[Fleet] = None):
@@ -149,8 +152,8 @@ class Traffic:
         cfg, fleet = self.config, self.fleet
         self.x = fleet.x
         self.avg_speed = fleet.avg_speeds(cfg.avg_window).tolist()
-        if with_neighbors:
-            self.nbr_count = neighbor_table(fleet, cfg.neighbor_range).tolist()
+        self.nbr_count = (neighbor_table(fleet, cfg.neighbor_range).tolist()
+                          if with_neighbors else None)
         if with_assignment:
             self.assignment = assign(fleet, self.uavs, cfg.ref_gain,
                                      cfg.noise_power)
@@ -190,8 +193,8 @@ class Simulation:
         self.row = row
         self.y, self.dir = traffic.fleet.y[row], traffic.fleet.dir[row]
         self.scheme_rng = np.random.default_rng(self.seeds.scheme)
-        # whether this scheme keeps a backup list; exactly then its
-        # phases read the neighbor counts (_features)
+        # whether this scheme keeps a backup list, ranked by neighbor
+        # counts among other features (_rank_backup)
         self.keeps_backup = (config.scheme == "proposed"
                              or config.benchmarks_use_backup)
         # the ch_selected payloads, by degraded
@@ -227,12 +230,13 @@ class Simulation:
             "has_uint32": 0, "uinteger": 0}
         return self._link_gen
 
-    def _features(self, uav: UavNode, members: List[int], avg_speed,
-                  nbr_count, x):
+    def _features(self, uav: UavNode, members: List[int], avg_speed, x,
+                  nbr_count: List[int]):
         """(v_d, neighbor count, residual path) lists of the members,
-        from one event slot's survey of the block (Traffic): the inputs
-        of the proposed selection and of the backup ranking.  A row
-        keeps its y and dir for the whole run."""
+        from one event slot's survey of the block (Traffic) and the
+        members' neighbor counts: the inputs of the proposed selection
+        and of the backup ranking.  A row keeps its y and dir for the
+        whole run."""
         cfg, row = self.config, self.row
         speed = [avg_speed[row][k] for k in members]
         v_cl = cluster_avg_speed(speed)
@@ -243,16 +247,16 @@ class Simulation:
         else:
             residual = residual_path(uav.coverage_radius, np.array(speed),
                                      cfg.cluster_interval)
-        return ([abs(v - v_cl) for v in speed],
-                [nbr_count[row][k] for k in members], residual.tolist())
+        return [abs(v - v_cl) for v in speed], nbr_count, residual.tolist()
 
     def _select_for_scheme(self, state: _ClusterState, members: List[int]):
         """Run the configured selector; returns (chosen id, degraded)."""
         cfg, traffic = self.config, self.traffic
         if cfg.scheme == "proposed":
             return select_ch(members, *self._features(
-                state.uav, members, traffic.avg_speed, traffic.nbr_count,
-                traffic.x), cfg.eps_distance, cfg.eps_neighbors)
+                state.uav, members, traffic.avg_speed, traffic.x,
+                [traffic.nbr_count[self.row][k] for k in members]),
+                cfg.eps_distance, cfg.eps_neighbors)
         if cfg.scheme == "vmasc":
             speeds = traffic.avg_speed[self.row]
             return select_ch_vmasc(members, [speeds[k] for k in members]), False
@@ -265,18 +269,21 @@ class Simulation:
         after this rebuild, since most lists are never popped."""
         if self.keeps_backup:
             state.ranking = (members, state.ch, self.traffic.avg_speed,
-                             self.traffic.nbr_count, self.traffic.x)
+                             self.traffic.x)
             state.backup = None
 
     def _rank_backup(self, uav: UavNode, members: List[int], ch: int,
-                     *survey) -> List[int]:
+                     avg_speed, x) -> List[int]:
         """The backup list of members around CH ch, best first, from
-        one event slot's survey (_features)."""
+        one event slot's survey (_features).  Only the members' neighbor
+        counts are made, here, from the slot's positions x."""
         cfg = self.config
+        counts = neighbor_counts(x[self.row], self.y, members,
+                                 cfg.neighbor_range).tolist()
         others = [k for k, vid in enumerate(members) if vid != ch]
         return build_backup_list(
             *([column[k] for k in others] for column in (
-                members, *self._features(uav, members, *survey))),
+                members, *self._features(uav, members, avg_speed, x, counts))),
             (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
             raw_scores=cfg.backup_raw_scores)
 
@@ -335,7 +342,7 @@ class Simulation:
         takes a word on its fast path, the draws of all links are made
         at once (seeding.ziggurat_normal, ziggurat_exponential); the few
         links with a slow-path draw take theirs from their own stream
-        (_link_rng).  Every link then takes the one SNR expression.
+        (_link_rng).  The SNRs of all links are then made in array passes.
         """
         cfg = self.config
         first, second = pcg64_words(states, 2)
@@ -353,13 +360,23 @@ class Simulation:
                 fading[k] = link_rng.exponential(1.0)
         p, noise = cfg.vehicle_tx_power, cfg.noise_power
         loss, eta = cfg.v2v_loss_const, cfg.v2v_loss_exp
-        large_scale = channel.v2v_large_scale
-        # the shadowing draw's dB-to-ratio, then fading times large-scale
-        # gain and p * gain / noise; the powers stay scalar (np.power
-        # differs from ** in last bits).  No draw can fail, so
-        # v2v_large_scale's checks fail in link order.
-        return [p * (f * large_scale(d, 10.0 ** (x / 10.0), loss, eta)) / noise
-                for x, f, d in zip(z.tolist(), fading.tolist(), dist)]
+        # the shadowing draw's dB-to-ratio 10 ** (z / 10) and the path
+        # loss d ** -eta are libm pow, as ** is (np.power differs in last
+        # bits); then fading times large-scale gain and p * gain / noise
+        n = len(z)
+        try:
+            mu = np.fromiter(map(math.pow, [10.0] * n, (z / 10.0).tolist()),
+                             dtype=float, count=n)
+            failed = not mu.all()  # a zero shadowing factor
+        except OverflowError:
+            failed = True
+        if failed:
+            # the per-link expression raises at the first failing link
+            large_scale = channel.v2v_large_scale
+            return [p * (f * large_scale(d, 10.0 ** (x / 10.0), loss, eta))
+                    / noise for x, f, d in zip(z.tolist(), fading.tolist(), dist)]
+        path = np.fromiter(map(math.pow, dist, [-eta] * n), dtype=float, count=n)
+        return (p * (fading * (mu * loss * path)) / noise).tolist()
 
     def _beacon_check(self, t: float) -> None:
         outside = self.traffic.outside[self.row]
@@ -505,10 +522,12 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
     links = []
     dt = cfg.slot_duration
     speed_range = (cfg.v_min, cfg.v_max_vehicle)
-    with_neighbors = any(sim.keeps_backup for sim in sims)
+    # the proposed selection reads every row's count at rounds; a backup
+    # ranking makes its members' own (Simulation._rank_backup)
+    with_neighbors = any(sim.config.scheme == "proposed" for sim in sims)
     for k, slots, is_round, is_cam, is_beacon in _schedule(cfg):
         t = k * dt
-        traffic.survey(with_neighbors, is_round, is_beacon)
+        traffic.survey(with_neighbors and is_round, is_round, is_beacon)
         if is_round:
             member_of[:] = traffic.assignment[:, None, :]
         if is_round or is_cam:

@@ -175,11 +175,16 @@ def within(dx, dy, radius) -> np.ndarray:
 def neighbor_table(fleet: Fleet, rng_range: float) -> np.ndarray:
     """Number of other vehicles of its run within planar range, per
     fleet row."""
+    return neighbor_counts(fleet.x, fleet.y, slice(None), rng_range)
+
+
+def neighbor_counts(x, y, rows, rng_range: float) -> np.ndarray:
+    """neighbor_table's entries of the rows `rows`, an index into the
+    last axis of the position arrays x and y: the same elementwise
+    range test (within) of each of them against every row."""
     if rng_range <= 0.0:
-        raise ValueError(f"neighbor_table: range must be positive, got {rng_range}")
-    x, y = fleet.x, fleet.y
-    near = within(x[..., :, None] - x[..., None, :],
-                  y[..., :, None] - y[..., None, :], rng_range)
-    rows = np.arange(x.shape[-1])
-    near[..., rows, rows] = False
-    return near.sum(axis=-1)
+        raise ValueError(f"neighbor_counts: range must be positive, got {rng_range}")
+    near = within(x[..., rows, None] - x[..., None, :],
+                  y[..., rows, None] - y[..., None, :], rng_range)
+    # minus the row itself, at offset (0, 0)
+    return near.sum(axis=-1) - 1

@@ -1,5 +1,7 @@
-"""The summary of tools/ab_calls.py on hand-made call timings."""
+"""tools/ab_calls.py: its summary, its alternation and its --setup mode, on
+hand-made timings."""
 import pathlib
+import sys
 import types
 
 import pytest
@@ -41,3 +43,38 @@ def test_summary_of_a_change_slower_in_every_pair():
                                  "change": [0.2, 0.4, 0.6]})
     assert report["change_faster_pairs"] == "0/3"
     assert report["change_over_parent_median"] == pytest.approx(2.0)
+
+
+def test_alternate_warms_up_then_swaps_the_first_side_each_pair():
+    calls = []
+
+    def measure(side):
+        calls.append(side)
+        return float(len(calls))
+
+    times = AB_CALLS.alternate(measure, 3)
+    assert calls == ["parent", "change",  # untimed
+                     "parent", "change", "change", "parent",
+                     "parent", "change"]
+    assert times == {"parent": [3.0, 6.0, 7.0], "change": [4.0, 5.0, 8.0]}
+
+
+def test_setup_mode_times_each_side_set_up_from_its_own_src(tmp_path,
+                                                            monkeypatch):
+    # a stand-in for perfbench/run.py: set_up reports the src/ at the
+    # head of sys.path and its work directory
+    seen = []
+
+    def set_up(wl, seed, work):
+        seen.append((sys.path[0], wl, seed, work))
+        return None, 0.25 * len(seen)
+
+    bench = types.SimpleNamespace(set_up=set_up)
+    trees = {"parent": str(tmp_path / "p"), "change": str(tmp_path / "c")}
+    monkeypatch.setattr(sys, "path", [""] + sys.path)
+    measure = AB_CALLS.setup_measure(bench, "wl", trees, 5, str(tmp_path))
+    assert measure("change") == 0.25
+    assert measure("parent") == 0.5
+    assert seen == [
+        (str(tmp_path / "c" / "src"), "wl", 5, str(tmp_path / "change-setup")),
+        (str(tmp_path / "p" / "src"), "wl", 5, str(tmp_path / "parent-setup"))]

@@ -111,6 +111,42 @@ def test_one_run_runs_in_process(tmp_path, monkeypatch):
             read_bytes(os.path.join(pooled, "traces", name))
 
 
+@pytest.mark.parametrize("workers, runs, vehicles",
+                         [(2, 2, 12), (3, 3, 12), (2, 5, 64)])
+def test_calling_process_runs_every_workers_th_block_beside_a_smaller_pool(
+        tmp_path, monkeypatch, workers, runs, vehicles):
+    # each case makes one block per run index (64 vehicles fill
+    # engine.BLOCK_ROWS); the pool processes are forked after the
+    # wrapper is set, so only the blocks this process runs reach the list
+    blocks, started = [], []
+    real = engine.run_block
+
+    def recorded(config, plans):
+        blocks.append(plans)
+        return real(config, plans)
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(engine, "run_block", recorded)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    base = ["compare", "--runs", str(runs), "--vehicles", str(vehicles),
+            "--duration", "140"]
+    serial, pooled = str(tmp_path / "w1"), str(tmp_path / "pooled")
+    assert main(base + ["--out", serial, "--workers", "1"]) == 0
+    plans = [plan for block in blocks for plan in block]
+    assert len(plans) == runs and not started
+    del blocks[:]
+    assert main(base + ["--out", pooled, "--workers", str(workers)]) == 0
+    assert started == [workers - 1]
+    assert blocks == [[plan] for plan in plans[::workers]]
+    traces = tree_bytes(os.path.join(serial, "traces"))
+    assert len(traces) == runs * len(SCHEMES)
+    assert tree_bytes(os.path.join(pooled, "traces")) == traces
+
+
 def test_schemes_of_a_run_index_share_one_fleet(tmp_path, monkeypatch):
     calls = {"step": 0, "assign": 0}
 

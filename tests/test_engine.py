@@ -13,7 +13,8 @@ from uavclust.backup import build_backup_list
 from uavclust.chselect import cluster_avg_speed
 from uavclust.config import SimConfig, validate
 from uavclust.engine import MIN_V2V_DISTANCE, Simulation, place_uavs, run
-from uavclust.mobility import residual_path, residual_path_geometric
+from uavclust.mobility import (neighbor_table, residual_path,
+                               residual_path_geometric)
 from uavclust.seeding import pcg64_states, run_seeds
 
 from conftest import fleet_of, make_vehicle
@@ -281,7 +282,7 @@ def eager_backup_list(sim, state, members):
     others = members != state.ch
     return build_backup_list(
         members[others], v_d[others],
-        np.array(sim.traffic.nbr_count[row])[members][others],
+        neighbor_table(fleet, cfg.neighbor_range)[row][members][others],
         residual[others],
         (cfg.weight_speed, cfg.weight_neighbors, cfg.weight_path),
         raw_scores=cfg.backup_raw_scores)
@@ -512,6 +513,58 @@ def test_link_snrs_match_per_key_streams(prefix, keys, sigma, mode):
         for key, d in zip(keys, dist)]
 
 
+@pytest.mark.parametrize("mode", ["large_scale", "instantaneous"])
+def test_link_snrs_equal_the_per_link_expression_on_many_links(mode):
+    # a batch of dense-road link keys and distances, bit for bit against
+    # one default_rng and one scalar SNR expression per key
+    cfg = validate(dataclasses.replace(SimConfig(), snr_fading=mode))
+    sim = Simulation(cfg, run_seeds(1, 0, cfg.scheme),
+                     engine.Traffic(cfg, 0))
+    rng = np.random.default_rng(22)
+    t_ms = (10000 * rng.integers(0, 70, 3000)).tolist()
+    lo, hi = np.sort(rng.integers(0, 100, (2, 3000)), axis=0).tolist()
+    dist = np.maximum(MIN_V2V_DISTANCE, rng.uniform(0.0, 300.0, 3000)).tolist()
+    states = pcg64_states(7, t_ms, lo, hi)
+    assert sim._link_snrs(states, dist) == [
+        reference_key_snr(cfg, key, d)
+        for key, d in zip(zip([7] * 3000, t_ms, lo, hi), dist)]
+
+
+def reference_failure(cfg, keys, dist):
+    """The exception type reference_key_snr raises first over the keys,
+    in order, or None."""
+    for key, d in zip(keys, dist):
+        try:
+            reference_key_snr(cfg, key, d)
+        except (OverflowError, ValueError) as exc:
+            return type(exc)
+    return None
+
+
+def test_a_failing_link_raises_as_the_per_key_reference():
+    # at 10^4 dB a draw overflows 10 ** (z / 10) or underflows it to 0;
+    # batches of one to three links, so some fail by underflow alone
+    cfg = validate(dataclasses.replace(SimConfig(), shadow_std_db=1e4))
+    sim = Simulation(cfg, run_seeds(1, 0, cfg.scheme),
+                     engine.Traffic(cfg, 0))
+    raised = []
+    for first in range(0, 60, 3):
+        for size in (1, 3):
+            keys = [(7, 10000, k, k + 1) for k in range(first, first + size)]
+            dist = [MIN_V2V_DISTANCE] * size
+            expected = reference_failure(cfg, keys, dist)
+            states = pcg64_states(7, *[[key[i] for key in keys]
+                                       for i in (1, 2, 3)])
+            if expected is None:
+                sim._link_snrs(states, dist)
+                continue
+            with pytest.raises(expected):
+                sim._link_snrs(states, dist)
+            raised.append((size, expected))
+    assert {(1, OverflowError), (1, ValueError),
+            (3, OverflowError), (3, ValueError)} <= set(raised)
+
+
 def first_reference_failure(sims):
     """The exception type that reference_link_snrs raises first over the
     snapshots of sims, scheme by scheme, or None."""
@@ -562,11 +615,11 @@ DENSE_700S = {
 }
 
 
-# neighbor tables of one 700 s run: one per event slot (10 rounds + 60
-# CAM slots; beacons share them) when a scheme keeps a backup list, the
-# one reader of neighbor counts, else none
-EVENT_SLOTS = 70
-NEIGHBOR_TABLES = {"proposed": EVENT_SLOTS, "vmasc": 0, "random": 0}
+# neighbor tables of one 700 s run: one per round (10) when it runs the
+# proposed selection, the one reader of every row's count, else none; a
+# backup ranking counts only its own members' neighbors
+ROUNDS = 10
+NEIGHBOR_TABLES = {"proposed": ROUNDS, "vmasc": 0, "random": 0}
 
 
 def run_counting_neighbor_tables(cfg, monkeypatch):
@@ -583,6 +636,7 @@ def run_counting_neighbor_tables(cfg, monkeypatch):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_one_neighbor_table_per_event_slot(scheme, monkeypatch):
+    # at most one per event slot: one per round, and only for proposed
     cfg = validate(dataclasses.replace(SimConfig(), seed=1, scheme=scheme,
                                        **DENSE))
     events, tables = run_counting_neighbor_tables(cfg, monkeypatch)
@@ -593,10 +647,14 @@ def test_one_neighbor_table_per_event_slot(scheme, monkeypatch):
 
 
 def test_benchmark_with_backup_list_builds_neighbor_tables(monkeypatch):
-    cfg = validate(dataclasses.replace(SimConfig(), seed=1, scheme="vmasc",
-                                       benchmarks_use_backup=True, **DENSE))
-    _, tables = run_counting_neighbor_tables(cfg, monkeypatch)
-    assert tables == EVENT_SLOTS
+    # a backup list adds no table: its rankings count their members only
+    for scheme in SCHEMES:
+        cfg = validate(dataclasses.replace(
+            SimConfig(), seed=1, scheme=scheme, benchmarks_use_backup=True,
+            **DENSE))
+        events, tables = run_counting_neighbor_tables(cfg, monkeypatch)
+        assert tables == NEIGHBOR_TABLES[scheme]
+        assert any(e.kind == "ch_replaced_from_backup" for e in events)
 
 
 def paired_matches_separate(cfg, initial_fleet=None):

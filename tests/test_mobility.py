@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavclust.chselect import cluster_avg_speed
-from uavclust.mobility import (Fleet, avg_speed, neighbor_table,
-                               residual_path, residual_path_geometric, step)
+from uavclust.mobility import (Fleet, avg_speed, neighbor_counts,
+                               neighbor_table, residual_path,
+                               residual_path_geometric, step)
 from uavclust.model import AirPoint, left_sum
 
 from conftest import fleet_of, make_vehicle
@@ -308,6 +309,44 @@ def test_neighbor_table_matches_brute_force(points):
     vehicles = [make_vehicle(i, x, y=y) for i, (x, y) in enumerate(points)]
     assert neighbor_table(fleet_of(vehicles), 150.0).tolist() == \
         reference_neighbors(vehicles, 150.0)
+
+
+# a 50 m grid: many offsets exactly at the 150 m range, along either
+# axis, and vehicles at the same position
+GRID_50 = st.tuples(st.integers(min_value=0, max_value=20).map(lambda k: k * 50.0),
+                    st.integers(min_value=-3, max_value=3).map(lambda k: k * 50.0))
+
+
+@given(runs=st.integers(min_value=1, max_value=3),
+       vehicles=st.integers(min_value=1, max_value=25), data=st.data())
+@settings(deadline=None, max_examples=100)
+def test_neighbor_counts_of_members_equal_their_table_entries(runs, vehicles,
+                                                              data):
+    # what a backup ranking counts for its members, one run's rows or
+    # the whole (runs, vehicles) block, against the full table
+    point = st.one_of(GRID_50, GRID_POINT, st.tuples(
+        st.floats(min_value=0.0, max_value=1000.0),
+        st.floats(min_value=-200.0, max_value=200.0)))
+    points = data.draw(st.lists(point, min_size=runs * vehicles,
+                                max_size=runs * vehicles))
+    x, y = (np.array(column).reshape(runs, vehicles) for column in zip(*points))
+    fleet = Fleet(x, y, np.ones_like(x, dtype=int), np.full_like(x, 10.0))
+    table = neighbor_table(fleet, 150.0)
+    members = sorted(data.draw(st.sets(st.integers(0, vehicles - 1),
+                                       min_size=1)))
+    for run in range(runs):
+        assert neighbor_counts(x[run], y[run], members, 150.0).tolist() == \
+            table[run][members].tolist()
+    assert neighbor_counts(x, y, members, 150.0).tolist() == \
+        table[:, members].tolist()
+
+
+def test_neighbor_counts_of_stacked_vehicles():
+    # three vehicles at one point and one exactly 150 m away from them
+    x, y = np.array([0.0, 0.0, 0.0, 150.0, 300.1]), np.full(5, -2.0)
+    assert neighbor_counts(x, y, [0, 3, 4], 150.0).tolist() == [3, 3, 0]
+    assert neighbor_table(Fleet(x, y, np.ones(5), np.ones(5)),
+                          150.0).tolist() == [3, 3, 3, 3, 0]
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1000.0),

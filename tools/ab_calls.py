@@ -3,7 +3,7 @@
 Run from the repository root::
 
     python3 tools/ab_calls.py --parent <commit> --work <scratch dir> \\
-        --workload paper_default [--pairs 40] [--seed 1]
+        --workload paper_default [--pairs 40] [--seed 1] [--setup]
 
 The parent side is ``git archive`` of the given commit and the change
 side a copy of the working tree (as tools/bench_pairs.py makes them).
@@ -18,6 +18,15 @@ the head of sys.path, so the forked workers of a process pool run that
 side's code.  Separate processes pick up load from other tenants for
 whole runs; calls alternated in one process share it, which resolves
 differences of a few percent.
+
+With --setup the tool times perfbench/run.py's set_up of the workload
+instead of its timed call: the import of the side's package from its
+src/, the config validation and, for reaggregate, the traces it writes.
+Each side's set_up runs with that side's src/ at the head of sys.path,
+once untimed and then once per pair, in the same alternating order.
+Bytecode caching is left as the environment sets it: under
+PYTHONDONTWRITEBYTECODE=1, as the benchmark's set-ups run, every set_up
+compiles the package from source.
 
 Prints each side's median and quartiles of the call's wall time (ms),
 the pairs in which the change's call was faster and the ratio of the
@@ -35,7 +44,7 @@ import shutil
 import statistics
 import sys
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -56,6 +65,30 @@ def summarize(times: Dict[str, List[float]]) -> Dict[str, object]:
     out["change_over_parent_median"] = (out["change"]["median"]
                                         / out["parent"]["median"])
     return out
+
+
+def alternate(measure: Callable[[str], float],
+              pairs: int) -> Dict[str, List[float]]:
+    """Each side's measure(side) of pairs pairs, after one untimed
+    measure per side: the parent first in the first, third, ... pair
+    and the change first in the others."""
+    for side in SIDES:
+        measure(side)
+    times: Dict[str, List[float]] = {side: [] for side in SIDES}
+    for k in range(pairs):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            times[side].append(measure(side))
+    return times
+
+
+def setup_measure(bench, wl, trees: Dict[str, str], seed: int,
+                  work: str) -> Callable[[str], float]:
+    """measure(side) for --setup: the wall time of bench.set_up(wl,
+    seed, ...) with the side's src/ at the head of sys.path."""
+    def measure(side: str) -> float:
+        sys.path[0] = os.path.join(trees[side], "src")
+        return bench.set_up(wl, seed, os.path.join(work, f"{side}-setup"))[1]
+    return measure
 
 
 def _drop_uavclust() -> None:
@@ -91,10 +124,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=40)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--setup", action="store_true",
+                        help="time perfbench's set_up, not the timed call")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
-    sys.dont_write_bytecode = True
+    if not args.setup:
+        sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "tools"), os.path.join(ROOT, "perfbench")]
     import bench_pairs
     bench = importlib.import_module("run")
@@ -106,6 +142,13 @@ def main(argv=None) -> int:
     trees = {side: os.path.join(args.work, side) for side in SIDES}
     bench_pairs.parent_tree(args.parent, trees["parent"])
     bench_pairs.change_tree(trees["change"])
+    if args.setup:
+        sys.path.insert(0, "")  # setup_measure puts a side's src/ here
+        times = alternate(setup_measure(bench, wl, trees, args.seed,
+                                        args.work), args.pairs)
+        report(times, {"workload": args.workload, "seed": args.seed,
+                       "setup": True})
+        return 0
     modules = {side: _import_tree(trees[side]) for side in SIDES}
     sys.path.insert(0, "")  # the slot _install fills with a side's src/
 
@@ -132,21 +175,22 @@ def main(argv=None) -> int:
         else:
             argvs[side] = bench.compare_argv(config_path, wl.runs, args.seed,
                                              wl.workers, out_dir)
-        call(side, argvs[side])  # warm-up
-    times: Dict[str, List[float]] = {side: [] for side in SIDES}
-    for k in range(args.pairs):
-        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            times[side].append(call(side, argvs[side]))
-    report = summarize(times)
+    times = alternate(lambda side: call(side, argvs[side]), args.pairs)
+    report(times, {"workload": args.workload, "seed": args.seed,
+                   "argv": argvs["change"]})
+    return 0
+
+
+def report(times: Dict[str, List[float]], head: Dict[str, object]) -> None:
+    """Print summarize(times) in ms, then as one JSON object after head."""
+    summary = summarize(times)
     for side in SIDES:
-        stats = report[side]
+        stats = summary[side]
         print(f"{side}: median {stats['median'] * 1e3:.2f} ms, quartiles "
               f"{stats['q1'] * 1e3:.2f} - {stats['q3'] * 1e3:.2f} ms")
-    print(f"change faster in {report['change_faster_pairs']} pairs; change "
-          f"over parent median x{report['change_over_parent_median']:.4f}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "argv": argvs["change"], **report}))
-    return 0
+    print(f"change faster in {summary['change_faster_pairs']} pairs; change "
+          f"over parent median x{summary['change_over_parent_median']:.4f}")
+    print(json.dumps({**head, **summary}))
 
 
 if __name__ == "__main__":

@@ -99,12 +99,13 @@ def _reset_out(out_dir: str, config: SimConfig) -> None:
 
 def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                     out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
-    """Fan out one task per block of consecutive run indices, on
-    min(workers, runs) processes: this one and a pool of the rest; returns
-    each scheme's header and run metrics per run index, scored in
-    memory by the tasks.  A block holds ceil(runs / workers) run
-    indices, at most engine.BLOCK_ROWS fleet rows and at least one run.
-    out_dir is reset first (_reset_out).
+    """Fan out one task per block of consecutive run indices, on at most
+    min(workers, runs) processes: this one and a pool of the rest, no
+    larger than the blocks sent to it; returns each scheme's header and
+    run metrics per run index, scored in memory by the tasks.  A block
+    holds ceil(runs / workers) run indices, at most engine.BLOCK_ROWS
+    fleet rows and at least one run.  out_dir is reset first
+    (_reset_out).
     """
     _reset_out(out_dir, config)
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
@@ -114,12 +115,13 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     plans = seed_plan(config.seed, runs, schemes)
     tasks = [(config, plans[k:k + size], out_dir, k)
              for k in range(0, runs, size)]
-    if workers > 1:
+    pooled = [task for k, task in enumerate(tasks) if k % workers]
+    if pooled:
         # this process runs every workers-th block, from the first,
-        # while workers - 1 pool processes share the others
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            theirs = pool.map(_execute_block, [
-                task for k, task in enumerate(tasks) if k % workers])
+        # while at most workers - 1 pool processes share the others
+        with ProcessPoolExecutor(
+                max_workers=min(workers - 1, len(pooled))) as pool:
+            theirs = pool.map(_execute_block, pooled)
             mine = iter([_execute_block(task) for task in tasks[::workers]])
             blocks = [next(theirs if k % workers else mine)
                       for k in range(len(tasks))]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .model import left_sum
 from .trace import RESELECTION_KINDS, Row, fold_trace
@@ -20,8 +20,7 @@ SELECTION_KINDS = ("ch_selected", "ch_reselected_full")
 SCORED_KINDS = frozenset(RESELECTION_KINDS + SELECTION_KINDS + ("cam_batch",))
 
 
-@dataclass(frozen=True)
-class LikelihoodParams:
+class LikelihoodParams(NamedTuple):
     weight_reselect: float = 0.6
     weight_snr: float = 0.4
     poisson_rate: float = 0.5
@@ -40,8 +39,7 @@ class RunMetrics:
     degraded_selections: int
 
 
-@dataclass(frozen=True)
-class AggregateMetrics:
+class AggregateMetrics(NamedTuple):
     runs: int
     mean_total: float
     mean_per_cluster: Dict[int, float]
@@ -165,8 +163,7 @@ def aggregate_traces(traces: Sequence[TraceRun]) -> AggregateMetrics:
     return aggregate([rm for _, rm in traces])
 
 
-@dataclass(frozen=True)
-class SchemeScore:
+class SchemeScore(NamedTuple):
     normalized_reselections: float
     normalized_snr: float
     likelihood: float

@@ -1,15 +1,14 @@
 """UAV records and the float sum shared by every simulator module.
 
 Vehicles have no record: a vehicle is its row of the run's
-mobility.Fleet.  UAV records are plain frozen dataclasses so they can
+mobility.Fleet.  UAV records are NamedTuples, immutable, so they can
 be shared freely across concurrent Monte Carlo runs.
 """
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 VehicleId = int
 UavId = int
@@ -26,8 +25,7 @@ def left_sum(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-@dataclass(frozen=True)
-class AirPoint:
+class AirPoint(NamedTuple):
     """3D hover position of a UAV at fixed altitude h."""
 
     x: float
@@ -35,8 +33,7 @@ class AirPoint:
     h: float
 
 
-@dataclass(frozen=True)
-class UavNode:
+class UavNode(NamedTuple):
     """Aerial base station hovering over the road."""
 
     id: UavId

@@ -7,8 +7,9 @@ One event per line, tab-separated::
 The payload is compact JSON with sorted keys, written by a scalar
 encoder byte for byte as json.dumps writes it.  format_events is the
 one writer of event lines and fold_trace the one reader: it streams a
-file into a fold and parses only the lines of the kinds the fold reads;
-read_trace is its fold into a list of events.
+file into a fold and parses only the lines of the kinds the fold reads,
+each payload in one call of json's C scanner and each distinct ids
+text once per file; read_trace is its fold into a list of events.
 
 The first line is a ``#`` header carrying the config digest, scheme,
 run index and stream seeds, so aggregation can refuse mixed-config
@@ -84,24 +85,6 @@ def _json_scalar(value) -> str:
             return "-Infinity"
         return float.__repr__(value)
     raise TypeError(f"trace payload value {value!r} is not a JSON scalar")
-
-
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _parse_row(fields: List[str]) -> Row:
-    time_s, kind, ids_s, payload_s = fields
-    ids = tuple(map(int, ids_s.split(","))) if ids_s else ()
-    # json.loads(payload_s) in one raw_decode call when that consumes
-    # it whole; json.loads itself also skips surrounding whitespace, or
-    # raises
-    try:
-        payload, end = _raw_decode(payload_s)
-    except ValueError:
-        end = -1
-    if end != len(payload_s):
-        payload = json.loads(payload_s)
-    return float(time_s), kind, ids, payload
 
 
 def format_header(meta: Dict[str, str]) -> str:
@@ -215,12 +198,28 @@ def fold_trace(path: str, kinds: Collection[str],
 
     def rows() -> Iterable[Row]:
         nonlocal lineno
+        # a payload is json.loads(payload_s): one call of the C scanner
+        # that raw_decode wraps, when that consumes it whole; json.loads
+        # itself also skips surrounding whitespace, or raises.  Each
+        # distinct ids text becomes its tuple once.
+        scan_once, loads = json.JSONDecoder().scan_once, json.loads
+        id_tuples: Dict[str, Tuple[int, ...]] = {"": ()}
         for lineno, line in enumerate(lines, 2):
             fields = line.split("\t")
             if len(fields) == 4:
+                time_s, kind, ids_s, payload_s = fields
                 # a blank line's kind is blank, so it is never parsed
-                if fields[1] in kinds:
-                    yield _parse_row(fields)
+                if kind in kinds:
+                    ids = id_tuples.get(ids_s)
+                    if ids is None:
+                        ids = id_tuples[ids_s] = tuple(map(int, ids_s.split(",")))
+                    try:
+                        payload, end = scan_once(payload_s, 0)
+                    except (StopIteration, ValueError):
+                        end = -1
+                    if end != len(payload_s):
+                        payload = loads(payload_s)
+                    yield float(time_s), kind, ids, payload
             elif line.strip():
                 raise ValueError(f"not a trace event: {line!r}")
 

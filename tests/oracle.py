@@ -1,14 +1,16 @@
 """Reference functions that only the tests call.
 
 The simulator samples V2V links in batches (engine._link_snrs), assigns
-vehicles to UAVs in one array pass (assignment.assign) and scores
-traces in one streaming fold (trace.fold_trace); these are the scalar
-forms the tests check them against.
+vehicles to UAVs in one array pass (assignment.assign) and reads
+traces in one streaming fold with json's C scanner (trace.fold_trace);
+these are the scalar forms the tests check them against.
 """
+import json
+
 import numpy as np
 
 from uavclust import channel
-from uavclust.trace import SimEvent, _parse_row
+from uavclust.trace import EVENT_KINDS, SimEvent, parse_header
 
 
 def reference_assign(fleet, uavs, g0, noise):
@@ -40,6 +42,48 @@ def v2v_snr(p_vehicle: float, gain: float, noise: float) -> float:
     if noise <= 0.0:
         raise ValueError(f"v2v_snr: noise power must be positive, got {noise}")
     return p_vehicle * gain / noise
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_row(fields):
+    """The (time, kind, ids, payload) row of a line's four fields."""
+    time_s, kind, ids_s, payload_s = fields
+    ids = tuple(map(int, ids_s.split(","))) if ids_s else ()
+    # json.loads(payload_s) in one raw_decode call when that consumes
+    # it whole; json.loads itself also skips surrounding whitespace, or
+    # raises
+    try:
+        payload, end = _raw_decode(payload_s)
+    except ValueError:
+        end = -1
+    if end != len(payload_s):
+        payload = json.loads(payload_s)
+    return float(time_s), kind, ids, payload
+
+
+def reference_read_trace(path):
+    """trace.read_trace, one _parse_row per line of a known kind: the
+    header and events of a trace file, or a ValueError that names the
+    path and the line reached."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        lines = fh.read().split("\n")
+    lineno = 1
+    try:
+        header = parse_header(first)
+        events = []
+        for lineno, line in enumerate(lines, 2):
+            fields = line.split("\t")
+            if len(fields) == 4:
+                if fields[1] in EVENT_KINDS:
+                    events.append(SimEvent(*_parse_row(fields)))
+            elif line.strip():
+                raise ValueError(f"not a trace event: {line!r}")
+        return header, events
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}, line {lineno}: {exc}") from exc
 
 
 def parse_event(line: str) -> SimEvent:

@@ -147,6 +147,29 @@ def test_calling_process_runs_every_workers_th_block_beside_a_smaller_pool(
     assert tree_bytes(os.path.join(pooled, "traces")) == traces
 
 
+def test_pool_starts_no_more_processes_than_blocks_sent_to_it(
+        tmp_path, monkeypatch):
+    # 5 runs on 4 workers make blocks of 2, 2 and 1 run indices: this
+    # process runs the first, and a pool of 2, not 3, the other two
+    started = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    base = ["compare", "--runs", "5", "--vehicles", "12", "--duration", "140"]
+    serial, pooled = str(tmp_path / "w1"), str(tmp_path / "w4")
+    assert main(base + ["--out", serial, "--workers", "1"]) == 0
+    assert not started
+    assert main(base + ["--out", pooled, "--workers", "4"]) == 0
+    assert started == [2]
+    traces = tree_bytes(os.path.join(serial, "traces"))
+    assert len(traces) == 5 * len(SCHEMES)
+    assert tree_bytes(os.path.join(pooled, "traces")) == traces
+
+
 def test_schemes_of_a_run_index_share_one_fleet(tmp_path, monkeypatch):
     calls = {"step": 0, "assign": 0}
 

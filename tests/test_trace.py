@@ -12,7 +12,7 @@ from uavclust.trace import (EVENT_KINDS, SimEvent, format_events,
                             format_header, format_number, parse_header,
                             read_trace, write_trace)
 
-from oracle import parse_event
+from oracle import parse_event, reference_read_trace
 
 
 def reference_format_event(event):
@@ -163,3 +163,69 @@ def test_read_trace_names_the_path_and_line_of_a_malformed_line(tmp_path):
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}, line 4: not a trace event")):
         read_trace(path)
+
+
+# trace lines for the reader oracle: every kind, parsed or not; payloads
+# json.loads accepts (surrounding whitespace, bare scalars, NaN,
+# escapes, nesting) or rejects ("{}x", "{} {}", empty); ids ints parse
+# with and without padding, or not at all
+_line_kinds = st.sampled_from(EVENT_KINDS + ("unknown", "CAM_BATCH", ""))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+_payload_texts = st.one_of(
+    st.sampled_from([
+        "{}", " {}", "{} ", "\r{}\r ", "{}x", "{} {}", "", " ", "NaN",
+        "-Infinity", "-0.0", "1e400", '"\\u00e9"', '{"\\u00e9":"\u00e9"}',
+        '{"a":{"b":[1,{"c":null}],"d":{}}}', '{"a":1,"a":2}', "{",
+        '{"a":1,}', "[1, 2]", "\ufeff{}", "{}\x0c", "tru"]),
+    st.builds(lambda value, ascii_only, pad: pad + json.dumps(
+        value, ensure_ascii=ascii_only) + pad,
+              _json_values, st.booleans(), st.sampled_from(["", " ", "\r"])))
+_ids_texts = st.one_of(
+    st.sampled_from(["", "7", "1,2,3", " 1", "1,,2", "0,4", "-3", "x"]),
+    st.lists(st.integers(), min_size=1, max_size=3).map(
+        lambda ids: ",".join(map(str, ids))))
+_times = st.one_of(
+    st.sampled_from(["0", "-0", "10", " 2.5", "nan", "-inf", "1e3", "x", ""]),
+    st.floats().map(format_number))
+_event_lines = st.builds(
+    lambda *fields: "\t".join(fields[:4]) + fields[4],
+    _times, _line_kinds, _ids_texts, _payload_texts, st.sampled_from(["", "\r"]))
+_trace_lines = st.one_of(
+    _event_lines, _event_lines,
+    st.sampled_from(["", " ", "\t", "\r", " \r", "\t\t\t", "a\tb", "a\tb\tc\td\te"]))
+
+
+def read_or_error(read, path):
+    """repr of read(path) (exact for floats, NaN included), or the
+    ValueError text it raised."""
+    try:
+        return repr(read(path))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=500)
+@given(lines=st.lists(_trace_lines, max_size=6), newline=st.booleans())
+@example(lines=['10\tcam_batch\t0,1\t{"snr":1.0}'] * 3, newline=True)
+@example(lines=["0\tclustering_round\t\t{}\r", "\r", "5\tbeacon_ok\t 1\t {} "],
+         newline=False)
+@example(lines=["0\tcam_batch\t1,,2\t{}"], newline=True)
+@example(lines=["0\tcam_batch\t0,1\t{} {}"], newline=True)
+@example(lines=["0\tcam_batch\t0,1\t" + "[" * 100000], newline=True)
+def test_read_trace_matches_the_reference_fold(tmp_path_factory, lines, newline):
+    path = str(tmp_path_factory.getbasetemp() / "drawn.trace")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([format_header({"scheme": "x"})] + lines)
+                 + ("\n" if newline else ""))
+    expected = read_or_error(reference_read_trace, path)
+    assert read_or_error(read_trace, path) == expected
+    if not expected.startswith("ValueError"):
+        # no two rows share a payload object, even with equal texts
+        containers = [ev.payload for ev in read_trace(path)[1]
+                      if isinstance(ev.payload, (dict, list))]
+        assert len({id(p) for p in containers}) == len(containers)
+

@@ -194,8 +194,9 @@ def _write_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     cumulative re-selections per scheme on the CAM grid."""
     scored = _run_experiment(config, schemes, runs, out_dir, workers)
     per_scheme = _write_aggregates(out_dir, config, scored)
-    grid = [k * config.cam_interval
-            for k in range(int(config.total_time / config.cam_interval) + 1)]
+    step = round(config.cam_interval / config.slot_duration)
+    grid = [k * config.slot_duration
+            for k in range(0, config.num_slots + 1, step)]
     series = {}
     for scheme, scheme_runs in scored.items():
         cum = [metrics.cumulative_at(rm, grid) for _, rm in scheme_runs]

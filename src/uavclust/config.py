@@ -136,6 +136,8 @@ def validate(config: SimConfig) -> SimConfig:
     wl = c.weight_reselect + c.weight_snr
     if not math.isclose(wl, 1.0, rel_tol=0, abs_tol=1e-9):
         errors.append(f"weight_reselect+weight_snr: must sum to 1, got {wl}")
+    if c.weight_reselect < 0 or c.weight_snr < 0:
+        errors.append("likelihood weights: must be nonnegative")
 
     for name in ("cam_interval", "beacon_interval", "cluster_interval",
                  "total_time"):

@@ -82,6 +82,21 @@ def test_compare_layout_and_likelihood(tmp_path):
     assert len(lines) == 1 + 140 // 10 + 1  # header + CAM grid rows
 
 
+def test_cam_grid_keeps_its_last_point_when_the_division_rounds_down(
+        tmp_path):
+    # 0.3 / 0.1 is 2.9999999999999996: the grid is counted in slots
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("slot_duration = 0.1\ncam_interval = 0.1\n"
+                   "beacon_interval = 0.1\ncluster_interval = 0.1\n"
+                   "total_time = 0.3\n")
+    out = str(tmp_path / "cmp")
+    assert main(["compare", "--config", str(cfg), "--out", out]) == 0
+    rows = read_bytes(os.path.join(out, "plots", "reselections_vs_time.dat")
+                      ).decode().splitlines()[1:]
+    assert [float(row.split()[0]) for row in rows] == [
+        k * 0.1 for k in range(4)]
+
+
 def test_workers_do_not_change_traces(tmp_path):
     serial, parallel = str(tmp_path / "w1"), str(tmp_path / "w2")
     base = ["compare", "--runs", "2", "--duration", "140"]

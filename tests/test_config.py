@@ -30,6 +30,14 @@ def test_weight_sum_violation_is_reported():
     assert "weight_speed" in str(exc.value)
 
 
+def test_negative_likelihood_weight_is_rejected():
+    cfg = dataclasses.replace(SimConfig(), weight_reselect=1.5,
+                              weight_snr=-0.5)
+    with pytest.raises(ConfigError) as exc:
+        validate(cfg)
+    assert "likelihood weights" in str(exc.value)
+
+
 def test_interval_divisibility_violation():
     cfg = dataclasses.replace(SimConfig(), slot_duration=7.0)
     with pytest.raises(ConfigError) as exc:

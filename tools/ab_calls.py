@@ -1,70 +1,104 @@
-"""Alternating in-process A/B of one workload's CLI calls: parent against change.
+"""Alternating in-process A/B of the benchmark's workloads: parent against change.
 
 Run from the repository root::
 
     python3 tools/ab_calls.py --parent <commit> --work <scratch dir> \\
-        --workload paper_default [--pairs 40] [--seed 1] [--setup]
+        [--workload <name> ...] [--pairs 40] [--seed 1] \\
+        [--pr <n> --change "<what changed>"]
 
-The parent side is ``git archive`` of the given commit and the change
-side a copy of the working tree (as tools/bench_pairs.py makes them).
-Both packages are imported into this one process, each the way
-perfbench/run.py's import_uavclust does it: from the tree's src/, after
-dropping every uavclust module imported before.  Each side then calls
-``cli.main`` on the workload's timed argv (perfbench/run.py's WORKLOADS
-and compare_argv, at --seed), once untimed and then once per pair: the
-parent first on odd pairs, the change first on even pairs.  Before each
-call the side's modules are put back into sys.modules and its src/ at
-the head of sys.path, so the forked workers of a process pool run that
-side's code.  Separate processes pick up load from other tenants for
-whole runs; calls alternated in one process share it, which resolves
-differences of a few percent.
+The parent side is ``git archive`` of the commit, the change side a copy
+of the working tree's tracked and untracked-but-not-ignored files.  For
+each workload (default: all of BENCHMARK.json) two measures alternate in
+this one process, once untimed per side and then once per pair, the
+parent first on odd pairs: setup_s, perfbench/run.py's set_up with the
+side's src/ at the head of sys.path (under PYTHONDONTWRITEBYTECODE=1 each
+compiles src/), then runs_per_s, the timed ``cli.main`` call on the
+side's last set-up, with its modules back in sys.modules so a process
+pool forks its code.  Calls that alternate share other tenants' load,
+which separate processes do not.  peak_rss_mb is left to the benchmark.
 
-With --setup the tool times perfbench/run.py's set_up of the workload
-instead of its timed call: the import of the side's package from its
-src/, the config validation and, for reaggregate, the traces it writes.
-Each side's set_up runs with that side's src/ at the head of sys.path,
-once untimed and then once per pair, in the same alternating order.
-Bytecode caching is left as the environment sets it: under
-PYTHONDONTWRITEBYTECODE=1, as the benchmark's set-ups run, every set_up
-compiles the package from source.
-
-Prints each side's median and quartiles of the call's wall time (ms),
-the pairs in which the change's call was faster and the ratio of the
-medians, change over parent; the last line is the same as one JSON
-object.
+Each (workload, metric) cell holds each side's median and quartiles
+(inclusive method), the pairs the change won (ties count for neither),
+the ratio of the medians and a verdict: "gain met" if the change won at
+least 90 % of the pairs and its median gain exceeds the parent's IQR;
+else "unresolved" if the parent's IQR over median is wider than the
+bound and the change does not beat every parent run; else within or
+beyond the bound by the ratio of the medians.  Both sides' outputs must
+agree, and the change must match the golden grid and, at the pinned
+seed, each workload's trace_body_sha256.  --pr and --change write
+BENCH_<pr>.json.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import glob
+import hashlib
 import importlib
+import io
 import json
 import os
+import pathlib
+import platform
 import shutil
 import statistics
+import subprocess
 import sys
+import tarfile
 import time
 from typing import Callable, Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+MEASURED = ("runs_per_s", "setup_s")  # peak_rss_mb is the benchmark's own
 
 
-def summarize(times: Dict[str, List[float]]) -> Dict[str, object]:
-    """Each side's median and quartiles of its call times (statistics
-    .quantiles, inclusive method), the pairs in which the change's call
-    was faster (ties counting for neither) and the ratio of the
-    medians, change over parent."""
-    out: Dict[str, object] = {}
-    for side in SIDES:
-        q1, median, q3 = statistics.quantiles(times[side], n=4,
-                                              method="inclusive")
-        out[side] = {"median": median, "q1": q1, "q3": q3}
-    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    out["change_faster_pairs"] = f"{wins}/{len(times['parent'])}"
-    out["change_over_parent_median"] = (out["change"]["median"]
-                                        / out["parent"]["median"])
-    return out
+def parent_tree(commit: str, dest: str) -> None:
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+
+
+def change_tree(dest: str) -> None:
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    for rel in filter(None, listed.split("\0")):
+        src = os.path.join(ROOT, rel)
+        if os.path.isfile(src):  # not deleted in the working tree
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)),
+                        exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel))
+
+
+def sources(tree: str) -> Dict[str, bytes]:
+    """The package's Python sources (src/uavclust/*.py) by file name."""
+    package = pathlib.Path(tree, "src", "uavclust")
+    return {path.name: path.read_bytes()
+            for path in sorted(package.glob("*.py"))}
+
+
+def src_lines(tree: str) -> int:
+    """Lines of the package's Python sources (wc -l src/uavclust/*.py)."""
+    return sum(text.count(b"\n") for text in sources(tree).values())
+
+
+def measured_tree(tree: str) -> str:
+    """What the change side measured: its sources' line count and one
+    sha256 over their names and bytes, to compare with a commit."""
+    digest = hashlib.sha256()
+    for name, text in sources(tree).items():
+        digest.update(name.encode() + b"\0" + text)
+    return (f"src/uavclust/*.py of the change side: {src_lines(tree)} lines, "
+            f"sha256 {digest.hexdigest()} over each file's name and bytes")
+
+
+def perfbench():
+    """perfbench/run.py as a module; its checks module is .checks."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    return importlib.import_module("run")
 
 
 def alternate(measure: Callable[[str], float],
@@ -81,116 +115,215 @@ def alternate(measure: Callable[[str], float],
     return times
 
 
-def setup_measure(bench, wl, trees: Dict[str, str], seed: int,
-                  work: str) -> Callable[[str], float]:
-    """measure(side) for --setup: the wall time of bench.set_up(wl,
-    seed, ...) with the side's src/ at the head of sys.path."""
+def _sig(value: float) -> float:
+    return float(f"{value:.6g}")
+
+
+def summarize(values: Dict[str, List[float]], better: str,
+              bound: float) -> Dict[str, object]:
+    """One (workload, metric) cell from each side's values of the pairs,
+    with its verdict (see the module docstring)."""
+    sign = 1.0 if better == "higher" else -1.0
+    cell: Dict[str, object] = {}
+    for side in SIDES:
+        q1, median, q3 = statistics.quantiles(values[side], n=4,
+                                              method="inclusive")
+        cell[side] = {"median": median, "q1": q1, "q3": q3}
+    parent, change = cell["parent"], cell["change"]
+    pairs = len(values["parent"])
+    wins = sum(sign * (c - p) > 0
+               for p, c in zip(values["parent"], values["change"]))
+    ratio = change["median"] / parent["median"]
+    gain = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    spread = iqr / parent["median"]
+    beats_all = (min(sign * v for v in values["change"])
+                 > max(sign * v for v in values["parent"]))
+    if 10 * wins >= 9 * pairs and gain > iqr:
+        verdict = (f"gain met: median gain {_sig(gain)} exceeds the "
+                   f"parent's IQR {_sig(iqr)}")
+    elif spread > bound and not beats_all:
+        verdict = (f"unresolved: the parent's spread {spread:.2f} is wider "
+                   f"than its {bound} bound")
+    else:
+        verdict = (f"{'within' if sign * (1.0 - ratio) <= bound else 'beyond'}"
+                   f" its {bound} bound")
+    for side in SIDES:
+        cell[side] = {key: _sig(v) for key, v in cell[side].items()}
+        cell[side]["runs"] = [_sig(v) for v in values[side]]
+    cell["change_better_pairs"] = f"{wins}/{pairs}"
+    cell["change_over_parent_median"] = round(ratio, 4)
+    cell["verdict"] = verdict
+    return cell
+
+
+def outputs(bench, out_dir: str) -> Dict[str, object]:
+    """What a call left in out_dir that both sides must agree on: the
+    trace names, one sha256 over their bodies (headers carry the config
+    digest) and the fields of each aggregate.<scheme>.txt."""
+    traces = sorted(glob.glob(os.path.join(out_dir, "traces", "*.trace")))
+    found: Dict[str, object] = {
+        "traces": [os.path.basename(path) for path in traces],
+        "trace bodies": bench.checks.bodies_sha256(traces)}
+    for path in sorted(glob.glob(os.path.join(out_dir, "aggregate.*.txt"))):
+        found[os.path.basename(path)] = bench.read_aggregate(path)
+    return found
+
+
+def parity(bench, out_dirs: Dict[str, str]) -> str:
+    found = {side: outputs(bench, out_dirs[side]) for side in SIDES}
+    keys = sorted(set(found["parent"]) | set(found["change"]))
+    differ = [key for key in keys
+              if found["parent"].get(key) != found["change"].get(key)]
+    return "equal" if not differ else "differ: " + ", ".join(differ)
+
+
+def set_up_measure(bench, wl, trees: Dict[str, str], seed: int, work: str,
+                   prepared: Dict[str, object]) -> Callable[[str], float]:
+    """measure(side): the wall time of bench.set_up(wl, seed, ...) with
+    the side's src/ at the head of sys.path.  prepared[side] keeps the
+    side's last set-up and the uavclust modules it imported."""
     def measure(side: str) -> float:
         sys.path[0] = os.path.join(trees[side], "src")
-        return bench.set_up(wl, seed, os.path.join(work, f"{side}-setup"))[1]
+        prep, wall = bench.set_up(wl, seed,
+                                  os.path.join(work, f"{side}-{wl.name}"))
+        prepared[side] = prep, {name: module
+                                for name, module in sys.modules.items()
+                                if name.partition(".")[0] == "uavclust"}
+        return wall
     return measure
 
 
-def _drop_uavclust() -> None:
-    for name in [m for m in sys.modules
-                 if m == "uavclust" or m.startswith("uavclust.")]:
-        del sys.modules[name]
-
-
-def _import_tree(tree: str) -> Dict[str, object]:
-    """The uavclust modules of a tree, imported fresh from its src/."""
-    _drop_uavclust()
-    sys.path.insert(0, os.path.join(tree, "src"))
-    try:
-        importlib.invalidate_caches()
-        importlib.import_module("uavclust.cli")
-    finally:
-        sys.path.pop(0)
-    return {name: module for name, module in sys.modules.items()
-            if name == "uavclust" or name.startswith("uavclust.")}
-
-
 def _install(tree: str, modules: Dict[str, object]) -> None:
-    _drop_uavclust()
+    for name in [m for m in sys.modules if m.partition(".")[0] == "uavclust"]:
+        del sys.modules[name]
     sys.modules.update(modules)
     sys.path[0] = os.path.join(tree, "src")
 
 
+def call_measure(bench, wl, seed: int, trees: Dict[str, str],
+                 prepared: Dict[str, object]) -> Callable[[str], float]:
+    """measure(side): the wall time of the workload's timed cli.main
+    call on the side's last set-up, as perfbench/run.py makes it."""
+    def measure(side: str) -> float:
+        prep, modules = prepared[side]
+        argv = (["metrics", "--out", prep.out_dir] if wl.command == "metrics"
+                else bench.compare_argv(prep.config_path, wl.runs, seed,
+                                        wl.workers, prep.out_dir))
+        _install(trees[side], modules)
+        gc.collect()
+        start = time.perf_counter()
+        rc = prep.uav.cli.main(argv)
+        wall = time.perf_counter() - start
+        if rc != 0:
+            raise RuntimeError(f"{side}: cli {argv} exited with {rc}")
+        return wall
+    return measure
+
+
+def ab_workload(bench, wl, trees: Dict[str, str], args, metrics: Dict,
+                pins: Dict) -> Dict[str, object]:
+    """The report entry of one workload: its two cells, the parity of
+    the two sides' outputs and the change's trace digest."""
+    prepared: Dict[str, object] = {}
+    setup_s = alternate(set_up_measure(bench, wl, trees, args.seed,
+                                       args.work, prepared), args.pairs)
+    walls = alternate(call_measure(bench, wl, args.seed, trees, prepared),
+                      args.pairs)
+    ops = wl.runs * len(bench.checks.SCHEMES)
+    values = {"runs_per_s": {side: [ops / w for w in walls[side]]
+                             for side in SIDES},
+              "setup_s": setup_s}
+    entry = {name: summarize(values[name], spec["better"], spec["bound"])
+             for name, spec in metrics.items()}
+    out_dirs = {side: prepared[side][0].out_dir for side in SIDES}
+    entry["parity"] = parity(bench, out_dirs)
+    digest = bench.checks.bodies_sha256(
+        bench.checks.trace_path(out_dirs["change"], scheme, k)
+        for scheme in bench.checks.SCHEMES for k in range(wl.runs))
+    pinned = pins["workloads"][wl.name]["trace_body_sha256"]
+    status = ("unpinned seed" if args.seed != bench.checks.PINNED_SEED else
+              "matches the pin" if digest == pinned else "differs from the pin")
+    entry["trace_body_sha256"] = f"{digest} on the change ({status})"
+    return entry
+
+
 def main(argv=None) -> int:
+    bench = perfbench()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    metrics = {m["name"]: m for m in spec["end_to_end"]
+               if m["name"] in MEASURED}
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
     parser.add_argument("--work", required=True,
                         help="directory for the two trees (emptied first)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append",
+                        choices=sorted(bench.WORKLOADS),
+                        help="repeatable; default: all of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=40)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--setup", action="store_true",
-                        help="time perfbench's set_up, not the timed call")
+    parser.add_argument("--pr", type=int, help="write BENCH_<pr>.json")
+    parser.add_argument("--change", help="what the change does (with --pr)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
-    if not args.setup:
-        sys.dont_write_bytecode = True
-    sys.path[:0] = [os.path.join(ROOT, "tools"), os.path.join(ROOT, "perfbench")]
-    import bench_pairs
-    bench = importlib.import_module("run")
-    if args.workload not in bench.WORKLOADS:
-        parser.error(f"--workload must be one of {sorted(bench.WORKLOADS)}")
-    wl = bench.WORKLOADS[args.workload]
-
+    if (args.pr is None) != (args.change is None):
+        parser.error("--pr and --change go together")
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     shutil.rmtree(args.work, ignore_errors=True)
     trees = {side: os.path.join(args.work, side) for side in SIDES}
-    bench_pairs.parent_tree(args.parent, trees["parent"])
-    bench_pairs.change_tree(trees["change"])
-    if args.setup:
-        sys.path.insert(0, "")  # setup_measure puts a side's src/ here
-        times = alternate(setup_measure(bench, wl, trees, args.seed,
-                                        args.work), args.pairs)
-        report(times, {"workload": args.workload, "seed": args.seed,
-                       "setup": True})
-        return 0
-    modules = {side: _import_tree(trees[side]) for side in SIDES}
-    sys.path.insert(0, "")  # the slot _install fills with a side's src/
+    parent_tree(args.parent, trees["parent"])
+    change_tree(trees["change"])
+    sys.path.insert(0, "")  # the slot a side's src/ is put in
+    pins = bench.checks.load_pins()
+    report: Dict[str, object] = {
+        "change": args.change,
+        "parent_commit": args.parent,
+        "tool": "tools/ab_calls.py (its docstring gives the method)",
+        "bytecode": ("not written: every set_up compiles src/"
+                     if sys.dont_write_bytecode else
+                     "written on a side's first set_up, then read"),
+        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, "
+                f"{platform.system()} {platform.release()}, Python "
+                f"{platform.python_version()}",
+        "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+        "measured_tree": measured_tree(trees["change"]),
+        "pairs": args.pairs,
+        "seed": args.seed,
+        "peak_rss_mb": "not measured: one process cannot give each side "
+                       "its own peak",
+        "workloads": {},
+    }
+    sys.path[0] = os.path.join(trees["change"], "src")
+    grid_dir = os.path.join(args.work, "grid")
+    os.makedirs(grid_dir)
+    cells, failed = bench.checks.check_grid(
+        bench.import_uavclust(), pins["golden_grid"], grid_dir, print)
+    report["golden_grid"] = (f"{cells - failed}/{cells} cells match the pin "
+                             "on the change")
+    print(f"golden grid: {report['golden_grid']}", flush=True)
+    for name in workloads:
+        entry = ab_workload(bench, bench.WORKLOADS[name], trees, args,
+                            metrics, pins)
+        report["workloads"][name] = entry
+        for metric in metrics:
+            cell = entry[metric]
+            print(f"{name} {metric} {cell['parent']['median']} -> "
+                  f"{cell['change']['median']} "
+                  f"(x{cell['change_over_parent_median']}, change better in "
+                  f"{cell['change_better_pairs']}, {cell['verdict']})",
+                  flush=True)
+        print(f"{name} parity: {entry['parity']}; trace_body_sha256 "
+              f"{entry['trace_body_sha256']}", flush=True)
 
-    def call(side: str, call_argv: List[str]) -> float:
-        _install(trees[side], modules[side])
-        gc.collect()
-        start = time.perf_counter()
-        rc = modules[side]["uavclust.cli"].main(call_argv)
-        wall = time.perf_counter() - start
-        if rc != 0:
-            raise RuntimeError(f"{side}: cli {call_argv} exited with {rc}")
-        return wall
-
-    argvs = {}
-    for side in SIDES:
-        config_path = os.path.join(args.work, f"{side}.cfg")
-        with open(config_path, "w", encoding="utf-8") as fh:
-            fh.write(wl.config_text)
-        out_dir = os.path.join(args.work, f"{side}-out")
-        if wl.command == "metrics":
-            call(side, bench.compare_argv(config_path, wl.runs, args.seed, 1,
-                                          out_dir))
-            argvs[side] = ["metrics", "--out", out_dir]
-        else:
-            argvs[side] = bench.compare_argv(config_path, wl.runs, args.seed,
-                                             wl.workers, out_dir)
-    times = alternate(lambda side: call(side, argvs[side]), args.pairs)
-    report(times, {"workload": args.workload, "seed": args.seed,
-                   "argv": argvs["change"]})
+    if args.pr is not None:
+        path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+        print(f"wrote {os.path.relpath(path, ROOT)}")
     return 0
-
-
-def report(times: Dict[str, List[float]], head: Dict[str, object]) -> None:
-    """Print summarize(times) in ms, then as one JSON object after head."""
-    summary = summarize(times)
-    for side in SIDES:
-        stats = summary[side]
-        print(f"{side}: median {stats['median'] * 1e3:.2f} ms, quartiles "
-              f"{stats['q1'] * 1e3:.2f} - {stats['q3'] * 1e3:.2f} ms")
-    print(f"change faster in {summary['change_faster_pairs']} pairs; change "
-          f"over parent median x{summary['change_over_parent_median']:.4f}")
-    print(json.dumps({**head, **summary}))
 
 
 if __name__ == "__main__":

@@ -224,12 +224,16 @@ def _load_base_config(args, default_path: Optional[str] = None) -> SimConfig:
 
 
 def _experiment_schemes(args) -> List[str]:
-    """The schemes of --scheme (all by default).  Bad schemes, runs or
-    workers are rejected here, before anything under --out is touched."""
+    """The schemes of --scheme (all by default).  Bad or repeated schemes,
+    runs or workers are rejected here, before anything under --out is
+    touched."""
     schemes = args.scheme.split(",") if args.scheme else list(SCHEMES)
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
         raise ValueError(f"unknown scheme(s) {unknown}; expected {list(SCHEMES)}")
+    repeated = sorted({s for s in schemes if schemes.count(s) > 1})
+    if repeated:
+        raise ValueError(f"scheme(s) {repeated} given more than once")
     if args.runs < 1:
         raise ValueError(f"--runs must be >= 1, got {args.runs}")
     if args.workers < 1:

@@ -173,7 +173,7 @@ def _parse_value(name: str, raw: str):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ConfigError([f"{name}: expected a boolean, got {raw!r}"])
+        raise ValueError(f"expected a boolean, got {text!r}")
     if field_type == "int":
         return int(text)
     if field_type == "str":
@@ -182,9 +182,11 @@ def _parse_value(name: str, raw: str):
 
 
 def parse_config_text(text: str) -> SimConfig:
-    """Build a SimConfig from flat key = value text."""
+    """Build a SimConfig from flat key = value text; a key given on
+    more than one line is an error, as order would decide its value."""
     known = {f.name for f in dataclasses.fields(SimConfig)}
     values: Dict[str, object] = {}
+    lines: Dict[str, int] = {}  # the line each key was given on
     errors: List[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -198,9 +200,14 @@ def parse_config_text(text: str) -> SimConfig:
         if key not in known:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
+        if key in lines:
+            errors.append(f"line {lineno}: {key}: already given on line "
+                          f"{lines[key]}")
+            continue
+        lines[key] = lineno
         try:
             values[key] = _parse_value(key, raw)
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             errors.append(f"line {lineno}: {key}: {exc}")
     if errors:
         raise ConfigError(errors)

@@ -25,15 +25,17 @@ clusters in one masked write (_respawn).  A backup rebuild only records
 the survey it is ranked from; the list is ranked at the first pop after
 it (_handle_departure), since most lists are never popped.  Neighbor
 counts are made only where read: every row's at rounds, for the
-proposed selection, and a cluster's own members' at its first pop.  The
-recorded CH-member links of the whole block are sampled after the last
-slot, each distinct link key once, in a few numpy passes
+proposed selection, and a cluster's own members' at its first pop.  Each
+CAM batch records its clusters' CH-member links where it handles them
+(Simulation._cam_batch); after the last slot the links of the whole
+block are sampled, each distinct link key once, in a few numpy passes
 (_sample_cam_links).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -113,9 +115,12 @@ class Traffic:
     slot), at a beacon check whether each UAV covers it (outside, (runs,
     UAVs, vehicles)), and the slot's position array, held by reference.
     Survey and step replace these and never write them, so a backup
-    ranking may hold them until it runs.  A given initial_fleet starts
-    every run, is copied, never stepped, and must hold finite positions
-    and speeds in [0, inf)."""
+    ranking, or cams, may hold them until it runs.  cams holds the t_ms
+    and position array of every CAM batch so far, which run_block
+    appends; link_gen is the block's one generator for the slow-path
+    draws of link streams (Simulation._link_rng).  A given initial_fleet
+    starts every run, is copied, never stepped, and must hold finite
+    positions and speeds in [0, inf)."""
 
     def __init__(self, config: SimConfig, *mobility_seeds: int,
                  initial_fleet: Optional[Fleet] = None):
@@ -139,6 +144,8 @@ class Traffic:
         self.fleet.age = np.stack([f.age for f in fleets])
         self.avg_speed = self.nbr_count = self.assignment = None
         self.outside = self.x = None
+        self.cams: List[Tuple[int, np.ndarray]] = []
+        self.link_gen = np.random.Generator(np.random.PCG64(0))
         # the ids of events: one tuple per (UAV, vehicle) and per vehicle,
         # shared by every event of the block that names them
         vehicles = self.fleet.x.shape[1]
@@ -201,34 +208,35 @@ class Simulation:
         self._selected = [MappingProxyType({"scheme": config.scheme,
                                             "degraded": degraded})
                           for degraded in (False, True)]
-        self._link_gen = np.random.Generator(np.random.PCG64(0))
         self.clusters: Dict[int, _ClusterState] = {
             u.id: _ClusterState(uav=u) for u in traffic.uavs}
         self.member_of = np.full(traffic.fleet.x.shape[-1], -1, dtype=np.int64)
         self.members: List[List[int]] = []
         self.events: List[SimEvent] = []
         self.round_index = 0
-        # the payloads of its cam_batch events with CH-member links
-        self.cam_payloads: List[dict] = []
+        # (payload, index in traffic.cams, CH, members) of each cam_batch
+        # event with CH-member links: every member but the CH is one
+        self.cam_links: List[Tuple[dict, int, int, List[int]]] = []
 
     # -- helpers ---------------------------------------------------------
 
     def _link_rng(self, state: int, inc: int) -> np.random.Generator:
-        """Fading stream for one link at one time: the simulation's one
-        link generator, set to the PCG64 state ``(state, inc)`` that
-        ``np.random.default_rng((fading seed, t_ms, lo, hi))`` starts
-        from (see pcg64_states).  Only links whose draws leave the
+        """Fading stream for one link at one time: the block's one link
+        generator (Traffic.link_gen), set to the PCG64 state ``(state,
+        inc)`` that ``np.random.default_rng((fading seed, t_ms, lo, hi))``
+        starts from (see pcg64_states).  Only links whose draws leave the
         ziggurat fast path read it (_link_snrs).
 
         Keyed by (fading seed, time, endpoints) so schemes sharing a
         fading seed see identical draws for identical link samples:
         the common-random-numbers side of the paired-seed design.
         """
-        self._link_gen.bit_generator.state = {
+        link_gen = self.traffic.link_gen
+        link_gen.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
-        return self._link_gen
+        return link_gen
 
     def _features(self, uav: UavNode, members: List[int], avg_speed, x,
                   nbr_count: List[int]):
@@ -313,13 +321,14 @@ class Simulation:
             self._rebuild_backup(state, members)
 
     def _cam_batch(self, t: float) -> None:
-        """CAM round: rebuild backups and emit each cluster's cam_batch.
+        """CAM round: rebuild backups, emit each cluster's cam_batch and
+        record its CH-member links at the last of traffic.cams.
 
-        run_block records the CH-member links, whose SNR is sampled
-        after the run (_sample_cam_links); it never feeds back into the
-        simulation.
+        Their SNR is sampled after the run (_sample_cam_links); it never
+        feeds back into the simulation.
         """
         events = self.events
+        cam = len(self.traffic.cams) - 1
         for state, members, ids in zip(self.clusters.values(), self.members,
                                        self.traffic.cluster_ids):
             count = len(members)
@@ -328,7 +337,7 @@ class Simulation:
             self._rebuild_backup(state, members)
             payload = {"members": count, "tenure": state.tenure}
             if count > 1:
-                self.cam_payloads.append(payload)
+                self.cam_links.append((payload, cam, state.ch, members))
             events.append(make_event((t, "cam_batch", ids[state.ch],
                                       payload)))
 
@@ -519,7 +528,6 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
     rows = member_of.reshape(len(sims), vehicles)
     for sim, row in zip(sims, rows):
         sim.member_of = row
-    links = []
     dt = cfg.slot_duration
     speed_range = (cfg.v_min, cfg.v_max_vehicle)
     # the proposed selection reads every row's count at rounds; a backup
@@ -530,6 +538,8 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
         traffic.survey(with_neighbors and is_round, is_round, is_beacon)
         if is_round:
             member_of[:] = traffic.assignment[:, None, :]
+        if is_cam:
+            traffic.cams.append((int(round(t * 1000)), traffic.x))
         if is_round or is_cam:
             for sim, row in zip(sims, rows.tolist()):
                 sim.members = [[] for _ in traffic.uavs]
@@ -541,15 +551,6 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
                 sim._clustering_round(t)
             elif is_cam:
                 sim._cam_batch(t)
-        if is_cam:
-            # each member of a cluster other than its CH is a CH-member
-            # link (sim, CH, member), recorded with the slot's positions
-            link = [(s, state.ch, vid) for s, sim in enumerate(sims)
-                    for state, members in zip(sim.clusters.values(),
-                                              sim.members)
-                    for vid in members if vid != state.ch]
-            if link:
-                links.append((int(round(t * 1000)), traffic.x, *zip(*link)))
         if is_beacon:
             for sim in sims:
                 sim._beacon_check(t)
@@ -558,62 +559,54 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
         if respawned:
             _respawn(sims, member_of, lambda slot: (k + slot) * dt + dt,
                      respawned)
-    _sample_cam_links(sims, links, traffic.fleet.y)
+    _sample_cam_links(sims, traffic)
     return [{scheme: sim.events for scheme, sim in
              zip(schemes, sims[b * len(schemes):(b + 1) * len(schemes)])}
             for b in range(runs)]
 
 
-def _sample_cam_links(sims: List[Simulation], links, y: np.ndarray) -> None:
+def _sample_cam_links(sims: List[Simulation], traffic: Traffic) -> None:
     """Set each recorded cam_batch payload's "snr" to the mean SNR of
     its CH-member links, in member order.
 
-    links holds, per CAM slot with links, its t_ms, position array and
-    the simulation, CH and member of each of its links; y is the block
-    fleet's y.  The schemes of a run index share the fleet and the
-    fading seed, so a link key (run, slot, lo, hi) has one distance and
-    one stream, that of (fading seed, t_ms, lo, hi), in every scheme
-    that records it.  Each distinct key is sampled once, in the order
-    keys were first recorded, the links taken run by run and each run's
-    scheme by scheme, LINK_CHUNK keys per batch of numpy passes
-    (Simulation._link_snrs).  A key's distance is math.hypot of its
-    endpoints' offsets, floored at MIN_V2V_DISTANCE; the sign of the
-    offsets does not matter, so it is the same from either endpoint.
+    The schemes of a run index share the fleet and the fading seed, so a
+    link key (run, CAM batch, lo, hi) has one distance and one stream,
+    that of (fading seed, t_ms, lo, hi), in every scheme that records
+    it.  Each distinct key is sampled once, in the order keys were first
+    recorded, the links taken simulation by simulation (run by run, and
+    each run's scheme by scheme), LINK_CHUNK keys per batch of numpy
+    passes (Simulation._link_snrs).  A key's distance is math.hypot of
+    its endpoints' offsets in traffic.cams' position array, floored at
+    MIN_V2V_DISTANCE; the sign of the offsets does not matter, so it is
+    the same from either endpoint.
     """
-    if not links:
+    keys: Dict[Tuple[int, int, int, int], int] = {}
+    number = [keys.setdefault((sim.row, cam, ch, vid) if ch < vid
+                              else (sim.row, cam, vid, ch), len(keys))
+              for sim in sims for _, cam, ch, members in sim.cam_links
+              for vid in members if vid != ch]
+    if not number:
         return
-    t_ms, xs, sim, ch, member = zip(*links)
-    slot = np.repeat(np.arange(len(links)), [len(s) for s in sim])
-    sim, ch, member = (np.concatenate(a) for a in (sim, ch, member))
-    order = np.argsort(sim, kind="stable")
-    runs, vehicles = y.shape
-    schemes = len(sims) // runs
-    dims = (runs, len(links), vehicles, vehicles)
-    keys, first, key_number = np.unique(np.ravel_multi_index(
-        (sim[order] // schemes, slot[order],
-         np.minimum(ch, member)[order], np.maximum(ch, member)[order]), dims),
-        return_index=True, return_inverse=True)
-    # renumber the keys in the order they were first recorded
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    run, key_slot, lo, hi = np.unravel_index(keys[order], dims)
-    x = np.stack(xs)
-    dx = x[key_slot, run, lo] - x[key_slot, run, hi]
+    run, cam, lo, hi = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
+                                   count=4 * len(keys)).reshape(-1, 4).T
+    t_ms, xs = zip(*traffic.cams)
+    x, y = np.stack(xs), traffic.fleet.y
+    dx = x[cam, run, lo] - x[cam, run, hi]
     dy = y[run, lo] - y[run, hi]
     dist = np.maximum(MIN_V2V_DISTANCE, np.fromiter(
         map(math.hypot, dx.tolist(), dy.tolist()), dtype=float,
         count=len(dx)))
+    schemes = len(sims) // len(y)
     fading = np.array([s.seeds.fading for s in sims[::schemes]],
                       dtype=np.uint64)[run]
-    key_t_ms = np.array(t_ms)[key_slot]
+    key_t_ms = np.array(t_ms)[cam]
     snrs = np.empty(len(dist))
     for start in range(0, len(dist), LINK_CHUNK):
         part = slice(start, start + LINK_CHUNK)
         states = pcg64_states(fading[part], key_t_ms[part], lo[part], hi[part])
         snrs[part] = sims[0]._link_snrs(states, dist[part].tolist())
-    _set_mean_snrs([p for s in sims for p in s.cam_payloads],
-                   snrs[rank[key_number]])
+    _set_mean_snrs([link[0] for s in sims for link in s.cam_links],
+                   snrs[number])
 
 
 def _set_mean_snrs(payloads: List[dict], snrs: np.ndarray) -> None:

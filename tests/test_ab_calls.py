@@ -51,6 +51,23 @@ def test_summary_of_a_change_slower_in_every_pair():
     assert cell["change_over_parent_median"] == pytest.approx(2.0)
 
 
+def test_pair_ratios_are_taken_pair_by_pair():
+    # both sides drift 1 -> 4 over the run; each pair's change reads
+    # 1.1 times its parent, which the sides' own spreads do not show
+    cell = AB_CALLS.summarize({"parent": [1.0, 2.0, 3.0, 4.0, 2.0],
+                               "change": [1.1, 2.2, 3.3, 4.4, 2.2]},
+                              "higher", 0.25)
+    assert cell["change_over_parent_pairs"] == {"median": 1.1, "q1": 1.1,
+                                                "q3": 1.1}
+    cell = AB_CALLS.summarize({"parent": [2.0, 2.0, 4.0, 4.0, 5.0],
+                               "change": [1.0, 3.0, 4.0, 6.0, 5.0]},
+                              "lower", 0.25)
+    # pair ratios 0.5, 1.5, 1.0, 1.5, 1.0, kept as measured whichever
+    # way is better
+    assert cell["change_over_parent_pairs"] == {"median": 1.0, "q1": 1.0,
+                                                "q3": 1.5}
+
+
 def test_verdicts_within_beyond_and_unresolved():
     # narrow spreads: within, then beyond by the ratio of the medians
     assert verdict([100, 101, 102, 103], [90, 91, 92, 93]) == (

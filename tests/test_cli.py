@@ -298,6 +298,29 @@ def test_rejected_experiment_leaves_out_untouched(tmp_path, capsys):
     assert "--runs" in err and "nosuch" in err
 
 
+def test_inputs_given_twice_are_rejected_before_out_is_touched(tmp_path,
+                                                                capsys):
+    # whichever of the two came last would otherwise decide the run
+    out = str(tmp_path / "done")
+    assert main(["compare", "--runs", "1", "--duration", "70",
+                 "--out", out]) == 0
+    before = tree_bytes(out)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("num_vehicles = 10\nnum_vehicles = 20\n")
+    sweep = ["sweep", "--var", "vehicles", "--values", "5"]
+    for bad, message in (
+            (["compare", "--scheme", "proposed,proposed"],
+             "error: scheme(s) ['proposed'] given more than once\n"),
+            (sweep + ["--scheme", "vmasc,random,vmasc"],
+             "error: scheme(s) ['vmasc'] given more than once\n"),
+            (["compare", "--config", str(cfg)],
+             "error: line 2: num_vehicles: already given on line 1\n")):
+        capsys.readouterr()
+        assert main(bad + ["--runs", "1", "--out", out]) == 1, bad
+        assert capsys.readouterr().err == message
+        assert tree_bytes(out) == before, bad
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_are_rejected_before_out_is_touched(
         tmp_path, capsys, workers):

@@ -68,6 +68,20 @@ def test_parse_rejects_unknown_key():
     assert "no_such_field" in str(exc.value)
 
 
+def test_parse_rejects_a_key_given_twice():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("num_vehicles = 10\nseed = 3\nnum_vehicles = 20\n")
+    assert exc.value.errors == ["line 3: num_vehicles: already given on line 1"]
+
+
+def test_parse_error_names_the_key_once_and_the_stripped_value():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("benchmarks_use_backup = maybe\nnum_vehicles = x\n")
+    assert exc.value.errors == [
+        "line 1: benchmarks_use_backup: expected a boolean, got 'maybe'",
+        "line 2: num_vehicles: invalid literal for int() with base 10: 'x'"]
+
+
 def test_parse_ignores_comments_and_blanks():
     cfg = parse_config_text("# comment\n\nnum_vehicles = 7  # trailing\n")
     assert cfg.num_vehicles == 7

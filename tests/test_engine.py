@@ -605,6 +605,36 @@ def test_degenerate_shadowing_fails_as_the_per_link_reference(monkeypatch):
     assert set(raised) == {OverflowError, ValueError}
 
 
+@pytest.mark.parametrize("overrides, runs, drawn_keys, recorded_links", [
+    ({}, 5, 2221, 3505), (DENSE, 1, 7307, 8038)])
+def test_each_link_key_is_drawn_once(overrides, runs, drawn_keys,
+                                     recorded_links, monkeypatch):
+    # the schemes of a run index record many of the same links, so a
+    # block seeds only its distinct keys (fading seed, t_ms, lo, hi)
+    cfg = validate(dataclasses.replace(SimConfig(), seed=1, **overrides))
+    sims, drawn = [], []
+    real = engine.pcg64_states
+
+    def counted(*columns):
+        drawn.extend(zip(*(np.asarray(c).tolist() for c in columns)))
+        return real(*columns)
+
+    def tracked(*args):
+        sims.append(CamSnapshots(*args))
+        return sims[-1]
+
+    monkeypatch.setattr(engine, "pcg64_states", counted)
+    monkeypatch.setattr(engine, "Simulation", tracked)
+    engine.run_block(cfg, [{s: run_seeds(1, k, s) for s in SCHEMES}
+                           for k in range(runs)])
+    links = [(sim.seeds.fading, int(round(t * 1000)), *sorted((ch, vid)))
+             for sim in sims for t, _, clusters in sim.snapshots
+             for ch, members in clusters.values()
+             for vid in members if vid != ch]
+    assert sorted(drawn) == sorted(set(links))
+    assert (len(drawn), len(links)) == (drawn_keys, recorded_links)
+
+
 # trace-body sha256 (length-prefixed, as in test_golden) of the default
 # 700 s scenario at I = 100 with fast fading, seed 1, run 0; pinned
 # before the neighbor table was shared within a slot.

@@ -19,7 +19,9 @@ which separate processes do not.  peak_rss_mb is left to the benchmark.
 
 Each (workload, metric) cell holds each side's median and quartiles
 (inclusive method), the pairs the change won (ties count for neither),
-the ratio of the medians and a verdict: "gain met" if the change won at
+the ratio of the medians, the median and quartiles of the per-pair
+change/parent ratios, which load drift over the run moves less than
+either side's spread, and a verdict: "gain met" if the change won at
 least 90 % of the pairs and its median gain exceeds the parent's IQR;
 else "unresolved" if the parent's IQR over median is wider than the
 bound and the change does not beat every parent run; else within or
@@ -119,6 +121,11 @@ def _sig(value: float) -> float:
     return float(f"{value:.6g}")
 
 
+def _quartiles(values: List[float]) -> Dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(values: Dict[str, List[float]], better: str,
               bound: float) -> Dict[str, object]:
     """One (workload, metric) cell from each side's values of the pairs,
@@ -126,9 +133,7 @@ def summarize(values: Dict[str, List[float]], better: str,
     sign = 1.0 if better == "higher" else -1.0
     cell: Dict[str, object] = {}
     for side in SIDES:
-        q1, median, q3 = statistics.quantiles(values[side], n=4,
-                                              method="inclusive")
-        cell[side] = {"median": median, "q1": q1, "q3": q3}
+        cell[side] = _quartiles(values[side])
     parent, change = cell["parent"], cell["change"]
     pairs = len(values["parent"])
     wins = sum(sign * (c - p) > 0
@@ -153,6 +158,10 @@ def summarize(values: Dict[str, List[float]], better: str,
         cell[side]["runs"] = [_sig(v) for v in values[side]]
     cell["change_better_pairs"] = f"{wins}/{pairs}"
     cell["change_over_parent_median"] = round(ratio, 4)
+    cell["change_over_parent_pairs"] = {
+        key: round(v, 4) for key, v in _quartiles(
+            [c / p for p, c in zip(values["parent"], values["change"])]
+        ).items()}
     cell["verdict"] = verdict
     return cell
 
@@ -311,7 +320,9 @@ def main(argv=None) -> int:
             cell = entry[metric]
             print(f"{name} {metric} {cell['parent']['median']} -> "
                   f"{cell['change']['median']} "
-                  f"(x{cell['change_over_parent_median']}, change better in "
+                  f"(x{cell['change_over_parent_median']}, pairs x"
+                  f"{cell['change_over_parent_pairs']['median']}, "
+                  f"change better in "
                   f"{cell['change_better_pairs']}, {cell['verdict']})",
                   flush=True)
         print(f"{name} parity: {entry['parity']}; trace_body_sha256 "

@@ -296,6 +296,10 @@ def _cmd_metrics(args) -> int:
             if key not in run[0]:
                 raise ValueError(f"{path}, line 1: the trace header has no {key}=")
         by_scheme.setdefault(run[0]["scheme"], []).append(run)
+    # an aggregate of a scheme no trace is left of is stale
+    kept = {os.path.join(args.out, f"aggregate.{s}.txt") for s in by_scheme}
+    for stale in set(glob.glob(os.path.join(args.out, "aggregate.*.txt"))) - kept:
+        os.remove(stale)
     _write_aggregates(args.out, config, by_scheme)
     return 0
 

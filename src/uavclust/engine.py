@@ -16,15 +16,16 @@ cluster_interval (assignment, CH selection, backup list rebuild), CAM
 batches every cam_interval (backup rebuild, CH-member link recording),
 beacon checks every beacon_interval (CH departure detection and
 replacement); no other slot has a phase.  Each event slot's phases read
-what Traffic.survey measured there for the whole block, and at rounds
-and CAM batches each (run, scheme) groups its member_of row into member
-lists; selections, rankings, departures and backup pops run in plain
+what Traffic.survey measured there for the whole block.  Each (run,
+scheme) holds its rows' clusters in one list (member_of), copied from
+the assignment at rounds and grouped into member lists at rounds and CAM
+batches; selections, rankings, departures and backup pops run in plain
 Python over them, cluster by cluster.  Between two event slots the fleet
-advances in one step of several slots, whose respawned rows leave their
-clusters in one masked write (_respawn).  A backup rebuild only records
-the survey it is ranked from; the list is ranked at the first pop after
-it (_handle_departure), since most lists are never popped.  Neighbor
-counts are made only where read: every row's at rounds, for the
+advances in one step of several slots; a respawned row leaves its
+cluster in every scheme of its run (_respawn).  A backup rebuild only
+records the survey it is ranked from; the list is ranked at the first
+pop after it (_handle_departure), since most lists are never popped.
+Neighbor counts are made only where read: every row's at rounds, for the
 proposed selection, and a cluster's own members' at its first pop.  Each
 CAM batch records its clusters' CH-member links where it handles them
 (Simulation._cam_batch); after the last slot the links of the whole
@@ -109,11 +110,11 @@ class _ClusterState:
 class Traffic:
     """What the runs of a block share with their schemes: UAVs, one
     mobility stream per run, the fleet as (runs, vehicles) arrays, and
-    what survey measured at the current event slot: every row's average
-    speed (lists per run), at a round the UAV assignment and, if asked
-    for, every row's neighbor count (lists per run; None at any other
-    slot), at a beacon check whether each UAV covers it (outside, (runs,
-    UAVs, vehicles)), and the slot's position array, held by reference.
+    what survey measured at the current event slot, as lists per run:
+    every row's average speed, at a round its UAV (assignment) and, if
+    asked for, its neighbor count (None at any other slot), at a beacon
+    check whether each UAV covers it (outside, [run][UAV][vehicle]); and
+    the slot's position array, by reference.
     Survey and step replace these and never write them, so a backup
     ranking, or cams, may hold them until it runs.  cams holds the t_ms
     and position array of every CAM batch so far, which run_block
@@ -163,9 +164,9 @@ class Traffic:
                           if with_neighbors else None)
         if with_assignment:
             self.assignment = assign(fleet, self.uavs, cfg.ref_gain,
-                                     cfg.noise_power)
+                                     cfg.noise_power).tolist()
         if with_coverage:
-            self.outside = self._outside()
+            self.outside = self._outside().tolist()
 
     def _outside(self) -> np.ndarray:
         """Whether each row is beyond each UAV's planar coverage radius,
@@ -181,9 +182,9 @@ class Simulation:
     schemes and runs of its block share; run_block drives it.
 
     member_of holds each of its run's fleet rows' cluster: its UAV id,
-    or -1; run_block makes it a row of the block's member_of array.  A
+    or -1; run_block sets it from the assignment at each round.  A
     vehicle's id is its fleet row, so a cluster's members, read from the
-    column, come in ascending id order.  Between phases a cluster has a
+    list, come in ascending id order.  Between phases a cluster has a
     CH exactly when it has members, and its CH is one of them: a round
     or a departure that leaves members seats one, and a respawn removes
     only non-CH members.  A respawned CH stays seated, marked
@@ -210,7 +211,7 @@ class Simulation:
                           for degraded in (False, True)]
         self.clusters: Dict[int, _ClusterState] = {
             u.id: _ClusterState(uav=u) for u in traffic.uavs}
-        self.member_of = np.full(traffic.fleet.x.shape[-1], -1, dtype=np.int64)
+        self.member_of = [-1] * traffic.fleet.x.shape[-1]
         self.members: List[List[int]] = []
         self.events: List[SimEvent] = []
         self.round_index = 0
@@ -388,17 +389,17 @@ class Simulation:
         return (p * (fading * (mu * loss * path)) / noise).tolist()
 
     def _beacon_check(self, t: float) -> None:
-        outside = self.traffic.outside[self.row]
         events = self.events
-        for state, cluster_ids in zip(self.clusters.values(),
-                                      self.traffic.cluster_ids):
+        for state, cluster_ids, outside in zip(
+                self.clusters.values(), self.traffic.cluster_ids,
+                self.traffic.outside[self.row]):
             i = state.ch
             if i is None:
                 continue
             ids = cluster_ids[i]
             if state.ch_respawned:
                 reason = "respawn"
-            elif outside[ids]:
+            elif outside[i]:
                 reason = "coverage"
             else:
                 events.append(make_event((t, "beacon_ok", ids, NO_PAYLOAD)))
@@ -428,8 +429,10 @@ class Simulation:
         state.ch = None
         members = [vid for vid in self.members[u.id] if member_of[vid] == u.id]
         if self.keeps_backup:
-            outside = self.traffic.outside[self.row, u.id]
-            member_of[[vid for vid in members if outside[vid]]] = -1
+            outside = self.traffic.outside[self.row][u.id]
+            for vid in members:
+                if outside[vid]:
+                    member_of[vid] = -1
             members = [vid for vid in members if not outside[vid]]
         if not members:
             return
@@ -465,38 +468,30 @@ def _schedule(config: SimConfig) -> List[Tuple[int, int, bool, bool, bool]]:
             for k, end in zip(slots, slots[1:] + [n])]
 
 
-def _respawn(sims: List[Simulation], member_of: np.ndarray, t_at,
+def _respawn(sims: List[Simulation], schemes: int, t_at,
              respawned) -> None:
     """Report the rows respawned in each slot of one fleet step, at that
     slot's end (t_at(slot)), in every scheme of their run, and take them
-    out of their clusters in one masked write of the block's member_of
-    (runs, schemes, vehicles); a respawned CH stays seated and marked
+    out of their clusters there; a respawned CH stays seated and marked
     (ch_respawned) until the next beacon check.
 
     respawned is mobility.step's list of (slot, flat rows) of the block
     fleet.  A respawn is a new vehicle, so only the set of rows matters
     to the clusters: no phase runs between two event slots."""
-    runs, schemes, vehicles = member_of.shape
     vehicle_ids = sims[0].traffic.vehicle_ids
     for slot, rows in respawned:
         t = t_at(slot)
         for row in rows:
-            run, vid = divmod(row, vehicles)
+            run, vid = divmod(row, len(vehicle_ids))
             event = make_event((t, "vehicle_respawn", vehicle_ids[vid],
                                 NO_PAYLOAD))
             for sim in sims[run * schemes:(run + 1) * schemes]:
                 sim.events.append(event)
-    hit = {row for _, rows in respawned for row in rows}
-    hit_run, hit_row = np.divmod(np.fromiter(hit, dtype=np.int64,
-                                             count=len(hit)), vehicles)
-    member_of[hit_run, :, hit_row] = -1
-    # put the seated CHs among them back
-    for sim in sims:
-        first = sim.row * vehicles
-        for state in sim.clusters.values():
-            if state.ch is not None and first + state.ch in hit:
-                state.ch_respawned = True
-                sim.member_of[state.ch] = state.uav.id
+                uav = sim.member_of[vid]
+                if uav >= 0 and sim.clusters[uav].ch == vid:
+                    sim.clusters[uav].ch_respawned = True
+                else:
+                    sim.member_of[vid] = -1
 
 
 def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
@@ -523,11 +518,6 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
                       initial_fleet=initial_fleet)
     sims = [Simulation(replace(cfg, scheme=scheme), plan[scheme], traffic, b)
             for b, plan in enumerate(plans) for scheme in schemes]
-    runs, vehicles = traffic.fleet.x.shape
-    member_of = np.full((runs, len(schemes), vehicles), -1, dtype=np.int64)
-    rows = member_of.reshape(len(sims), vehicles)
-    for sim, row in zip(sims, rows):
-        sim.member_of = row
     dt = cfg.slot_duration
     speed_range = (cfg.v_min, cfg.v_max_vehicle)
     # the proposed selection reads every row's count at rounds; a backup
@@ -537,13 +527,14 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
         t = k * dt
         traffic.survey(with_neighbors and is_round, is_round, is_beacon)
         if is_round:
-            member_of[:] = traffic.assignment[:, None, :]
+            for sim in sims:
+                sim.member_of = traffic.assignment[sim.row][:]
         if is_cam:
             traffic.cams.append((int(round(t * 1000)), traffic.x))
         if is_round or is_cam:
-            for sim, row in zip(sims, rows.tolist()):
+            for sim in sims:
                 sim.members = [[] for _ in traffic.uavs]
-                for vid, uav in enumerate(row):
+                for vid, uav in enumerate(sim.member_of):
                     if uav >= 0:
                         sim.members[uav].append(vid)
         for sim in sims:
@@ -557,12 +548,12 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
         respawned = step(traffic.fleet, cfg.road_length, dt, traffic.rngs,
                          speed_range, slots)
         if respawned:
-            _respawn(sims, member_of, lambda slot: (k + slot) * dt + dt,
+            _respawn(sims, len(schemes), lambda slot: (k + slot) * dt + dt,
                      respawned)
     _sample_cam_links(sims, traffic)
     return [{scheme: sim.events for scheme, sim in
              zip(schemes, sims[b * len(schemes):(b + 1) * len(schemes)])}
-            for b in range(runs)]
+            for b in range(len(plans))]
 
 
 def _sample_cam_links(sims: List[Simulation], traffic: Traffic) -> None:

@@ -251,6 +251,38 @@ def test_metrics_reaggregates_existing_traces(tmp_path):
             originals[s]
 
 
+def aggregates(out_dir):
+    return {name: read_bytes(os.path.join(out_dir, name))
+            for name in os.listdir(out_dir) if name.startswith("aggregate.")}
+
+
+def test_metrics_drops_the_aggregates_of_schemes_without_traces(tmp_path):
+    out, subset = str(tmp_path / "exp"), str(tmp_path / "subset")
+    assert main(["compare", "--runs", "2", "--duration", "140",
+                 "--out", out]) == 0
+    for name in trace_files(out):
+        if name.startswith("vmasc_"):
+            os.remove(os.path.join(out, "traces", name))
+    # a failing metrics touches nothing, the stale aggregate included
+    path = os.path.join(out, "traces", "random_run0001.trace")
+    body = read_bytes(path)
+    lines = body.splitlines(keepends=True)
+    lines[4] = b"0\tch_selected\t0,3\t[1]\n"
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines))
+    before = tree_bytes(out)
+    assert main(["metrics", "--out", out]) == 1
+    assert tree_bytes(out) == before
+    with open(path, "wb") as fh:
+        fh.write(body)
+    assert main(["metrics", "--out", out]) == 0
+    assert main(["compare", "--runs", "2", "--duration", "140",
+                 "--scheme", "proposed,random", "--out", subset]) == 0
+    assert sorted(aggregates(out)) == ["aggregate.proposed.txt",
+                                       "aggregate.random.txt"]
+    assert aggregates(out) == aggregates(subset)
+
+
 def aggregate_field(out_dir, scheme, key):
     text = read_bytes(os.path.join(out_dir, f"aggregate.{scheme}.txt")).decode()
     for line in text.splitlines():

@@ -73,7 +73,7 @@ class CamSnapshots(Simulation):
         by_id = {vid: make_vehicle(vid, x, y=y) for vid, (x, y) in enumerate(
             zip(f.x[row].tolist(), f.y[row].tolist()))}
         self.snapshots.append((t, by_id, {
-            u: (s.ch, np.flatnonzero(self.member_of == u).tolist())
+            u: (s.ch, np.flatnonzero(np.asarray(self.member_of) == u).tolist())
             for u, s in self.clusters.items()}))
         super()._cam_batch(t)
 
@@ -219,7 +219,7 @@ class DepartureRecords(Simulation):
 
     def _handle_departure(self, t, state):
         super()._handle_departure(t, state)
-        left = np.flatnonzero(self.member_of == state.uav.id).tolist()
+        left = np.flatnonzero(np.asarray(self.member_of) == state.uav.id).tolist()
         self.departures.append((t, state.uav.id, state.ch, left))
 
 
@@ -770,3 +770,40 @@ def test_paired_run_needs_one_fading_seed():
                                           fading=12345)}
     with pytest.raises(ValueError, match="fading seed"):
         engine.run_block(SimConfig(), [seeds])
+
+
+# a 60 m road respawns many rows twice within one fleet step, seated CHs
+# among them; the blocks' trace bodies (format_events, one after another
+# by config, run index and scheme) were pinned while membership was one
+# block-wide array cleared by a masked write
+SHORT_ROAD = ({"road_length": 60.0},
+              {"road_length": 60.0, "benchmarks_use_backup": True,
+               "beacon_interval": 30.0})
+SHORT_ROAD_SHA256 = (
+    "7569fb77d121bf582399510f4954f4ed276d72c3ed31089cb42985e8b3963282")
+
+
+def test_rows_respawned_twice_in_a_step_match_paired_runs(monkeypatch):
+    twice, seated = [], []
+    real = engine._respawn
+
+    def counted(sims, schemes, t_at, respawned):
+        rows = [row for _, rows in respawned for row in rows]
+        hit = {row for row in rows if rows.count(row) > 1}
+        vehicles = len(sims[0].traffic.vehicle_ids)
+        twice.extend(hit)
+        seated.extend(s.ch for sim in sims for s in sim.clusters.values()
+                      if s.ch is not None and sim.row * vehicles + s.ch in hit)
+        real(sims, schemes, t_at, respawned)
+
+    monkeypatch.setattr(engine, "_respawn", counted)
+    digest = hashlib.sha256()
+    for overrides in SHORT_ROAD:
+        cfg = validate(dataclasses.replace(SimConfig(), seed=1, **overrides))
+        for traces in blocks_match_paired_runs(cfg, runs=3):
+            for scheme in SCHEMES:
+                digest.update(trace.format_events(traces[scheme]).encode())
+        assert twice and seated
+        twice.clear()
+        seated.clear()
+    assert digest.hexdigest() == SHORT_ROAD_SHA256

@@ -91,9 +91,10 @@ def _reset_out(out_dir: str, config: SimConfig) -> None:
     experiment's output."""
     os.makedirs(out_dir, exist_ok=True)
     trace.atomic_write(os.path.join(out_dir, "config.echo"), dump_config(config))
-    for stale in (glob.glob(os.path.join(out_dir, "traces", "*.trace"))
-                  + glob.glob(os.path.join(out_dir, "aggregate.*.txt"))
-                  + glob.glob(os.path.join(out_dir, "plots", "*.dat"))):
+    root = glob.escape(out_dir)  # out_dir is a name, not a pattern
+    for stale in (glob.glob(os.path.join(root, "traces", "*.trace"))
+                  + glob.glob(os.path.join(root, "aggregate.*.txt"))
+                  + glob.glob(os.path.join(root, "plots", "*.dat"))):
         os.remove(stale)
 
 
@@ -264,7 +265,8 @@ def _cmd_sweep(args) -> int:
     # sweep wrote (the ones holding an echo), are replaced
     _reset_out(args.out, config)
     for var in ("vehicles", "duration"):
-        for stale in glob.glob(os.path.join(args.out, f"{var}_*", "config.echo")):
+        for stale in glob.glob(os.path.join(glob.escape(args.out), f"{var}_*",
+                                            "config.echo")):
             shutil.rmtree(os.path.dirname(stale))
     series: Dict[str, List[float]] = {s: [] for s in schemes}
     for value, point_cfg in zip(values, points):
@@ -284,21 +286,28 @@ def _cmd_metrics(args) -> int:
     # were aggregated with: those of the experiment's config echo
     echo = os.path.join(args.out, "config.echo")
     config = _load_base_config(args, echo if os.path.isfile(echo) else None)
-    trace_dir = os.path.join(args.out, "traces")
-    paths = sorted(glob.glob(os.path.join(trace_dir, "*.trace")))
+    trace_dir, root = os.path.join(args.out, "traces"), glob.escape(args.out)
+    paths = sorted(glob.glob(os.path.join(root, "traces", "*.trace")))
     if not paths:
         print(f"metrics: no trace files in {trace_dir}", file=sys.stderr)
         return 2
     by_scheme: Dict[str, List[metrics.TraceRun]] = {}
+    holders: Dict[Tuple[str, str], List[str]] = {}
     for path in paths:
         run = metrics.score_trace(path)
-        for key in ("config", "scheme", "seed"):  # what the aggregates read
+        for key in ("config", "scheme", "seed", "run"):  # what is read here
             if key not in run[0]:
                 raise ValueError(f"{path}, line 1: the trace header has no {key}=")
         by_scheme.setdefault(run[0]["scheme"], []).append(run)
+        holders.setdefault((run[0]["scheme"], run[0]["run"]), []).append(path)
+    # a run index held twice would be scored twice
+    for (scheme, index), held in holders.items():
+        if len(held) > 1:
+            raise ValueError(f"{held[0]} and {held[1]} both hold run {index} "
+                             f"of {scheme}")
     # an aggregate of a scheme no trace is left of is stale
     kept = {os.path.join(args.out, f"aggregate.{s}.txt") for s in by_scheme}
-    for stale in set(glob.glob(os.path.join(args.out, "aggregate.*.txt"))) - kept:
+    for stale in set(glob.glob(os.path.join(root, "aggregate.*.txt"))) - kept:
         os.remove(stale)
     _write_aggregates(args.out, config, by_scheme)
     return 0

@@ -29,7 +29,7 @@ Neighbor counts are made only where read: every row's at rounds, for the
 proposed selection, and a cluster's own members' at its first pop.  Each
 CAM batch records its clusters' CH-member links where it handles them
 (Simulation._cam_batch); after the last slot the links of the whole
-block are sampled, each distinct link key once, in a few numpy passes
+block are sampled, each recorded link once, in a few numpy passes
 (_sample_cam_links).
 """
 from __future__ import annotations
@@ -58,8 +58,8 @@ from .trace import NO_PAYLOAD, SimEvent, make_event
 # vehicles overlap, which would blow up the d^-eta path loss.
 MIN_V2V_DISTANCE = 10.0
 
-# Link keys sampled per batch of numpy passes: bounds the batch's
-# temporaries (about 200 bytes per key) at no measurable cost.
+# Links sampled per batch of numpy passes: bounds the batch's
+# temporaries (about 200 bytes per link) at no measurable cost.
 LINK_CHUNK = 2048
 
 # the ch_departed payloads, by reason: read-only, because they are
@@ -560,26 +560,27 @@ def _sample_cam_links(sims: List[Simulation], traffic: Traffic) -> None:
     """Set each recorded cam_batch payload's "snr" to the mean SNR of
     its CH-member links, in member order.
 
-    The schemes of a run index share the fleet and the fading seed, so a
-    link key (run, CAM batch, lo, hi) has one distance and one stream,
-    that of (fading seed, t_ms, lo, hi), in every scheme that records
-    it.  Each distinct key is sampled once, in the order keys were first
-    recorded, the links taken simulation by simulation (run by run, and
-    each run's scheme by scheme), LINK_CHUNK keys per batch of numpy
-    passes (Simulation._link_snrs).  A key's distance is math.hypot of
-    its endpoints' offsets in traffic.cams' position array, floored at
-    MIN_V2V_DISTANCE; the sign of the offsets does not matter, so it is
-    the same from either endpoint.
+    Every recorded link is sampled once, in record order (simulation by
+    simulation, run by run and each run's scheme by scheme, then each
+    one's cam_links), LINK_CHUNK links per batch of numpy passes
+    (Simulation._link_snrs).  A link's stream is that of its key
+    (fading seed, t_ms, lo, hi) alone, so schemes of a run index that
+    record the same link draw the same values.  Its distance is
+    math.hypot of its endpoints' offsets in traffic.cams' position
+    array, floored at MIN_V2V_DISTANCE; the sign of the offsets does not
+    matter, so it is the same from either endpoint.
     """
-    keys: Dict[Tuple[int, int, int, int], int] = {}
-    number = [keys.setdefault((sim.row, cam, ch, vid) if ch < vid
-                              else (sim.row, cam, vid, ch), len(keys))
-              for sim in sims for _, cam, ch, members in sim.cam_links
-              for vid in members if vid != ch]
-    if not number:
+    records = [(sim.row, *link) for sim in sims for link in sim.cam_links]
+    if not records:
         return
-    run, cam, lo, hi = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
-                                   count=4 * len(keys)).reshape(-1, 4).T
+    run, payloads, cam, ch, members = zip(*records)
+    counts = [len(m) for m in members]
+    vid = np.fromiter(chain.from_iterable(members), dtype=np.int64,
+                      count=sum(counts))
+    run, cam, ch = (np.repeat(column, counts) for column in (run, cam, ch))
+    keep = vid != ch
+    run, cam, ch, vid = run[keep], cam[keep], ch[keep], vid[keep]
+    lo, hi = np.minimum(ch, vid), np.maximum(ch, vid)
     t_ms, xs = zip(*traffic.cams)
     x, y = np.stack(xs), traffic.fleet.y
     dx = x[cam, run, lo] - x[cam, run, hi]
@@ -596,11 +597,10 @@ def _sample_cam_links(sims: List[Simulation], traffic: Traffic) -> None:
         part = slice(start, start + LINK_CHUNK)
         states = pcg64_states(fading[part], key_t_ms[part], lo[part], hi[part])
         snrs[part] = sims[0]._link_snrs(states, dist[part].tolist())
-    _set_mean_snrs([link[0] for s in sims for link in s.cam_links],
-                   snrs[number])
+    _set_mean_snrs(payloads, snrs)
 
 
-def _set_mean_snrs(payloads: List[dict], snrs: np.ndarray) -> None:
+def _set_mean_snrs(payloads: Sequence[dict], snrs: np.ndarray) -> None:
     """Set each payload's "snr" to the mean of its payload["members"] - 1
     consecutive link SNRs.  Each mean is the left fold from 0.0 (as
     model.left_sum) of one row of a zero-padded matrix, made for all

@@ -1,5 +1,6 @@
 """CLI driver: seed plans, output layout and reproducibility."""
 import os
+import shutil
 
 import pytest
 
@@ -310,6 +311,43 @@ def test_rerun_into_same_out_drops_stale_traces(tmp_path):
         "plots/reselections_vs_time.dat", "traces/vmasc_run0000.trace"]
 
 
+def test_an_out_name_is_taken_literally_where_it_is_globbed(tmp_path):
+    # "gl[1]" is also a glob pattern, one that matches "gl1" only
+    out = str(tmp_path / "gl[1]")
+    base = ["--runs", "1", "--duration", "70", "--out", out]
+    assert main(["compare"] + base) == 0
+    assert main(["compare", "--scheme", "proposed"] + base) == 0
+    assert sorted(tree_bytes(out)) == [
+        "aggregate.proposed.txt", "config.echo",
+        "plots/reselections_vs_time.dat", "traces/proposed_run0000.trace"]
+    written = aggregates(out)
+    shutil.copyfile(os.path.join(out, "aggregate.proposed.txt"),
+                    os.path.join(out, "aggregate.vmasc.txt"))
+    assert main(["metrics", "--out", out]) == 0
+    assert aggregates(out) == written
+    sweep = ["sweep", "--var", "vehicles", "--scheme", "proposed"]
+    assert main(sweep + ["--values", "5"] + base) == 0
+    assert main(sweep + ["--values", "6"] + base) == 0
+    assert sorted(name for name in os.listdir(out)
+                  if name.startswith("vehicles_")) == ["vehicles_6"]
+
+
+def test_metrics_rejects_two_traces_of_one_run(tmp_path, capsys):
+    # the paired normalization would score run 0 of proposed twice
+    out = str(tmp_path / "dup")
+    assert main(["compare", "--runs", "2", "--duration", "70",
+                 "--out", out]) == 0
+    original = os.path.join(out, "traces", "proposed_run0000.trace")
+    copy = os.path.join(out, "traces", "proposed_run0007.trace")
+    shutil.copyfile(original, copy)
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main(["metrics", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {original} and {copy} both hold run 0 of proposed\n")
+    assert tree_bytes(out) == before
+
+
 def test_rejected_experiment_leaves_out_untouched(tmp_path, capsys):
     out = str(tmp_path / "done")
     assert main(["compare", "--runs", "2", "--duration", "70",
@@ -446,7 +484,7 @@ def test_metrics_rejects_a_scored_line_of_the_wrong_shape(tmp_path, capsys,
     assert err.startswith(f"error: {path}, line 5: ")
 
 
-@pytest.mark.parametrize("key", ["config", "scheme", "seed"])
+@pytest.mark.parametrize("key", ["config", "scheme", "seed", "run"])
 def test_metrics_rejects_a_header_without_a_key_it_reads(tmp_path, capsys,
                                                          key):
     out = str(tmp_path / "header")

@@ -305,11 +305,11 @@ def _cmd_metrics(args) -> int:
         if len(held) > 1:
             raise ValueError(f"{held[0]} and {held[1]} both hold run {index} "
                              f"of {scheme}")
+    _write_aggregates(args.out, config, by_scheme)  # scores, then writes
     # an aggregate of a scheme no trace is left of is stale
     kept = {os.path.join(args.out, f"aggregate.{s}.txt") for s in by_scheme}
     for stale in set(glob.glob(os.path.join(root, "aggregate.*.txt"))) - kept:
         os.remove(stale)
-    _write_aggregates(args.out, config, by_scheme)
     return 0
 
 
@@ -363,7 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

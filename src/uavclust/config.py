@@ -20,6 +20,7 @@ SCHEMES = ("proposed", "vmasc", "random")
 
 _SPEED_FIELDS = {"v_min", "v_max_vehicle"}
 _POWER_FIELDS = {"noise_power", "vehicle_tx_power", "uav_tx_power"}
+MAX_SHADOW_STD_DB = 200.0  # the largest valid shadowing spread (validate)
 
 
 class ConfigError(ValueError):
@@ -123,8 +124,15 @@ def validate(config: SimConfig) -> SimConfig:
         errors.append("v_min/v_max_vehicle: need 0 < v_min <= v_max_vehicle")
     if len(c.lane_offsets) != 2:
         errors.append("lane_offsets: exactly two lanes (one per direction)")
-    if c.shadow_std_db < 0.0:
-        errors.append("shadow_std_db: must be >= 0")
+    # numpy's normal draw has |z| < r + sqrt(106 ln 2) ~ 12.23: its ziggurat
+    # tail (r = 3.6541528853610088) adds x with x^2 < 2 * 53 ln 2 for 53-bit
+    # uniforms.  So at std <= 200 dB 10 ** (z * std / 10) is in [1e-245,
+    # 1e245] (it overflows past ~3082.5 dB and is 0 below ~ -3236 dB), and
+    # d ** -eta (d >= 10 m) is in [0, 1] at eta >= 0
+    if not 0.0 <= c.shadow_std_db <= MAX_SHADOW_STD_DB:
+        errors.append(f"shadow_std_db: must lie in [0, {MAX_SHADOW_STD_DB}]")
+    if c.v2v_loss_exp < 0.0:
+        errors.append("v2v_loss_exp: must be >= 0")
     if c.eps_neighbors < 0:
         errors.append("eps_neighbors: must be >= 0")
 

@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import channel
 from .assignment import assign
 from .backup import build_backup_list, pop_replacement
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
@@ -372,19 +371,11 @@ class Simulation:
         loss, eta = cfg.v2v_loss_const, cfg.v2v_loss_exp
         # the shadowing draw's dB-to-ratio 10 ** (z / 10) and the path
         # loss d ** -eta are libm pow, as ** is (np.power differs in last
-        # bits); then fading times large-scale gain and p * gain / noise
+        # bits), and finite (config.validate); then fading times
+        # large-scale gain and p * gain / noise
         n = len(z)
-        try:
-            mu = np.fromiter(map(math.pow, [10.0] * n, (z / 10.0).tolist()),
-                             dtype=float, count=n)
-            failed = not mu.all()  # a zero shadowing factor
-        except OverflowError:
-            failed = True
-        if failed:
-            # the per-link expression raises at the first failing link
-            large_scale = channel.v2v_large_scale
-            return [p * (f * large_scale(d, 10.0 ** (x / 10.0), loss, eta))
-                    / noise for x, f, d in zip(z.tolist(), fading.tolist(), dist)]
+        mu = np.fromiter(map(math.pow, [10.0] * n, (z / 10.0).tolist()),
+                         dtype=float, count=n)
         path = np.fromiter(map(math.pow, dist, [-eta] * n), dtype=float, count=n)
         return (p * (fading * (mu * loss * path)) / noise).tolist()
 

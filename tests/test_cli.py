@@ -1,4 +1,5 @@
 """CLI driver: seed plans, output layout and reproducibility."""
+import math
 import os
 import shutil
 
@@ -6,6 +7,7 @@ import pytest
 
 from uavclust import cli, engine, metrics, trace
 from uavclust.cli import main, seed_plan
+from uavclust.config import MAX_SHADOW_STD_DB
 
 SCHEMES = ("proposed", "vmasc", "random")
 
@@ -404,6 +406,75 @@ def test_workers_below_one_are_rejected_before_out_is_touched(
     assert capsys.readouterr().err == \
         f"error: --workers must be >= 1, got {workers}\n"
     assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("line", ["shadow_std_db = 200.5",
+                                  "shadow_std_db = 2000",
+                                  "v2v_loss_exp = -200"])
+def test_degenerate_link_parameters_are_rejected_before_out_exists(
+        tmp_path, capsys, line):
+    # unbounded, the link SNRs overflow or reach a zero shadowing factor,
+    # and which comes first depends on the seed
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text(line + "\n")
+    name = line.split(" = ")[0]
+    out = tmp_path / "never"
+    for seed in range(1, 7):
+        capsys.readouterr()
+        assert main(["compare", "--config", str(cfg), "--runs", "1",
+                     "--duration", "70", "--seed", str(seed),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name}: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["uav_altitude = 1e200",
+                                  "road_length = 1e300",
+                                  "gauss_mean = 1e200"])
+def test_an_overflow_in_the_model_exits_with_one_error_line(tmp_path, capsys,
+                                                            line):
+    # the A2G distance (assignment's scalar re-check) or the likelihood's
+    # (s - mean) ** 2 overflows a float
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["compare", "--config", str(cfg), "--runs", "1",
+                 "--duration", "70", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_failing_metrics_keeps_the_stale_aggregate(tmp_path, capsys):
+    # metrics scores every scheme before it writes or removes any
+    # aggregate, so one that fails leaves the directory as it was
+    out = str(tmp_path / "exp")
+    assert main(["compare", "--runs", "2", "--duration", "70",
+                 "--out", out]) == 0
+    for name in trace_files(out):
+        if name.startswith("vmasc_"):
+            os.remove(os.path.join(out, "traces", name))
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("gauss_mean = 1e200\n")
+    before = tree_bytes(out)
+    assert "aggregate.vmasc.txt" in before
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert tree_bytes(out) == before
+
+
+def test_compare_at_the_shadowing_bound_has_finite_aggregates(tmp_path):
+    # the dense cell at the largest valid spread: every shadowing factor
+    # is finite and non-zero (test_config), so is every mean SNR
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(f"shadow_std_db = {MAX_SHADOW_STD_DB}\n"
+                   "num_vehicles = 100\nsnr_fading = instantaneous\n")
+    out = str(tmp_path / "bound")
+    assert main(["compare", "--config", str(cfg), "--runs", "2",
+                 "--duration", "140", "--out", out]) == 0
+    for scheme in SCHEMES:
+        for key in ("mean_snr", "normalized_snr", "robustness_likelihood"):
+            value = float(aggregate_field(out, scheme, key))
+            assert math.isfinite(value) and value > 0.0, (scheme, key)
 
 
 def test_metrics_scores_with_the_echoed_config(tmp_path):

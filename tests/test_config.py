@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from uavclust.config import (ConfigError, SimConfig, dump_config,
-                             parse_config_text, validate)
+from uavclust.config import (MAX_SHADOW_STD_DB, ConfigError, SimConfig,
+                             dump_config, parse_config_text, validate)
 
 
 def test_default_scenario_is_valid():
@@ -119,3 +119,31 @@ def test_non_finite_float_is_rejected(name, value):
     with pytest.raises(ConfigError) as exc:
         validate(dataclasses.replace(SimConfig(), **{name: value}))
     assert exc.value.errors == [f"{name}: must be finite"]
+
+
+@pytest.mark.parametrize("name, good, bad", [
+    ("shadow_std_db", [0.0, 4.0, MAX_SHADOW_STD_DB],
+     [-0.5, MAX_SHADOW_STD_DB + 0.5, 1e4]),
+    ("v2v_loss_exp", [0.0, 3.0], [-0.5, -200.0])])
+def test_link_parameters_are_bounded(name, good, bad):
+    # outside the bounds the link SNR arithmetic overflows or reaches a
+    # zero shadowing factor, depending on the seed
+    for value in good:
+        validate(dataclasses.replace(SimConfig(), **{name: value}))
+    for value in bad:
+        with pytest.raises(ConfigError) as exc:
+            validate(dataclasses.replace(SimConfig(), **{name: value}))
+        assert [e.split(":")[0] for e in exc.value.errors] == [name]
+
+
+def test_shadowing_factor_is_finite_and_nonzero_at_the_bound():
+    # numpy's standard normal is Marsaglia & Tsang's ziggurat: a draw off
+    # the base strip's tail is below r in magnitude, and a tail draw is
+    # r + x, accepted only where x^2 < 2y with y = -log1p(-u) for a
+    # 53-bit uniform u <= 1 - 2^-53, so y <= 53 ln 2 and
+    # |z| < r + sqrt(106 ln 2) = 12.2257... < 12.23
+    r = 3.6541528853610088
+    assert r + math.sqrt(2.0 * -math.log1p(-(1.0 - 2.0 ** -53))) < 12.23
+    for sign in (1.0, -1.0):
+        factor = 10.0 ** (sign * 12.23 * MAX_SHADOW_STD_DB / 10.0)
+        assert math.isfinite(factor) and factor > 0.0

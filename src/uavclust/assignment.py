@@ -29,7 +29,8 @@ def assign(fleet: Fleet, uavs: Sequence[UavNode],
     x, y = fleet.x.ravel(), fleet.y.ravel()
     ux, uy, h, power = np.array([[u.pos.x, u.pos.y, u.pos.h, u.tx_power]
                                  for u in ordered]).T[:, :, None]
-    snrs = power * (g0 / ((ux - x) ** 2 + (uy - y) ** 2 + h ** 2)) / noise
+    snrs = channel.a2g_snr(power, g0 / ((ux - x) ** 2 + (uy - y) ** 2 + h ** 2),
+                           noise)
     top = np.sort(snrs, axis=0)
     second = top[-2] if len(ordered) > 1 else 0.0
     column = np.array([u.id for u in ordered])[snrs.argmax(axis=0)]

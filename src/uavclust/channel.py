@@ -1,13 +1,17 @@
 """Propagation math: A2G free-space links and V2V fading links.
 
-Every function here is pure; fading/shadowing draws take an explicit
-numpy Generator so callers own all randomness.
+Every function is pure (a2g_snr, v2v_large_scale and v2v_snr also take
+arrays of links); fading/shadowing draws take an explicit numpy Generator.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+# Distance floor for V2V links: the point-mass mobility model lets
+# vehicles overlap, which would blow up the d^-eta path loss.
+MIN_V2V_DISTANCE = 10.0
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -28,21 +32,25 @@ def a2g_gain(d: float, g0: float) -> float:
     return g0 / (d * d)
 
 
-def a2g_snr(p_uav: float, gain: float, noise: float) -> float:
-    """A2G SNR of a UAV-vehicle link."""
+def a2g_snr(p_uav, gain, noise: float):
+    """A2G SNR of UAV-vehicle links; assign and validate pass g0 / d^2."""
     if noise <= 0.0:
         raise ValueError(f"a2g_snr: noise power must be positive, got {noise}")
     return p_uav * gain / noise
 
 
-def v2v_large_scale(d: float, shadow_mu: float, loss_const: float,
-                    loss_exp: float) -> float:
-    """Large-scale V2V fading: shadowing times path loss mu * L * d^-eta."""
-    if d <= 0.0:
-        raise ValueError(f"v2v_large_scale: distance must be positive, got {d}")
-    if shadow_mu <= 0.0:
-        raise ValueError(f"v2v_large_scale: shadowing must be positive, got {shadow_mu}")
-    return shadow_mu * loss_const * d ** (-loss_exp)
+def v2v_large_scale(d, shadow_mu, loss_const: float, loss_exp: float):
+    """Large-scale V2V fading: shadowing times path loss mu * L * d^-eta,
+    of one link (floats) or of many (a sequence d and an array mu); d^-eta
+    is libm pow per element, as ** is (np.power differs in last bits)."""
+    path = math.pow(d, -loss_exp) if np.isscalar(d) else np.fromiter(
+        map(math.pow, d, [-loss_exp] * len(d)), dtype=float, count=len(d))
+    return shadow_mu * loss_const * path
+
+
+def v2v_snr(p_vehicle: float, fading, gain, noise: float):
+    """V2V SNR of a link: fast fading times large-scale gain, then p / noise."""
+    return p_vehicle * (fading * gain) / noise
 
 
 def sample_fast_fading(rng: np.random.Generator) -> float:

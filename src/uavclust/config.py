@@ -11,10 +11,13 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .channel import dbm_to_watts
-from .model import KMH_TO_MS
+from .channel import (MIN_V2V_DISTANCE, a2g_snr, dbm_to_watts,
+                      v2v_large_scale, v2v_snr)
+from .metrics import lambda_s
+from .model import KMH_TO_MS, left_sum
+from .seeding import EXPONENTIAL_DRAW_BOUND, NORMAL_DRAW_BOUND
 
 SCHEMES = ("proposed", "vmasc", "random")
 
@@ -94,7 +97,37 @@ class SimConfig:
 
 def _is_multiple(interval: float, dt: float) -> bool:
     ratio = interval / dt
-    return abs(ratio - round(ratio)) < 1e-9
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9
+
+
+def _model_ends(c: SimConfig) -> Iterator[str]:
+    """An error for each model term that fails, is not finite or (an A2G
+    SNR) is not positive at an end of its inputs, where monotone rounding
+    puts its extremes: I - 1 V2V SNRs at the ziggurat's bounds and 10 m,
+    summed as a batch's mean is; A2G at the UAV's foot and the far corner."""
+    z = NORMAL_DRAW_BOUND * c.shadow_std_db / 10.0
+    fast = EXPONENTIAL_DRAW_BOUND if c.snr_fading == "instantaneous" else 1.0
+    lane = max(map(abs, c.lane_offsets))
+    terms = [  # (fields, term, lower limit, its values at the ends)
+        ("vehicle_tx_power/noise_power/v2v_loss_const/v2v_loss_exp/"
+         "shadow_std_db/snr_fading/num_vehicles", "a CAM batch's V2V SNR sum",
+         -math.inf, lambda: [left_sum([v2v_snr(c.vehicle_tx_power, fast,
+             v2v_large_scale(MIN_V2V_DISTANCE, math.pow(10.0, z),
+                             c.v2v_loss_const, c.v2v_loss_exp),
+             c.noise_power)] * (c.num_vehicles - 1))]),
+        ("uav_tx_power/ref_gain/noise_power/uav_altitude/road_length/"
+         "lane_offsets", "the A2G SNR", 0.0, lambda: [a2g_snr(
+             c.uav_tx_power, c.ref_gain / (dx ** 2 + dy ** 2 + c.uav_altitude ** 2),
+             c.noise_power) for dx, dy in ((0.0, 0.0), (c.road_length, lane))]),
+        ("gauss_mean/gauss_var", "lambda_s", -math.inf,
+         lambda: [lambda_s(s, c.gauss_mean, c.gauss_var) for s in (0.0, 1.0)])]
+    for fields, term, low, ends in terms:
+        try:
+            bad = [v for v in ends() if not low < v < math.inf]
+        except ArithmeticError as exc:
+            bad = [exc]
+        if bad:
+            yield f"{fields}: {term} is out of range at an end: {bad[0]!r}"
 
 
 def validate(config: SimConfig) -> SimConfig:
@@ -124,11 +157,10 @@ def validate(config: SimConfig) -> SimConfig:
         errors.append("v_min/v_max_vehicle: need 0 < v_min <= v_max_vehicle")
     if len(c.lane_offsets) != 2:
         errors.append("lane_offsets: exactly two lanes (one per direction)")
-    # numpy's normal draw has |z| < r + sqrt(106 ln 2) ~ 12.23: its ziggurat
-    # tail (r = 3.6541528853610088) adds x with x^2 < 2 * 53 ln 2 for 53-bit
-    # uniforms.  So at std <= 200 dB 10 ** (z * std / 10) is in [1e-245,
-    # 1e245] (it overflows past ~3082.5 dB and is 0 below ~ -3236 dB), and
-    # d ** -eta (d >= 10 m) is in [0, 1] at eta >= 0
+    # numpy's normal draw has |z| < NORMAL_DRAW_BOUND = 12.23, so at std
+    # <= 200 dB 10 ** (z * std / 10) is in [1e-245, 1e245] (it overflows
+    # past ~3082.5 dB and is 0 below ~ -3236 dB), and d ** -eta (d >= 10 m)
+    # is in [0, 1] at eta >= 0
     if not 0.0 <= c.shadow_std_db <= MAX_SHADOW_STD_DB:
         errors.append(f"shadow_std_db: must lie in [0, {MAX_SHADOW_STD_DB}]")
     if c.v2v_loss_exp < 0.0:
@@ -159,6 +191,7 @@ def validate(config: SimConfig) -> SimConfig:
     if c.residual_mode not in ("formula", "geometric"):
         errors.append("residual_mode: must be formula or geometric")
 
+    errors = errors or list(_model_ends(c))
     if errors:
         raise ConfigError(errors)
     return c

@@ -44,6 +44,7 @@ import numpy as np
 
 from .assignment import assign
 from .backup import build_backup_list, pop_replacement
+from .channel import MIN_V2V_DISTANCE, v2v_large_scale, v2v_snr
 from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_vmasc
 from .config import SimConfig, validate
 from .mobility import (Fleet, neighbor_counts, neighbor_table,
@@ -52,10 +53,6 @@ from .model import AirPoint, UavNode
 from .seeding import (RunSeeds, pcg64_state, pcg64_states, pcg64_words,
                       ziggurat_exponential, ziggurat_normal)
 from .trace import NO_PAYLOAD, SimEvent, make_event
-
-# Distance floor for V2V links: the point-mass mobility model lets
-# vehicles overlap, which would blow up the d^-eta path loss.
-MIN_V2V_DISTANCE = 10.0
 
 # Links sampled per batch of numpy passes: bounds the batch's
 # temporaries (about 200 bytes per link) at no measurable cost.
@@ -367,17 +364,12 @@ class Simulation:
             z[k] = link_rng.normal(0.0, cfg.shadow_std_db)
             if cfg.snr_fading == "instantaneous":
                 fading[k] = link_rng.exponential(1.0)
-        p, noise = cfg.vehicle_tx_power, cfg.noise_power
-        loss, eta = cfg.v2v_loss_const, cfg.v2v_loss_exp
-        # the shadowing draw's dB-to-ratio 10 ** (z / 10) and the path
-        # loss d ** -eta are libm pow, as ** is (np.power differs in last
-        # bits), and finite (config.validate); then fading times
-        # large-scale gain and p * gain / noise
+        # 10 ** (z / 10) is libm pow, as ** is (np.power differs in last bits)
         n = len(z)
         mu = np.fromiter(map(math.pow, [10.0] * n, (z / 10.0).tolist()),
                          dtype=float, count=n)
-        path = np.fromiter(map(math.pow, dist, [-eta] * n), dtype=float, count=n)
-        return (p * (fading * (mu * loss * path)) / noise).tolist()
+        gain = v2v_large_scale(dist, mu, cfg.v2v_loss_const, cfg.v2v_loss_exp)
+        return v2v_snr(cfg.vehicle_tx_power, fading, gain, cfg.noise_power).tolist()
 
     def _beacon_check(self, t: float) -> None:
         events = self.events

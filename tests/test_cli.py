@@ -1,13 +1,20 @@
 """CLI driver: seed plans, output layout and reproducibility."""
+import dataclasses
 import math
+import operator
 import os
 import shutil
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavclust import cli, engine, metrics, trace
 from uavclust.cli import main, seed_plan
-from uavclust.config import MAX_SHADOW_STD_DB
+from uavclust.config import (MAX_SHADOW_STD_DB, ConfigError, SimConfig,
+                             dump_config, validate)
 
 SCHEMES = ("proposed", "vmasc", "random")
 
@@ -430,21 +437,94 @@ def test_degenerate_link_parameters_are_rejected_before_out_exists(
 
 @pytest.mark.parametrize("line", ["uav_altitude = 1e200",
                                   "road_length = 1e300",
-                                  "gauss_mean = 1e200"])
+                                  "gauss_mean = 1e200",
+                                  "v2v_loss_const = 1e300\nshadow_std_db = 200",
+                                  "uav_tx_power = 1e308",
+                                  "ref_gain = 1e-320",
+                                  "lane_offsets = -1e160,1e160",
+                                  "v2v_loss_const = 6e306\nshadow_std_db = 0\n"
+                                  "num_vehicles = 100"])
 def test_an_overflow_in_the_model_exits_with_one_error_line(tmp_path, capsys,
                                                             line):
-    # the A2G distance (assignment's scalar re-check) or the likelihood's
-    # (s - mean) ** 2 overflows a float
+    # unchecked, an SNR, a CAM batch's sum of I - 1 finite SNRs (the last
+    # case) or the likelihood's (s - mean) ** 2 overflows a float, or every
+    # A2G SNR rounds to inf or 0 and the UAVs tie
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(line + "\n")
+    out = tmp_path / "o"
     assert main(["compare", "--config", str(cfg), "--runs", "1",
-                 "--duration", "70", "--out", str(tmp_path / "o")]) == 1
+                 "--duration", "70", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert line.split(" = ")[0] in err.split(": ")[1].split("/")
+    assert not out.exists()
+
+
+def test_a_subnormal_noise_power_runs_to_finite_aggregates(tmp_path):
+    # every SNR's extremes are finite (the largest V2V SNR ~ 8e296), so
+    # the config is valid although the noise power is subnormal
+    cfg = tmp_path / "quiet.cfg"
+    cfg.write_text("noise_power = 1e-310\n")
+    out = str(tmp_path / "quiet")
+    assert main(["compare", "--config", str(cfg), "--runs", "2",
+                 "--duration", "140", "--out", out]) == 0
+    for scheme in SCHEMES:
+        for key in ("mean_snr", "normalized_snr", "robustness_likelihood"):
+            value = float(aggregate_field(out, scheme, key))
+            assert math.isfinite(value) and value > 0.0, (scheme, key)
+
+
+def drawn(default, signed=False):
+    """The default, or a magnitude log-uniform in [1e-300, 1e300]."""
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    if signed:
+        magnitude = st.builds(operator.mul, st.sampled_from([1.0, -1.0]),
+                              magnitude)
+    return st.one_of(st.just(default), magnitude)
+
+
+# the link-budget, A2G and likelihood floats; timing and speed fields
+# keep their defaults
+MODEL_FIELDS = {
+    name: drawn(getattr(SimConfig(), name), signed=name == "gauss_mean")
+    for name in ("vehicle_tx_power", "noise_power", "v2v_loss_const",
+                 "v2v_loss_exp", "shadow_std_db", "uav_tx_power", "ref_gain",
+                 "uav_altitude", "road_length", "poisson_rate", "gauss_mean",
+                 "gauss_var")}
+
+
+@given(st.fixed_dictionaries({
+    **MODEL_FIELDS,
+    "lane_offsets": st.tuples(drawn(-2.0, signed=True), drawn(2.0, signed=True)),
+    "num_vehicles": st.integers(1, 20),
+    "snr_fading": st.sampled_from(["large_scale", "instantaneous"])}))
+@settings(deadline=None, max_examples=100)
+def test_a_config_is_rejected_or_runs_to_finite_traces(fields):
+    # validate evaluates the model at the ends of its inputs, a CAM batch's
+    # sum of I - 1 V2V SNRs included, so a config it passes reaches no
+    # overflow, warning or non-finite SNR in a trace.  The aggregates sum
+    # over counts set by --duration and --runs, which no config bounds, so
+    # they are not checked here
+    config = dataclasses.replace(SimConfig(), **fields)
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            validate(config)
+        except ConfigError:
+            return
+        cfg = os.path.join(tmp, "drawn.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(dump_config(config))
+        out = os.path.join(tmp, "out")
+        assert main(["compare", "--config", cfg, "--runs", "2",
+                     "--duration", "140", "--out", out]) == 0
+        for name in trace_files(out):
+            text = read_bytes(os.path.join(out, "traces", name)).decode()
+            assert "Infinity" not in text and "NaN" not in text, name
 
 
 def test_a_failing_metrics_keeps_the_stale_aggregate(tmp_path, capsys):
-    # metrics scores every scheme before it writes or removes any
+    # metrics aggregates every scheme before it writes or removes any
     # aggregate, so one that fails leaves the directory as it was
     out = str(tmp_path / "exp")
     assert main(["compare", "--runs", "2", "--duration", "70",
@@ -452,13 +532,18 @@ def test_a_failing_metrics_keeps_the_stale_aggregate(tmp_path, capsys):
     for name in trace_files(out):
         if name.startswith("vmasc_"):
             os.remove(os.path.join(out, "traces", name))
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("gauss_mean = 1e200\n")
+    # one proposed trace claims another config: aggregate_traces refuses
+    # the mix
+    path = os.path.join(out, "traces", "proposed_run0001.trace")
+    text = read_bytes(path).decode()
+    digest = text.split("config=", 1)[1].split(" ", 1)[0]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(f"config={digest}", "config=" + "0" * len(digest), 1))
     before = tree_bytes(out)
     assert "aggregate.vmasc.txt" in before
     capsys.readouterr()
-    assert main(["metrics", "--config", str(cfg), "--out", out]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["metrics", "--out", out]) == 1
+    assert "mixed config digests" in capsys.readouterr().err
     assert tree_bytes(out) == before
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from uavclust.config import (MAX_SHADOW_STD_DB, ConfigError, SimConfig,
                              dump_config, parse_config_text, validate)
+from uavclust.seeding import EXPONENTIAL_DRAW_BOUND, NORMAL_DRAW_BOUND
 
 
 def test_default_scenario_is_valid():
@@ -39,10 +40,15 @@ def test_negative_likelihood_weight_is_rejected():
 
 
 def test_interval_divisibility_violation():
-    cfg = dataclasses.replace(SimConfig(), slot_duration=7.0)
-    with pytest.raises(ConfigError) as exc:
-        validate(cfg)
-    assert "cam_interval" in str(exc.value)
+    for changes, name in [
+            ({"slot_duration": 7.0}, "cam_interval"),
+            # an interval over the slot that rounds to inf, which round()
+            # cannot take
+            ({"slot_duration": 1e-300, "total_time": 1e300}, "total_time"),
+            ({"slot_duration": 1e-300, "cam_interval": 1e10}, "cam_interval")]:
+        with pytest.raises(ConfigError) as exc:
+            validate(dataclasses.replace(SimConfig(), **changes))
+        assert f"{name}: must be a multiple of slot_duration" in exc.value.errors
 
 
 def test_multiple_errors_collected():
@@ -143,7 +149,16 @@ def test_shadowing_factor_is_finite_and_nonzero_at_the_bound():
     # 53-bit uniform u <= 1 - 2^-53, so y <= 53 ln 2 and
     # |z| < r + sqrt(106 ln 2) = 12.2257... < 12.23
     r = 3.6541528853610088
-    assert r + math.sqrt(2.0 * -math.log1p(-(1.0 - 2.0 ** -53))) < 12.23
+    assert r + math.sqrt(2.0 * -math.log1p(-(1.0 - 2.0 ** -53))) < \
+        NORMAL_DRAW_BOUND
     for sign in (1.0, -1.0):
-        factor = 10.0 ** (sign * 12.23 * MAX_SHADOW_STD_DB / 10.0)
+        factor = 10.0 ** (sign * NORMAL_DRAW_BOUND * MAX_SHADOW_STD_DB / 10.0)
         assert math.isfinite(factor) and factor > 0.0
+
+
+def test_exponential_draw_bound():
+    # numpy's standard exponential is the same ziggurat: a draw off the
+    # base strip's tail is below r, and a tail draw is r - log1p(-u) for
+    # a 53-bit uniform u <= 1 - 2^-53, so x < r + 53 ln 2 = 44.434... < 44.5
+    r = 7.69711747013104972
+    assert r - math.log1p(-(1.0 - 2.0 ** -53)) < EXPONENTIAL_DRAW_BOUND

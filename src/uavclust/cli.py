@@ -133,13 +133,6 @@ def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
             for scheme in schemes}
 
 
-def _likelihood_params(config: SimConfig) -> metrics.LikelihoodParams:
-    return metrics.LikelihoodParams(
-        weight_reselect=config.weight_reselect, weight_snr=config.weight_snr,
-        poisson_rate=config.poisson_rate, gauss_mean=config.gauss_mean,
-        gauss_var=config.gauss_var)
-
-
 def _write_aggregates(out_dir: str, config: SimConfig,
                       runs: Dict[str, List[metrics.TraceRun]]
                       ) -> Dict[str, metrics.AggregateMetrics]:
@@ -147,7 +140,9 @@ def _write_aggregates(out_dir: str, config: SimConfig,
     per_scheme = {s: metrics.aggregate_traces(r) for s, r in runs.items()}
     scores = None
     if len(per_scheme) > 1:
-        scores = metrics.compare_schemes(per_scheme, _likelihood_params(config))
+        # LikelihoodParams' fields are SimConfig's
+        scores = metrics.compare_schemes(per_scheme, metrics.LikelihoodParams(
+            *(getattr(config, f) for f in metrics.LikelihoodParams._fields)))
     for scheme, agg in sorted(per_scheme.items()):
         header = runs[scheme][0][0]
         lines = [

@@ -104,10 +104,14 @@ def _model_ends(c: SimConfig) -> Iterator[str]:
     """An error for each model term that fails, is not finite or (an A2G
     SNR) is not positive at an end of its inputs, where monotone rounding
     puts its extremes: I - 1 V2V SNRs at the ziggurat's bounds and 10 m,
-    summed as a batch's mean is; A2G at the UAV's foot and the far corner."""
+    summed as a batch's mean is; A2G at the UAV's foot and the far corner;
+    folds of v_max_vehicle over a run's most samples or slots per step."""
     z = NORMAL_DRAW_BOUND * c.shadow_std_db / 10.0
     fast = EXPONENTIAL_DRAW_BOUND if c.snr_fading == "instantaneous" else 1.0
     lane = max(map(abs, c.lane_offsets))
+    samples = max(min(c.avg_window, c.num_slots), c.num_vehicles)
+    gap = min(round(c.cam_interval / c.slot_duration),
+              round(c.cluster_interval / c.slot_duration), c.num_slots)
     terms = [  # (fields, term, lower limit, its values at the ends)
         ("vehicle_tx_power/noise_power/v2v_loss_const/v2v_loss_exp/"
          "shadow_std_db/snr_fading/num_vehicles", "a CAM batch's V2V SNR sum",
@@ -119,6 +123,12 @@ def _model_ends(c: SimConfig) -> Iterator[str]:
          "lane_offsets", "the A2G SNR", 0.0, lambda: [a2g_snr(
              c.uav_tx_power, c.ref_gain / (dx ** 2 + dy ** 2 + c.uav_altitude ** 2),
              c.noise_power) for dx, dy in ((0.0, 0.0), (c.road_length, lane))]),
+        ("v_max_vehicle/avg_window/num_vehicles/road_length/slot_duration/"
+         "cam_interval/cluster_interval", "a fold of speeds or positions",
+         -math.inf, lambda: [
+             left_sum([c.v_max_vehicle] * samples),
+             left_sum([c.road_length] + [c.v_max_vehicle * c.slot_duration] * gap),
+             c.v_max_vehicle * c.cluster_interval]),
         ("gauss_mean/gauss_var", "lambda_s", -math.inf,
          lambda: [lambda_s(s, c.gauss_mean, c.gauss_var) for s in (0.0, 1.0)])]
     for fields, term, low, ends in terms:

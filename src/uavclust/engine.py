@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +49,7 @@ from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_
 from .config import SimConfig, validate
 from .mobility import (Fleet, neighbor_counts, neighbor_table,
                        residual_path, residual_path_geometric, step, within)
-from .model import AirPoint, UavNode
+from .model import AirPoint, UavNode, left_sum
 from .seeding import (RunSeeds, pcg64_state, pcg64_states, pcg64_words,
                       ziggurat_exponential, ziggurat_normal)
 from .trace import NO_PAYLOAD, SimEvent, make_event
@@ -109,15 +109,15 @@ class Traffic:
     what survey measured at the current event slot, as lists per run:
     every row's average speed, at a round its UAV (assignment) and, if
     asked for, its neighbor count (None at any other slot), at a beacon
-    check whether each UAV covers it (outside, [run][UAV][vehicle]); and
-    the slot's position array, by reference.
-    Survey and step replace these and never write them, so a backup
-    ranking, or cams, may hold them until it runs.  cams holds the t_ms
-    and position array of every CAM batch so far, which run_block
-    appends; link_gen is the block's one generator for the slow-path
-    draws of link streams (Simulation._link_rng).  A given initial_fleet
-    starts every run, is copied, never stepped, and must hold finite
-    positions and speeds in [0, inf)."""
+    check whether each UAV covers it (outside, [run][UAV][vehicle]).
+    Survey replaces these, and step fleet.x, and neither writes the old
+    ones, so a backup ranking, or cams, may hold them, fleet.x by
+    reference, until it runs.  cams holds the t_ms and fleet.x of every
+    CAM batch so far, which run_block appends; link_gen is the block's
+    one generator for the slow-path draws of link streams
+    (Simulation._link_rng).  A given initial_fleet starts every run, is
+    copied, never stepped, and must hold finite positions and speeds in
+    [0, inf)."""
 
     def __init__(self, config: SimConfig, *mobility_seeds: int,
                  initial_fleet: Optional[Fleet] = None):
@@ -140,7 +140,7 @@ class Traffic:
                              for column in ("x", "y", "dir", "speed")))
         self.fleet.age = np.stack([f.age for f in fleets])
         self.avg_speed = self.nbr_count = self.assignment = None
-        self.outside = self.x = None
+        self.outside = None
         self.cams: List[Tuple[int, np.ndarray]] = []
         self.link_gen = np.random.Generator(np.random.PCG64(0))
         # the ids of events: one tuple per (UAV, vehicle) and per vehicle,
@@ -154,7 +154,6 @@ class Traffic:
                with_coverage: bool) -> None:
         """Measure the fleet at an event slot, before its phases run."""
         cfg, fleet = self.config, self.fleet
-        self.x = fleet.x
         self.avg_speed = fleet.avg_speeds(cfg.avg_window).tolist()
         self.nbr_count = (neighbor_table(fleet, cfg.neighbor_range).tolist()
                           if with_neighbors else None)
@@ -259,7 +258,7 @@ class Simulation:
         cfg, traffic = self.config, self.traffic
         if cfg.scheme == "proposed":
             return select_ch(members, *self._features(
-                state.uav, members, traffic.avg_speed, traffic.x,
+                state.uav, members, traffic.avg_speed, traffic.fleet.x,
                 [traffic.nbr_count[self.row][k] for k in members]),
                 cfg.eps_distance, cfg.eps_neighbors)
         if cfg.scheme == "vmasc":
@@ -274,7 +273,7 @@ class Simulation:
         after this rebuild, since most lists are never popped."""
         if self.keeps_backup:
             state.ranking = (members, state.ch, self.traffic.avg_speed,
-                             self.traffic.x)
+                             self.traffic.fleet.x)
             state.backup = None
 
     def _rank_backup(self, uav: UavNode, members: List[int], ch: int,
@@ -513,7 +512,7 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
             for sim in sims:
                 sim.member_of = traffic.assignment[sim.row][:]
         if is_cam:
-            traffic.cams.append((int(round(t * 1000)), traffic.x))
+            traffic.cams.append((int(round(t * 1000)), traffic.fleet.x))
         if is_round or is_cam:
             for sim in sims:
                 sim.members = [[] for _ in traffic.uavs]
@@ -585,18 +584,11 @@ def _sample_cam_links(sims: List[Simulation], traffic: Traffic) -> None:
 
 def _set_mean_snrs(payloads: Sequence[dict], snrs: np.ndarray) -> None:
     """Set each payload's "snr" to the mean of its payload["members"] - 1
-    consecutive link SNRs.  Each mean is the left fold from 0.0 (as
-    model.left_sum) of one row of a zero-padded matrix, made for all
-    payloads at once by np.add.accumulate, over the count."""
-    counts = np.array([p["members"] - 1 for p in payloads])
-    starts = np.cumsum(counts) - counts
-    row = np.repeat(np.arange(len(counts)), counts)
-    folds = np.zeros((len(counts), int(counts.max()) + 1))
-    folds[row, np.arange(len(snrs)) - starts[row] + 1] = snrs
-    np.add.accumulate(folds, axis=1, out=folds)
-    means = folds[np.arange(len(counts)), counts] / counts
-    for payload, snr in zip(payloads, means.tolist()):
-        payload["snr"] = snr
+    consecutive link SNRs: their model.left_sum over the count."""
+    values = iter(snrs.tolist())
+    for payload in payloads:
+        count = payload["members"] - 1
+        payload["snr"] = left_sum(islice(values, count)) / count
 
 
 def run(config: SimConfig, seeds: RunSeeds,

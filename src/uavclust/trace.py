@@ -4,12 +4,13 @@ One event per line, tab-separated::
 
     time<TAB>kind<TAB>id,id,...<TAB>{payload json}
 
-The payload is compact JSON with sorted keys, written by a scalar
-encoder byte for byte as json.dumps writes it.  format_events is the
-one writer of event lines and fold_trace the one reader: it streams a
-file into a fold and parses only the lines of the kinds the fold reads,
-each payload in one call of json's C scanner and each distinct ids
-text once per file; read_trace is its fold into a list of events.
+The payload is compact JSON with sorted keys as json.dumps writes it,
+each value of exact type str, int, float or bool by a table of its own
+and any other by json.dumps.  format_events is the one writer of event
+lines and fold_trace the one reader: it streams a file into a fold and
+parses only the lines of the kinds the fold reads, each payload in one
+call of json's C scanner and each distinct ids text once per file;
+read_trace is its fold into a list of events.
 
 The first line is a ``#`` header carrying the config digest, scheme,
 run index and stream seeds, so aggregation can refuse mixed-config
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
@@ -68,23 +68,9 @@ def format_number(value: float) -> str:
 
 def _json_scalar(value) -> str:
     """One payload value as json.dumps writes it inside a dict."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"trace payload value {value!r} is not a JSON scalar")
+    if not isinstance(value, (str, int, float)):
+        raise TypeError(f"trace payload value {value!r} is not a JSON scalar")
+    return json.dumps(value)
 
 
 def format_header(meta: Dict[str, str]) -> str:

@@ -443,12 +443,13 @@ def test_degenerate_link_parameters_are_rejected_before_out_exists(
                                   "ref_gain = 1e-320",
                                   "lane_offsets = -1e160,1e160",
                                   "v2v_loss_const = 6e306\nshadow_std_db = 0\n"
-                                  "num_vehicles = 100"])
+                                  "num_vehicles = 100",
+                                  "v_max_vehicle = 1e308"])
 def test_an_overflow_in_the_model_exits_with_one_error_line(tmp_path, capsys,
                                                             line):
-    # unchecked, an SNR, a CAM batch's sum of I - 1 finite SNRs (the last
-    # case) or the likelihood's (s - mean) ** 2 overflows a float, or every
-    # A2G SNR rounds to inf or 0 and the UAVs tie
+    # unchecked, an SNR, a CAM batch's sum of I - 1 finite SNRs, a fold of
+    # speeds (the last case) or the likelihood's (s - mean) ** 2 overflows
+    # a float, or every A2G SNR rounds to inf or 0 and the UAVs tie
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "o"
@@ -483,14 +484,14 @@ def drawn(default, signed=False):
     return st.one_of(st.just(default), magnitude)
 
 
-# the link-budget, A2G and likelihood floats; timing and speed fields
-# keep their defaults
+# the link-budget, A2G and likelihood floats and the top speed; timing
+# fields and v_min keep their defaults
 MODEL_FIELDS = {
     name: drawn(getattr(SimConfig(), name), signed=name == "gauss_mean")
     for name in ("vehicle_tx_power", "noise_power", "v2v_loss_const",
                  "v2v_loss_exp", "shadow_std_db", "uav_tx_power", "ref_gain",
                  "uav_altitude", "road_length", "poisson_rate", "gauss_mean",
-                 "gauss_var")}
+                 "gauss_var", "v_max_vehicle")}
 
 
 @given(st.fixed_dictionaries({

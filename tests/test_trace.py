@@ -1,9 +1,11 @@
 """Trace record round-trips and atomic file writes."""
+import enum
 import json
 import math
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,14 @@ def test_format_event_matches_json_dumps(ev):
     assert format_events([parse_event(line)]) == line
 
 
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+class _Text(str):
+    pass
+
+
 ODD_EVENTS = [
     SimEvent(0.0, "clustering_round"),
     SimEvent(-0.0, "beacon_ok", ids=(0,)),
@@ -125,6 +135,10 @@ ODD_EVENTS = [
     SimEvent(math.nan, "ch_selected", ids=(7, 7),
              payload={"scheme": "\u00fcber", "degraded": True}),
     SimEvent(5e-324, "ch_reselected_full", payload={"": 0, "\t": 1.5}),
+    # values of subclasses of str, int and float
+    SimEvent(20.0, "cam_batch", ids=(0, 3),
+             payload={"snr": np.float64(0.1), "nan": np.float64("nan"),
+                      "members": _Count.TWO, "reason": _Text("t\u00e9\t")}),
 ]
 
 
@@ -141,7 +155,8 @@ def test_trace_writer_matches_json_dumps(tmp_path):
 
 def test_format_events_rejects_non_scalars():
     for payload in ({"members": [1, 2]}, {"ch": None},
-                    {"snr": 1.0, "ids": (1, 2)}):
+                    {"snr": 1.0, "ids": (1, 2)}, {"members": np.int64(1)},
+                    {"degraded": np.bool_(True)}):
         with pytest.raises(TypeError):
             format_events([SimEvent(10.0, "cam_batch", (0, 3), payload)])
 

@@ -190,7 +190,7 @@ def _write_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     cumulative re-selections per scheme on the CAM grid."""
     scored = _run_experiment(config, schemes, runs, out_dir, workers)
     per_scheme = _write_aggregates(out_dir, config, scored)
-    step = round(config.cam_interval / config.slot_duration)
+    step = config.slots(config.cam_interval)
     grid = [k * config.slot_duration
             for k in range(0, config.num_slots + 1, step)]
     series = {}
@@ -358,8 +358,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, ArithmeticError,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Tuple
 from .channel import (MIN_V2V_DISTANCE, a2g_snr, dbm_to_watts,
                       v2v_large_scale, v2v_snr)
 from .metrics import lambda_s
-from .model import KMH_TO_MS, left_sum
+from .model import KMH_TO_MS, left_sum_bound
 from .seeding import EXPONENTIAL_DRAW_BOUND, NORMAL_DRAW_BOUND
 
 SCHEMES = ("proposed", "vmasc", "random")
@@ -84,9 +84,13 @@ class SimConfig:
     backup_raw_scores: bool = False
     benchmarks_use_backup: bool = False
 
+    def slots(self, interval: float) -> int:
+        """The slots in interval, which validate requires to be whole."""
+        return round(interval / self.slot_duration)
+
     @property
     def num_slots(self) -> int:
-        return int(round(self.total_time / self.slot_duration))
+        return self.slots(self.total_time)
 
     def digest(self) -> str:
         """Stable hash of all fields, used to detect mixed-config traces."""
@@ -95,9 +99,11 @@ class SimConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _is_multiple(interval: float, dt: float) -> bool:
-    ratio = interval / dt
-    return math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9
+def _whole_slots(c: SimConfig, interval: float) -> bool:
+    """Whether interval is a whole number of at least one slot."""
+    ratio = interval / c.slot_duration
+    return (math.isfinite(ratio) and c.slots(interval) >= 1
+            and abs(ratio - c.slots(interval)) < 1e-9)
 
 
 def _model_ends(c: SimConfig) -> Iterator[str]:
@@ -105,20 +111,21 @@ def _model_ends(c: SimConfig) -> Iterator[str]:
     SNR) is not positive at an end of its inputs, where monotone rounding
     puts its extremes: I - 1 V2V SNRs at the ziggurat's bounds and 10 m,
     summed as a batch's mean is; A2G at the UAV's foot and the far corner;
-    folds of v_max_vehicle over a run's most samples or slots per step."""
+    folds of v_max_vehicle over a run's most samples or slots per step.
+    A sum is model.left_sum_bound of its count: it builds no list."""
     z = NORMAL_DRAW_BOUND * c.shadow_std_db / 10.0
     fast = EXPONENTIAL_DRAW_BOUND if c.snr_fading == "instantaneous" else 1.0
     lane = max(map(abs, c.lane_offsets))
     samples = max(min(c.avg_window, c.num_slots), c.num_vehicles)
-    gap = min(round(c.cam_interval / c.slot_duration),
-              round(c.cluster_interval / c.slot_duration), c.num_slots)
+    gap = min(c.slots(c.cam_interval), c.slots(c.cluster_interval),
+              c.num_slots)
     terms = [  # (fields, term, lower limit, its values at the ends)
         ("vehicle_tx_power/noise_power/v2v_loss_const/v2v_loss_exp/"
          "shadow_std_db/snr_fading/num_vehicles", "a CAM batch's V2V SNR sum",
-         -math.inf, lambda: [left_sum([v2v_snr(c.vehicle_tx_power, fast,
-             v2v_large_scale(MIN_V2V_DISTANCE, math.pow(10.0, z),
-                             c.v2v_loss_const, c.v2v_loss_exp),
-             c.noise_power)] * (c.num_vehicles - 1))]),
+         -math.inf, lambda: [left_sum_bound(c.num_vehicles - 1, v2v_snr(
+             c.vehicle_tx_power, fast, v2v_large_scale(
+                 MIN_V2V_DISTANCE, math.pow(10.0, z), c.v2v_loss_const,
+                 c.v2v_loss_exp), c.noise_power))]),
         ("uav_tx_power/ref_gain/noise_power/uav_altitude/road_length/"
          "lane_offsets", "the A2G SNR", 0.0, lambda: [a2g_snr(
              c.uav_tx_power, c.ref_gain / (dx ** 2 + dy ** 2 + c.uav_altitude ** 2),
@@ -126,8 +133,9 @@ def _model_ends(c: SimConfig) -> Iterator[str]:
         ("v_max_vehicle/avg_window/num_vehicles/road_length/slot_duration/"
          "cam_interval/cluster_interval", "a fold of speeds or positions",
          -math.inf, lambda: [
-             left_sum([c.v_max_vehicle] * samples),
-             left_sum([c.road_length] + [c.v_max_vehicle * c.slot_duration] * gap),
+             left_sum_bound(samples, c.v_max_vehicle),
+             left_sum_bound(gap + 1, max(c.road_length,  # then gap steps
+                                         c.v_max_vehicle * c.slot_duration)),
              c.v_max_vehicle * c.cluster_interval]),
         ("gauss_mean/gauss_var", "lambda_s", -math.inf,
          lambda: [lambda_s(s, c.gauss_mean, c.gauss_var) for s in (0.0, 1.0)])]
@@ -191,8 +199,11 @@ def validate(config: SimConfig) -> SimConfig:
 
     for name in ("cam_interval", "beacon_interval", "cluster_interval",
                  "total_time"):
-        if c.slot_duration > 0 and not _is_multiple(getattr(c, name), c.slot_duration):
+        if c.slot_duration > 0 and not _whole_slots(c, getattr(c, name)):
             errors.append(f"{name}: must be a multiple of slot_duration")
+    # above 2**53 slots a slot index k is not exact in t = k * dt
+    if c.slot_duration > 0 and c.total_time / c.slot_duration > 2 ** 53:
+        errors.append("total_time/slot_duration: must be at most 2**53 slots")
 
     if c.scheme not in SCHEMES:
         errors.append(f"scheme: must be one of {SCHEMES}, got {c.scheme!r}")

@@ -439,8 +439,8 @@ def _schedule(config: SimConfig) -> List[Tuple[int, int, bool, bool, bool]]:
     is_beacon) of every event slot, in slot order: rounds every
     cluster_interval from slot 0, and off the rounds, CAM batches every
     cam_interval and beacon checks every beacon_interval."""
-    dt, n = config.slot_duration, config.num_slots
-    k_cluster, k_cam, k_beacon = (int(round(interval / dt)) for interval in (
+    n = config.num_slots
+    k_cluster, k_cam, k_beacon = map(config.slots, (
         config.cluster_interval, config.cam_interval, config.beacon_interval))
     slots = sorted({*range(0, n, k_cluster), *range(0, n, k_cam),
                     *range(k_beacon, n, k_beacon)})

@@ -7,6 +7,7 @@ be shared freely across concurrent Monte Carlo runs.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from typing import Iterable, NamedTuple
 
@@ -23,6 +24,16 @@ def left_sum(values: Iterable[float]) -> float:
     so every mean the simulator reports or compares uses this fold.
     """
     return functools.reduce(operator.add, values, 0.0)
+
+
+def left_sum_bound(n: int, x: float) -> float:
+    """A bound on left_sum of n terms in [0, x], 0.0 at n = 0 whatever x
+    is.  Each addition rounds up by at most a factor 1 + u, u = 2**-53,
+    so the fold is at most n·x·(1 + u)**n <= n·x·e**(n·u) (Higham 2002,
+    §4.2); the factor 2 covers the rounding of float(n), the products and
+    exp.  It is inf, or exp raises OverflowError, where the fold could
+    overflow."""
+    return 2.0 * n * x * math.exp(n * 2.0 ** -53) if n else 0.0
 
 
 class AirPoint(NamedTuple):

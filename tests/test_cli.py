@@ -461,6 +461,43 @@ def test_an_overflow_in_the_model_exits_with_one_error_line(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, field", [
+    ("cam_interval = 1e-12", "cam_interval"),
+    ("beacon_interval = 1e-12", "beacon_interval"),
+    ("cluster_interval = 1e-12", "cluster_interval"),
+    ("total_time = 1e-12", "total_time"),
+    ("slot_duration = 1e-300\ntotal_time = 70", "total_time/slot_duration"),
+    ("avg_window = 2000000000000000000\ntotal_time = 2e18",
+     "total_time/slot_duration")])
+def test_a_timing_fault_is_rejected_before_out_exists(tmp_path, capsys, line,
+                                                      field):
+    # unchecked, an interval of 0 slots stops the schedule's range() after
+    # --out exists, and a run of 0 slots writes NaN aggregates
+    cfg = tmp_path / "timing.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "never"
+    assert main(["compare", "--config", str(cfg), "--runs", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raised, message", [
+    (MemoryError("Unable to allocate 8.73 TiB"), "Unable to allocate 8.73 TiB"),
+    (MemoryError(), "MemoryError")])
+def test_a_memory_error_exits_with_one_error_line(tmp_path, capsys,
+                                                  monkeypatch, raised, message):
+    # a validated config can still ask mobility.step for a larger array
+    # than the host has
+    def no_memory(*args, **kwargs):
+        raise raised
+    monkeypatch.setattr(engine, "run_block", no_memory)
+    assert main(["compare", "--runs", "1", "--duration", "70",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_a_subnormal_noise_power_runs_to_finite_aggregates(tmp_path):
     # every SNR's extremes are finite (the largest V2V SNR ~ 8e296), so
     # the config is valid although the noise power is subnormal

@@ -1,11 +1,16 @@
 """Config defaults, validation and the flat key = value file format."""
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavclust.config import (MAX_SHADOW_STD_DB, ConfigError, SimConfig,
                              dump_config, parse_config_text, validate)
+from uavclust.model import left_sum, left_sum_bound
 from uavclust.seeding import EXPONENTIAL_DRAW_BOUND, NORMAL_DRAW_BOUND
 
 
@@ -45,10 +50,51 @@ def test_interval_divisibility_violation():
             # an interval over the slot that rounds to inf, which round()
             # cannot take
             ({"slot_duration": 1e-300, "total_time": 1e300}, "total_time"),
-            ({"slot_duration": 1e-300, "cam_interval": 1e10}, "cam_interval")]:
+            ({"slot_duration": 1e-300, "cam_interval": 1e10}, "cam_interval"),
+            # within 1e-9 of 0 slots, which no schedule can step by
+            ({"cam_interval": 1e-12}, "cam_interval"),
+            ({"beacon_interval": 1e-12}, "beacon_interval"),
+            ({"cluster_interval": 1e-12}, "cluster_interval"),
+            ({"total_time": 1e-12}, "total_time")]:
         with pytest.raises(ConfigError) as exc:
             validate(dataclasses.replace(SimConfig(), **changes))
         assert f"{name}: must be a multiple of slot_duration" in exc.value.errors
+
+
+def test_a_run_is_at_most_2_53_slots():
+    # past 2**53 a slot index k is no longer exact in t = k * dt
+    validate(dataclasses.replace(SimConfig(), total_time=2.0 ** 53))
+    for changes in ({"total_time": 2.0 ** 53 + 2.0},
+                    {"slot_duration": 1e-300, "total_time": 70.0},
+                    # a speed fold of min(avg_window, slots) = 2e18 samples
+                    {"avg_window": 2 * 10 ** 18, "total_time": 2e18}):
+        with pytest.raises(ConfigError) as exc:
+            validate(dataclasses.replace(SimConfig(), **changes))
+        assert exc.value.errors == [
+            "total_time/slot_duration: must be at most 2**53 slots"]
+
+
+def test_validation_builds_nothing_as_long_as_a_config_count():
+    config = dataclasses.replace(SimConfig(), num_vehicles=10 ** 7)
+    tracemalloc.start()
+    try:
+        validate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@given(st.integers(0, 4096), st.data())
+@settings(deadline=None, max_examples=500)
+def test_left_sum_bound_bounds_the_fold(n, data):
+    # x log-uniform from the least subnormal up to the float maximum over n
+    top = math.log2(sys.float_info.max / max(n, 1))
+    x = 2.0 ** data.draw(st.floats(-1074.0, top))
+    bound = left_sum_bound(n, x)
+    if math.isfinite(bound):
+        total = left_sum([x] * n)
+        assert math.isfinite(total) and total <= bound
 
 
 def test_multiple_errors_collected():

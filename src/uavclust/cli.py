@@ -300,11 +300,18 @@ def _cmd_metrics(args) -> int:
         if len(held) > 1:
             raise ValueError(f"{held[0]} and {held[1]} both hold run {index} "
                              f"of {scheme}")
+    plot = os.path.join(args.out, "plots", "reselections_vs_time.dat")
+    plotted = set()  # the schemes the plot's header names
+    if os.path.isfile(plot):
+        with open(plot, encoding="utf-8", errors="replace") as fh:
+            plotted = set(fh.readline().split()[2:])
     _write_aggregates(args.out, config, by_scheme)  # scores, then writes
-    # an aggregate of a scheme no trace is left of is stale
+    # an aggregate or plot of a scheme no trace is left of is stale
     kept = {os.path.join(args.out, f"aggregate.{s}.txt") for s in by_scheme}
     for stale in set(glob.glob(os.path.join(root, "aggregate.*.txt"))) - kept:
         os.remove(stale)
+    if plotted - set(by_scheme):
+        os.remove(plot)
     return 0
 
 

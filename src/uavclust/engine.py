@@ -49,7 +49,7 @@ from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_
 from .config import SimConfig, validate
 from .mobility import (Fleet, neighbor_counts, neighbor_table,
                        residual_path, residual_path_geometric, step, within)
-from .model import AirPoint, UavNode, left_sum
+from .model import left_sum
 from .seeding import (RunSeeds, pcg64_state, pcg64_states, pcg64_words,
                       ziggurat_exponential, ziggurat_normal)
 from .trace import NO_PAYLOAD, SimEvent, make_event
@@ -69,14 +69,10 @@ _DEPARTED = {reason: MappingProxyType({"reason": reason})
 BLOCK_ROWS = 64
 
 
-def place_uavs(config: SimConfig) -> List[UavNode]:
-    """Static hover points equally spaced along the road centerline."""
+def place_uavs(config: SimConfig) -> np.ndarray:
+    """Each UAV's hover x, by id: equally spaced on the centerline."""
     spacing = config.road_length / config.num_uavs
-    return [UavNode(id=j,
-                    pos=AirPoint((j + 0.5) * spacing, 0.0, config.uav_altitude),
-                    coverage_radius=config.uav_coverage_radius,
-                    tx_power=config.uav_tx_power)
-            for j in range(config.num_uavs)]
+    return (np.arange(config.num_uavs) + 0.5) * spacing
 
 
 def init_fleet(config: SimConfig, rng: np.random.Generator) -> Fleet:
@@ -93,7 +89,7 @@ def init_fleet(config: SimConfig, rng: np.random.Generator) -> Fleet:
 
 @dataclass
 class _ClusterState:
-    uav: UavNode
+    uav: int
     ch: Optional[int] = None
     ch_respawned: bool = False
     tenure: int = 0
@@ -104,7 +100,7 @@ class _ClusterState:
 
 
 class Traffic:
-    """What the runs of a block share with their schemes: UAVs, one
+    """What the runs of a block share with their schemes: hover_x, one
     mobility stream per run, the fleet as (runs, vehicles) arrays, and
     what survey measured at the current event slot, as lists per run:
     every row's average speed, at a round its UAV (assignment) and, if
@@ -130,10 +126,7 @@ class Traffic:
             raise ValueError("initial_fleet: speeds must be in [0, inf)")
         self.config = config
         self.rngs = [np.random.default_rng(seed) for seed in mobility_seeds]
-        self.uavs = place_uavs(config)
-        # each UAV's hover x, y and coverage radius, one row per UAV
-        self._hover = np.array([[u.pos.x, u.pos.y, u.coverage_radius]
-                                for u in self.uavs]).T[:, :, None]
+        self.hover_x = place_uavs(config)
         fleets = [init_fleet(config, rng) if initial_fleet is None
                   else initial_fleet for rng in self.rngs]
         self.fleet = Fleet(*(np.stack([getattr(f, column) for f in fleets])
@@ -146,8 +139,8 @@ class Traffic:
         # the ids of events: one tuple per (UAV, vehicle) and per vehicle,
         # shared by every event of the block that names them
         vehicles = self.fleet.x.shape[1]
-        self.cluster_ids = [[(u.id, v) for v in range(vehicles)]
-                            for u in self.uavs]
+        self.cluster_ids = [[(u, v) for v in range(vehicles)]
+                            for u in range(config.num_uavs)]
         self.vehicle_ids = [(v,) for v in range(vehicles)]
 
     def survey(self, with_neighbors: bool, with_assignment: bool,
@@ -158,7 +151,8 @@ class Traffic:
         self.nbr_count = (neighbor_table(fleet, cfg.neighbor_range).tolist()
                           if with_neighbors else None)
         if with_assignment:
-            self.assignment = assign(fleet, self.uavs, cfg.ref_gain,
+            self.assignment = assign(fleet, self.hover_x, cfg.uav_altitude,
+                                     cfg.uav_tx_power, cfg.ref_gain,
                                      cfg.noise_power).tolist()
         if with_coverage:
             self.outside = self._outside().tolist()
@@ -168,8 +162,8 @@ class Traffic:
         (runs, UAVs, vehicles); a vehicle exactly on the circle is
         covered (mobility.within)."""
         x, y = self.fleet.x, self.fleet.y
-        ux, uy, radius = self._hover
-        return ~within(ux - x[:, None, :], uy - y[:, None, :], radius)
+        return ~within(self.hover_x[:, None] - x[:, None, :],
+                       0.0 - y[:, None, :], self.config.uav_coverage_radius)
 
 
 class Simulation:
@@ -204,8 +198,7 @@ class Simulation:
         self._selected = [MappingProxyType({"scheme": config.scheme,
                                             "degraded": degraded})
                           for degraded in (False, True)]
-        self.clusters: Dict[int, _ClusterState] = {
-            u.id: _ClusterState(uav=u) for u in traffic.uavs}
+        self.clusters = [_ClusterState(u) for u in range(config.num_uavs)]
         self.member_of = [-1] * traffic.fleet.x.shape[-1]
         self.members: List[List[int]] = []
         self.events: List[SimEvent] = []
@@ -234,7 +227,7 @@ class Simulation:
             "has_uint32": 0, "uinteger": 0}
         return link_gen
 
-    def _features(self, uav: UavNode, members: List[int], avg_speed, x,
+    def _features(self, uav: int, members: List[int], avg_speed, x,
                   nbr_count: List[int]):
         """(v_d, neighbor count, residual path) lists of the members,
         from one event slot's survey of the block (Traffic) and the
@@ -246,10 +239,11 @@ class Simulation:
         v_cl = cluster_avg_speed(speed)
         if cfg.residual_mode == "geometric":
             residual = residual_path_geometric(
-                uav.pos, x[row][members], self.y[members], self.dir[members],
-                np.array(speed), cfg.cluster_interval, uav.coverage_radius)
+                self.traffic.hover_x[uav], x[row][members], self.y[members],
+                self.dir[members], np.array(speed), cfg.cluster_interval,
+                cfg.uav_coverage_radius)
         else:
-            residual = residual_path(uav.coverage_radius, np.array(speed),
+            residual = residual_path(cfg.uav_coverage_radius, np.array(speed),
                                      cfg.cluster_interval)
         return [abs(v - v_cl) for v in speed], nbr_count, residual.tolist()
 
@@ -276,7 +270,7 @@ class Simulation:
                              self.traffic.fleet.x)
             state.backup = None
 
-    def _rank_backup(self, uav: UavNode, members: List[int], ch: int,
+    def _rank_backup(self, uav: int, members: List[int], ch: int,
                      avg_speed, x) -> List[int]:
         """The backup list of members around CH ch, best first, from
         one event slot's survey (_features).  Only the members' neighbor
@@ -305,7 +299,7 @@ class Simulation:
         events.append(make_event((t, "clustering_round", (),
                                   {"round": self.round_index})))
         self.round_index += 1
-        for state, members, ids in zip(self.clusters.values(), self.members,
+        for state, members, ids in zip(self.clusters, self.members,
                                        self.traffic.cluster_ids):
             state.ch = None
             if not members:
@@ -325,7 +319,7 @@ class Simulation:
         """
         events = self.events
         cam = len(self.traffic.cams) - 1
-        for state, members, ids in zip(self.clusters.values(), self.members,
+        for state, members, ids in zip(self.clusters, self.members,
                                        self.traffic.cluster_ids):
             count = len(members)
             if not count:
@@ -373,7 +367,7 @@ class Simulation:
     def _beacon_check(self, t: float) -> None:
         events = self.events
         for state, cluster_ids, outside in zip(
-                self.clusters.values(), self.traffic.cluster_ids,
+                self.clusters, self.traffic.cluster_ids,
                 self.traffic.outside[self.row]):
             i = state.ch
             if i is None:
@@ -409,9 +403,9 @@ class Simulation:
         u, member_of = state.uav, self.member_of
         member_of[state.ch] = -1
         state.ch = None
-        members = [vid for vid in self.members[u.id] if member_of[vid] == u.id]
+        members = [vid for vid in self.members[u] if member_of[vid] == u]
         if self.keeps_backup:
-            outside = self.traffic.outside[self.row][u.id]
+            outside = self.traffic.outside[self.row][u]
             for vid in members:
                 if outside[vid]:
                     member_of[vid] = -1
@@ -422,7 +416,7 @@ class Simulation:
             if state.backup is None:
                 state.backup = self._rank_backup(u, *state.ranking)
             chosen, state.backup = pop_replacement(
-                state.backup, [member_of[vid] == u.id for vid in state.backup])
+                state.backup, [member_of[vid] == u for vid in state.backup])
             kind, payload = "ch_replaced_from_backup", {}
         else:
             chosen, degraded = self._select_for_scheme(state, members)
@@ -430,7 +424,7 @@ class Simulation:
         self._seat_ch(state, chosen)
         payload["tenure"] = state.tenure
         self.events.append(make_event((t, kind,
-                                       self.traffic.cluster_ids[u.id][chosen],
+                                       self.traffic.cluster_ids[u][chosen],
                                        payload)))
 
 
@@ -515,7 +509,7 @@ def run_block(config: SimConfig, plans: Sequence[Dict[str, RunSeeds]],
             traffic.cams.append((int(round(t * 1000)), traffic.fleet.x))
         if is_round or is_cam:
             for sim in sims:
-                sim.members = [[] for _ in traffic.uavs]
+                sim.members = [[] for _ in sim.clusters]
                 for vid, uav in enumerate(sim.member_of):
                     if uav >= 0:
                         sim.members[uav].append(vid)

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import AirPoint, VehicleId, left_sum
+from .model import VehicleId, left_sum
 
 
 class Fleet:
@@ -138,19 +138,17 @@ def residual_path(r_u: float, v_avg, dt: float):
     return 2.0 * r_u - v_avg * dt
 
 
-def residual_path_geometric(uav: AirPoint, x, y, direction, v_avg,
+def residual_path_geometric(uav_x: float, x, y, direction, v_avg,
                             dt: float, r_u: float):
-    """Exact variant: distance to the coverage-circle exit along the
-    heading, minus the travel budget v_avg * dt.  x, y, direction and
-    v_avg are scalars or equal-length arrays.
+    """Exact variant: distance to the exit of the coverage circle around
+    (uav_x, 0) along the heading, minus the travel budget v_avg * dt.
+    x, y, direction and v_avg are scalars or equal-length arrays.
 
-    A vehicle already outside the coverage circle gets zero exit
-    distance.
+    A vehicle already outside the coverage circle gets zero exit distance.
     """
-    dx = x - uav.x
-    dy = y - uav.y
-    lateral_sq = dy * dy
-    # exit point along +-x: solve (dx + s*dir)^2 + dy^2 = r_u^2, s > 0
+    dx = x - uav_x
+    lateral_sq = y * y
+    # exit point along +-x: solve (dx + s*dir)^2 + y^2 = r_u^2, s > 0
     half_chord = np.sqrt(np.maximum(r_u * r_u - lateral_sq, 0.0))
     exit_dist = np.where(dx * dx + lateral_sq > r_u * r_u, 0.0,
                          half_chord - direction * dx)

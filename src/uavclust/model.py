@@ -1,18 +1,17 @@
-"""UAV records and the float sum shared by every simulator module.
+"""The float sum and the units shared by every simulator module.
 
-Vehicles have no record: a vehicle is its row of the run's
-mobility.Fleet.  UAV records are NamedTuples, immutable, so they can
-be shared freely across concurrent Monte Carlo runs.
+Neither vehicles nor UAVs have a record: a vehicle is its row of the
+run's mobility.Fleet, a UAV its index into engine.place_uavs' hover x
+array; the config holds the altitude, radius and power all UAVs share.
 """
 from __future__ import annotations
 
 import functools
 import math
 import operator
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 VehicleId = int
-UavId = int
 
 KMH_TO_MS = 1.0 / 3.6
 
@@ -34,21 +33,4 @@ def left_sum_bound(n: int, x: float) -> float:
     exp.  It is inf, or exp raises OverflowError, where the fold could
     overflow."""
     return 2.0 * n * x * math.exp(n * 2.0 ** -53) if n else 0.0
-
-
-class AirPoint(NamedTuple):
-    """3D hover position of a UAV at fixed altitude h."""
-
-    x: float
-    y: float
-    h: float
-
-
-class UavNode(NamedTuple):
-    """Aerial base station hovering over the road."""
-
-    id: UavId
-    pos: AirPoint
-    coverage_radius: float  # meters, planar
-    tx_power: float  # watts
 

@@ -1,9 +1,10 @@
 """Reference functions that only the tests call.
 
-The simulator samples V2V links in batches (engine._link_snrs), assigns
-vehicles to UAVs in one array pass (assignment.assign) and reads
-traces in one streaming fold with json's C scanner (trace.fold_trace);
-these are the scalar forms the tests check them against.
+The simulator samples V2V links in batches
+(engine.Simulation._link_snrs), assigns vehicles to UAVs in one array
+pass (assignment.assign) and reads traces in one streaming fold with
+json's C scanner (trace.fold_trace); these are the scalar forms the
+tests check them against.
 """
 import json
 
@@ -13,19 +14,22 @@ from uavclust import channel
 from uavclust.trace import EVENT_KINDS, SimEvent, parse_header
 
 
-def reference_assign(fleet, uavs, g0, noise):
+def reference_assign(fleet, uav_x, altitude, power, g0, noise):
     """The UAV id of the max A2G SNR per fleet row, one scalar SNR per
-    UAV and row; ties break to the lowest UAV id."""
-    ordered = sorted(uavs, key=lambda n: n.id)
+    UAV and row; ties break to the lowest UAV id.  UAV j hovers at
+    (uav_x[j], 0.0) at altitude[j] and transmits at power[j]; a float
+    altitude or power is every UAV's."""
+    uavs = list(zip(uav_x, *([v] * len(uav_x) if isinstance(v, float) else v
+                             for v in (altitude, power))))
     column = []
     for x, y in zip(fleet.x.ravel().tolist(), fleet.y.ravel().tolist()):
         best_uav = None
         best_snr = -1.0
-        for u in ordered:
-            d = channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h, x, y)
-            snr = channel.a2g_snr(u.tx_power, channel.a2g_gain(d, g0), noise)
+        for j, (ux, h, p) in enumerate(uavs):
+            d = channel.a2g_distance(ux, 0.0, h, x, y)
+            snr = channel.a2g_snr(p, channel.a2g_gain(d, g0), noise)
             if snr > best_snr:
-                best_uav, best_snr = u.id, snr
+                best_uav, best_snr = j, snr
         column.append(best_uav)
     return np.array(column, dtype=np.int64).reshape(fleet.x.shape)
 

@@ -29,7 +29,6 @@ from uavclust.assignment import assign
 from uavclust.cli import main as cli_main
 from uavclust.config import SimConfig
 from uavclust.mobility import residual_path
-from uavclust.model import AirPoint, UavNode
 from uavclust.seeding import run_seeds
 
 from conftest import ACCEPTANCE_LINES, fleet_of, make_vehicle
@@ -103,18 +102,18 @@ def test_criterion_2_brute_force_equivalence():
     instances = 0
 
     for _ in range(300):  # assignment argmax
-        uavs = [UavNode(j, AirPoint(float(rng.uniform(0, 1000)), 0.0, 100.0),
-                        500.0, float(rng.uniform(0.5, 2.0)))
+        # (hover x, power) by UAV id, at 100 m over the centerline
+        uavs = [(float(rng.uniform(0, 1000)), float(rng.uniform(0.5, 2.0)))
                 for j in range(int(rng.integers(1, 6)))]
         vehicles = [make_vehicle(i, float(rng.uniform(0, 1000)),
                                  y=float(rng.choice([-2.0, 2.0])))
                     for i in range(int(rng.integers(1, 51)))]
-        column = assign(fleet_of(vehicles), uavs, 1e-5, noise)
+        uav_x, power = zip(*uavs)
+        column = assign(fleet_of(vehicles), uav_x, 100.0, power, 1e-5, noise)
         for v in vehicles:
-            snrs = {u.id: u.tx_power * 1e-5 / (
-                channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h,
-                                     v.x, v.y) ** 2) / noise
-                for u in uavs}
+            snrs = {uid: p * 1e-5 / (
+                channel.a2g_distance(x, 0.0, 100.0, v.x, v.y) ** 2) / noise
+                for uid, (x, p) in enumerate(uavs)}
             best = max(snrs.values())
             assert column[v.id] == min(
                 uid for uid, s in snrs.items() if s == best)

@@ -5,7 +5,6 @@ import pytest
 from uavclust import channel
 from uavclust.assignment import assign
 from uavclust.mobility import Fleet
-from uavclust.model import AirPoint, UavNode
 
 from conftest import fleet_of, make_vehicle
 from oracle import reference_assign
@@ -15,34 +14,44 @@ G0 = 1e-5
 
 
 def make_uav(uid, x, *, h=100.0, power=1.0):
-    return UavNode(id=uid, pos=AirPoint(x, 0.0, h), coverage_radius=500.0,
-                   tx_power=power)
+    return uid, x, h, power
+
+
+def hover(uavs):
+    """assign's (hover x, altitude, power) lists, by UAV id, of make_uav
+    tuples whose ids are 0 .. len(uavs) - 1."""
+    ordered = sorted(uavs)
+    assert [u[0] for u in ordered] == list(range(len(uavs)))
+    return tuple(list(column) for column in zip(*ordered))[1:]
 
 
 def test_single_uav_takes_everyone():
     uavs = [make_uav(0, 500.0)]
     vehicles = [make_vehicle(i, 100.0 * i) for i in range(5)]
-    assert assign(fleet_of(vehicles), uavs, G0, NOISE).tolist() == [0] * 5
+    column = assign(fleet_of(vehicles), *hover(uavs), G0, NOISE)
+    assert column.tolist() == [0] * 5
 
 
 def test_closest_uav_wins():
     uavs = [make_uav(0, 100.0), make_uav(1, 900.0)]
     vehicles = [make_vehicle(0, 50.0), make_vehicle(1, 950.0)]
-    assert assign(fleet_of(vehicles), uavs, G0, NOISE).tolist() == [0, 1]
+    column = assign(fleet_of(vehicles), *hover(uavs), G0, NOISE)
+    assert column.tolist() == [0, 1]
 
 
 def test_tie_breaks_to_lowest_uav_id():
     # vehicle exactly midway between identical UAVs
     uavs = [make_uav(1, 400.0), make_uav(0, 600.0)]
     vehicles = [make_vehicle(0, 500.0, y=0.0)]
-    assert assign(fleet_of(vehicles), uavs, G0, NOISE).tolist() == [0]
+    column = assign(fleet_of(vehicles), *hover(uavs), G0, NOISE)
+    assert column.tolist() == [0]
 
 
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
-        assign(fleet_of([]), [make_uav(0, 500.0)], G0, NOISE)
+        assign(fleet_of([]), *hover([make_uav(0, 500.0)]), G0, NOISE)
     with pytest.raises(ValueError):
-        assign(fleet_of([make_vehicle(0, 10.0)]), [], G0, NOISE)
+        assign(fleet_of([make_vehicle(0, 10.0)]), [], 100.0, 1.0, G0, NOISE)
 
 
 def test_matches_brute_force_on_random_instances():
@@ -56,13 +65,12 @@ def test_matches_brute_force_on_random_instances():
         vehicles = [make_vehicle(i, float(rng.uniform(0, 1000)),
                                  y=float(rng.choice([-2.0, 2.0])))
                     for i in range(num_v)]
-        column = assign(fleet_of(vehicles), uavs, G0, NOISE)
+        column = assign(fleet_of(vehicles), *hover(uavs), G0, NOISE)
         for v in vehicles:
             snrs = {}
-            for u in uavs:
-                d = channel.a2g_distance(u.pos.x, u.pos.y, u.pos.h,
-                                         v.x, v.y)
-                snrs[u.id] = u.tx_power * (G0 / d ** 2) / NOISE
+            for uid, x, h, power in uavs:
+                d = channel.a2g_distance(x, 0.0, h, v.x, v.y)
+                snrs[uid] = power * (G0 / d ** 2) / NOISE
             best = max(snrs.values())
             expect = min(uid for uid, s in snrs.items() if s == best)
             assert column[v.id] == expect
@@ -90,10 +98,23 @@ def test_array_pass_matches_scalar_reference_on_random_fleets():
         fleet = random_block(rng, runs, vehicles)
         if runs == 1:
             fleet = Fleet(fleet.x[0], fleet.y[0], fleet.dir[0], fleet.speed[0])
-        column = assign(fleet, uavs, G0, NOISE)
+        column = assign(fleet, *hover(uavs), G0, NOISE)
         assert column.shape == fleet.x.shape
-        assert column.tolist() == reference_assign(fleet, uavs, G0,
-                                                   NOISE).tolist()
+        assert column.tolist() == reference_assign(fleet, *hover(uavs),
+                                                   G0, NOISE).tolist()
+
+
+def test_one_altitude_or_power_is_every_uavs():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        count = int(rng.integers(1, 6))
+        uav_x = rng.uniform(0.0, 1000.0, count)
+        fleet = random_block(rng, 2, int(rng.integers(1, 40)))
+        column = assign(fleet, uav_x, [120.0] * count, [2.0] * count,
+                        G0, NOISE).tolist()
+        assert assign(fleet, uav_x, 120.0, 2.0, G0, NOISE).tolist() == column
+        assert reference_assign(fleet, uav_x.tolist(), 120.0, 2.0, G0,
+                                NOISE).tolist() == column
 
 
 def test_vehicles_midway_between_hover_points_go_to_the_lowest_id():
@@ -104,9 +125,10 @@ def test_vehicles_midway_between_hover_points_go_to_the_lowest_id():
     vehicles = [make_vehicle(i, x, y=y) for i, (x, y) in enumerate(
         (x, y) for x in (250.0, 500.0, 750.0) for y in (-2.0, 2.0))]
     fleet = fleet_of(vehicles)
-    column = assign(fleet, uavs, G0, NOISE).tolist()
+    column = assign(fleet, *hover(uavs), G0, NOISE).tolist()
     assert column == [0, 0, 0, 0, 1, 1]
-    assert column == reference_assign(fleet, uavs, G0, NOISE).tolist()
+    assert column == reference_assign(fleet, *hover(uavs), G0,
+                                      NOISE).tolist()
 
 
 # (UAV 0's x, UAV 1's x, vehicle x, vehicle y) of vehicles near the
@@ -123,8 +145,8 @@ def test_near_ties_are_decided_as_the_scalar_reference(case):
     x0, x1, x, y = case
     uavs = [make_uav(0, x0), make_uav(1, x1)]
     fleet = fleet_of([make_vehicle(0, x, y=y)])
-    assert assign(fleet, uavs, G0, NOISE).tolist() == \
-        reference_assign(fleet, uavs, G0, NOISE).tolist()
+    assert assign(fleet, *hover(uavs), G0, NOISE).tolist() == \
+        reference_assign(fleet, *hover(uavs), G0, NOISE).tolist()
 
 
 def test_unequal_powers_match_scalar_reference():
@@ -136,9 +158,9 @@ def test_unequal_powers_match_scalar_reference():
                          power=float(rng.uniform(0.5, 2.0)))
                 for j in range(int(rng.integers(1, 6)))]
         fleet = random_block(rng, 1, int(rng.integers(1, 51)))
-        assert assign(fleet, uavs, G0, NOISE).tolist() == \
-            reference_assign(fleet, uavs, G0, NOISE).tolist()
+        assert assign(fleet, *hover(uavs), G0, NOISE).tolist() == \
+            reference_assign(fleet, *hover(uavs), G0, NOISE).tolist()
     # a UAV of four times the power wins a vehicle nearer the other UAV
     uavs = [make_uav(0, 400.0), make_uav(1, 600.0, power=4.0)]
     fleet = fleet_of([make_vehicle(0, 450.0)])
-    assert assign(fleet, uavs, G0, NOISE).tolist() == [1]
+    assert assign(fleet, *hover(uavs), G0, NOISE).tolist() == [1]

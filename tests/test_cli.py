@@ -293,6 +293,25 @@ def test_metrics_drops_the_aggregates_of_schemes_without_traces(tmp_path):
     assert aggregates(out) == aggregates(subset)
 
 
+def test_metrics_drops_the_plot_of_schemes_without_traces(tmp_path):
+    out = str(tmp_path / "exp")
+    assert main(["compare", "--runs", "2", "--duration", "140",
+                 "--out", out]) == 0
+    plot = os.path.join(out, "plots", "reselections_vs_time.dat")
+    # nothing is stale: the plot stays as compare wrote it
+    before = read_bytes(plot)
+    assert before.startswith(b"# time proposed random vmasc\n")
+    assert main(["metrics", "--out", out]) == 0
+    assert read_bytes(plot) == before
+    for name in trace_files(out):
+        if name.startswith("random_"):
+            os.remove(os.path.join(out, "traces", name))
+    assert main(["metrics", "--out", out]) == 0
+    assert not os.path.exists(plot)
+    assert sorted(aggregates(out)) == ["aggregate.proposed.txt",
+                                       "aggregate.vmasc.txt"]
+
+
 def aggregate_field(out_dir, scheme, key):
     text = read_bytes(os.path.join(out_dir, f"aggregate.{scheme}.txt")).decode()
     for line in text.splitlines():

@@ -74,7 +74,7 @@ class CamSnapshots(Simulation):
             zip(f.x[row].tolist(), f.y[row].tolist()))}
         self.snapshots.append((t, by_id, {
             u: (s.ch, np.flatnonzero(np.asarray(self.member_of) == u).tolist())
-            for u, s in self.clusters.items()}))
+            for u, s in enumerate(self.clusters)}))
         super()._cam_batch(t)
 
 
@@ -115,10 +115,37 @@ def kinds(events):
 
 
 def test_place_uavs_equally_spaced():
-    uavs = place_uavs(SimConfig())
-    assert [u.pos.x for u in uavs] == pytest.approx([166.6667, 500.0, 833.3333],
-                                                    abs=1e-3)
-    assert all(u.pos.h == 100.0 for u in uavs)
+    assert place_uavs(SimConfig()).tolist() == pytest.approx(
+        [166.6667, 500.0, 833.3333], abs=1e-3)
+
+
+@given(st.integers(1, 1000),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_place_uavs_is_the_scalar_spacing_rule(num_uavs, road_length):
+    # the same bits as (j + 0.5) * spacing, UAV by UAV
+    cfg = dataclasses.replace(SimConfig(), num_uavs=num_uavs,
+                              road_length=road_length)
+    assert place_uavs(cfg).tolist() == [
+        (j + 0.5) * (road_length / num_uavs) for j in range(num_uavs)]
+
+
+def test_assign_is_given_the_configured_altitude_and_power(monkeypatch):
+    # within range neither the altitude nor the power changes a trace,
+    # so only the arguments show that the engine passes them on
+    calls = []
+    real = engine.assign
+
+    def captured(fleet, uav_x, altitude, power, g0, noise):
+        calls.append((tuple(uav_x.tolist()), altitude, power, g0, noise))
+        return real(fleet, uav_x, altitude, power, g0, noise)
+
+    monkeypatch.setattr(engine, "assign", captured)
+    cfg = validate(dataclasses.replace(SimConfig(), total_time=140.0,
+                                       uav_altitude=123.5, uav_tx_power=2.5))
+    run(cfg, seeds=run_seeds(1, 0, "proposed"))
+    assert len(calls) == cfg.num_slots // cfg.slots(cfg.cluster_interval)
+    assert set(calls) == {(tuple(place_uavs(cfg).tolist()), 123.5, 2.5,
+                           cfg.ref_gain, cfg.noise_power)}
 
 
 def test_static_vehicles_one_round_no_departures():
@@ -219,8 +246,8 @@ class DepartureRecords(Simulation):
 
     def _handle_departure(self, t, state):
         super()._handle_departure(t, state)
-        left = np.flatnonzero(np.asarray(self.member_of) == state.uav.id).tolist()
-        self.departures.append((t, state.uav.id, state.ch, left))
+        left = np.flatnonzero(np.asarray(self.member_of) == state.uav).tolist()
+        self.departures.append((t, state.uav, state.ch, left))
 
 
 # the golden variants, and CAM and beacon periods off their defaults
@@ -273,11 +300,11 @@ def eager_backup_list(sim, state, members):
     v_d = np.abs(speed - cluster_avg_speed(speed))
     if cfg.residual_mode == "geometric":
         residual = residual_path_geometric(
-            uav.pos, fleet.x[row][members], fleet.y[row][members],
-            fleet.dir[row][members],
-            speed, cfg.cluster_interval, uav.coverage_radius)
+            sim.traffic.hover_x[uav], fleet.x[row][members],
+            fleet.y[row][members], fleet.dir[row][members],
+            speed, cfg.cluster_interval, cfg.uav_coverage_radius)
     else:
-        residual = residual_path(uav.coverage_radius, speed,
+        residual = residual_path(cfg.uav_coverage_radius, speed,
                                  cfg.cluster_interval)
     others = members != state.ch
     return build_backup_list(
@@ -303,7 +330,7 @@ class EagerBackups(Simulation):
     def _rebuild_backup(self, state, members):
         super()._rebuild_backup(state, members)
         if self.keeps_backup:
-            self.eager[state.uav.id] = (eager_backup_list(self, state,
+            self.eager[state.uav] = (eager_backup_list(self, state,
                                                           members), True)
 
     def _handle_departure(self, t, state):
@@ -312,9 +339,9 @@ class EagerBackups(Simulation):
         if len(self.popped) == calls:
             return
         [(backup, remainder)] = self.popped[calls:]
-        expected, fresh = self.eager[state.uav.id]
+        expected, fresh = self.eager[state.uav]
         assert list(backup) == list(expected)
-        self.eager[state.uav.id] = (remainder, False)
+        self.eager[state.uav] = (remainder, False)
         if fresh:
             self.fresh_pops += 1
         else:
@@ -721,7 +748,7 @@ def test_rows_respawned_twice_in_a_step_match_paired_runs(monkeypatch):
         hit = {row for row in rows if rows.count(row) > 1}
         vehicles = len(sims[0].traffic.vehicle_ids)
         twice.extend(hit)
-        seated.extend(s.ch for sim in sims for s in sim.clusters.values()
+        seated.extend(s.ch for sim in sims for s in sim.clusters
                       if s.ch is not None and sim.row * vehicles + s.ch in hit)
         real(sims, schemes, t_at, respawned)
 

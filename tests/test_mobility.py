@@ -11,7 +11,7 @@ from uavclust.chselect import cluster_avg_speed
 from uavclust.mobility import (Fleet, avg_speed, neighbor_counts,
                                neighbor_table, residual_path,
                                residual_path_geometric, step)
-from uavclust.model import AirPoint, left_sum
+from uavclust.model import left_sum
 
 from conftest import fleet_of, make_vehicle
 
@@ -134,17 +134,15 @@ def test_residual_path_domain_errors():
 
 
 def test_residual_path_geometric_center():
-    uav = AirPoint(500.0, 0.0, 100.0)
     v = make_vehicle(0, 500.0, y=0.0, speed=10.0)
     # from the disc center the exit distance is exactly the radius
-    xi = residual_path_geometric(uav, v.x, v.y, v.dir, 10.0, 10.0, 200.0)
+    xi = residual_path_geometric(500.0, v.x, v.y, v.dir, 10.0, 10.0, 200.0)
     assert xi == pytest.approx(200.0 - 100.0)
 
 
 def test_residual_path_geometric_outside_disc():
-    uav = AirPoint(500.0, 0.0, 100.0)
     v = make_vehicle(0, 900.0, y=0.0, speed=10.0)
-    xi = residual_path_geometric(uav, v.x, v.y, v.dir, 10.0, 10.0, 200.0)
+    xi = residual_path_geometric(500.0, v.x, v.y, v.dir, 10.0, 10.0, 200.0)
     assert xi == pytest.approx(-100.0)  # zero exit distance minus travel
 
 

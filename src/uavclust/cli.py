@@ -98,15 +98,15 @@ def _reset_out(out_dir: str, config: SimConfig) -> None:
         os.remove(stale)
 
 
-def _run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
-                    out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
-    """Fan out one task per block of consecutive run indices, on at most
+def run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
+                   out_dir: str, workers: int) -> Dict[str, List[metrics.TraceRun]]:
+    """`compare`'s paired experiment (seed_plan), as a library call: fan
+    out one task per block of consecutive run indices, on at most
     min(workers, runs) processes: this one and a pool of the rest, no
     larger than the blocks sent to it; returns each scheme's header and
     run metrics per run index, scored in memory by the tasks.  A block
     holds ceil(runs / workers) run indices, at most engine.BLOCK_ROWS
-    fleet rows and at least one run.  out_dir is reset first
-    (_reset_out).
+    fleet rows and at least one run.  out_dir is reset first (_reset_out).
     """
     _reset_out(out_dir, config)
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
@@ -188,7 +188,7 @@ def _write_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
                       ) -> Dict[str, metrics.AggregateMetrics]:
     """Run one experiment into out_dir: traces, aggregates, and the mean
     cumulative re-selections per scheme on the CAM grid."""
-    scored = _run_experiment(config, schemes, runs, out_dir, workers)
+    scored = run_experiment(config, schemes, runs, out_dir, workers)
     per_scheme = _write_aggregates(out_dir, config, scored)
     step = config.slots(config.cam_interval)
     grid = [k * config.slot_duration

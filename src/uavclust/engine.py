@@ -49,7 +49,7 @@ from .chselect import cluster_avg_speed, select_ch, select_ch_random, select_ch_
 from .config import SimConfig, validate
 from .mobility import (Fleet, neighbor_counts, neighbor_table,
                        residual_path, residual_path_geometric, step, within)
-from .model import left_sum
+from .model import left_mean
 from .seeding import (RunSeeds, pcg64_state, pcg64_states, pcg64_words,
                       ziggurat_exponential, ziggurat_normal)
 from .trace import NO_PAYLOAD, SimEvent, make_event
@@ -578,11 +578,11 @@ def _sample_cam_links(sims: List[Simulation], traffic: Traffic) -> None:
 
 def _set_mean_snrs(payloads: Sequence[dict], snrs: np.ndarray) -> None:
     """Set each payload's "snr" to the mean of its payload["members"] - 1
-    consecutive link SNRs: their model.left_sum over the count."""
+    consecutive link SNRs: their model.left_mean."""
     values = iter(snrs.tolist())
     for payload in payloads:
         count = payload["members"] - 1
-        payload["snr"] = left_sum(islice(values, count)) / count
+        payload["snr"] = left_mean(list(islice(values, count)))
 
 
 def run(config: SimConfig, seeds: RunSeeds,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .model import left_sum
+from .model import left_mean
 from .trace import RESELECTION_KINDS, Row, fold_trace
 
 SELECTION_KINDS = ("ch_selected", "ch_reselected_full")
@@ -91,7 +91,7 @@ def run_metrics(rows: Iterable[Row]) -> RunMetrics:
         try:
             if kind == "cam_batch":
                 if "snr" in payload:
-                    # left_sum adds each sample to a float, so 0.0 + snr
+                    # left_mean adds each sample to a float, so 0.0 + snr
                     # changes no mean; a non-number fails on its own row
                     tenure_samples.setdefault(
                         (ids[0], payload["tenure"]), []).append(0.0 + payload["snr"])
@@ -104,8 +104,8 @@ def run_metrics(rows: Iterable[Row]) -> RunMetrics:
                 degraded += 1
         except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
             raise ValueError(f"malformed {kind} event: {exc!r}") from exc
-    tenure_means = [left_sum(v) / len(v) for v in tenure_samples.values()]
-    mean_snr = left_sum(tenure_means) / len(tenure_means) if tenure_means else math.nan
+    tenure_means = [left_mean(v) for v in tenure_samples.values()]
+    mean_snr = left_mean(tenure_means) if tenure_means else math.nan
     return RunMetrics(per_cluster=per_cluster, total_reselections=total,
                       cumulative=tuple(cumulative), mean_snr=mean_snr,
                       degraded_selections=degraded)
@@ -137,7 +137,7 @@ def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:
         runs=n,
         mean_total=sum(r.total_reselections for r in runs) / n,
         mean_per_cluster=mean_per_cluster,
-        mean_snr=left_sum(snrs) / len(snrs) if snrs else math.nan,
+        mean_snr=left_mean(snrs) if snrs else math.nan,
         mean_degraded=sum(r.degraded_selections for r in runs) / n,
     )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterable
+from typing import Iterable, Sequence
 
 VehicleId = int
 
@@ -23,6 +23,23 @@ def left_sum(values: Iterable[float]) -> float:
     so every mean the simulator reports or compares uses this fold.
     """
     return functools.reduce(operator.add, values, 0.0)
+
+
+def left_mean(values: Sequence[float]) -> float:
+    """left_sum(values) / n, the mean every reported SNR is taken by.
+
+    Only where that sum overflows and every term is finite, the terms
+    are summed scaled by 2**-k, 2**k > 2n, and the mean scaled back: a
+    power-of-two scale moves no rounding above the subnormal range
+    (Goldberg 1991), and the mean of terms up to half the largest float
+    is then finite.  Wherever the plain sum is finite, it is the mean.
+    """
+    n = len(values)
+    mean = left_sum(values) / n
+    if math.isinf(mean) and all(map(math.isfinite, values)):
+        scale = 2.0 ** (n.bit_length() + 1)
+        return left_sum(v / scale for v in values) / n * scale
+    return mean
 
 
 def left_sum_bound(n: int, x: float) -> float:

@@ -12,7 +12,9 @@ Eight criteria, one printed PASS/FAIL line each:
 8. byte-identical traces across invocations and worker counts
 
 Criteria 3-6 share one 200-run paired experiment at the default
-configuration; criterion 7 runs its own vehicle sweep.
+configuration; criterion 7 runs its own vehicle sweep.  Both run through
+cli.run_experiment, the lockstep blocks and in-memory scores `compare`
+runs, at one worker.
 """
 import dataclasses
 import math
@@ -22,14 +24,13 @@ import time
 import numpy as np
 import pytest
 
-from uavclust import channel, engine, metrics
+from uavclust import channel, metrics
 from uavclust.backup import build_backup_list
 from uavclust.chselect import select_ch, select_ch_vmasc
 from uavclust.assignment import assign
-from uavclust.cli import main as cli_main
+from uavclust.cli import main as cli_main, run_experiment
 from uavclust.config import SimConfig
 from uavclust.mobility import residual_path
-from uavclust.seeding import run_seeds
 
 from conftest import ACCEPTANCE_LINES, fleet_of, make_vehicle
 
@@ -51,17 +52,18 @@ def _paired(a, b):
     return mean, half
 
 
+def _scored(config, schemes, runs, out_dir):
+    """Each scheme's run metrics per run index, as `compare` scores them."""
+    scored = run_experiment(config, schemes, runs, str(out_dir), 1)
+    return {s: [rm for _, rm in scored[s]] for s in schemes}
+
+
 @pytest.fixture(scope="module")
-def experiment():
+def experiment(tmp_path_factory):
     """200 paired runs of all three schemes at the default config."""
-    base = SimConfig()
     start = time.perf_counter()
-    per = {s: [] for s in SCHEMES}
-    for k in range(RUNS):
-        for s in SCHEMES:
-            events = engine.run(dataclasses.replace(base, scheme=s),
-                                seeds=run_seeds(base.seed, k, s))
-            per[s].append(metrics.run_metrics(events))
+    per = _scored(SimConfig(), SCHEMES, RUNS,
+                  tmp_path_factory.mktemp("paired"))
     elapsed = time.perf_counter() - start
     agg = {s: metrics.aggregate(per[s]) for s in SCHEMES}
     scores = metrics.compare_schemes(agg)
@@ -225,15 +227,12 @@ def test_criterion_6_cumulative_monotone_and_minimum(experiment):
                    f"{share:.0%} of {RUNS} paired runs")
 
 
-def test_criterion_7_vehicle_sweep_shape():
+def test_criterion_7_vehicle_sweep_shape(tmp_path):
     counts = {}
     for n in (5, 10, 15, 20, 25, 30, 35):
         cfg = dataclasses.replace(SimConfig(), num_vehicles=n)
-        total = 0.0
-        for k in range(100):
-            events = engine.run(cfg, seeds=run_seeds(cfg.seed, k, "proposed"))
-            total += metrics.run_metrics(events).total_reselections
-        counts[n] = total / 100.0
+        runs = _scored(cfg, ["proposed"], 100, tmp_path / f"vehicles_{n}")
+        counts[n] = sum(r.total_reselections for r in runs["proposed"]) / 100.0
     rising = all(counts[a] < counts[b]
                  for a, b in ((5, 10), (10, 15), (15, 20), (20, 25)))
     late = abs(counts[35] - counts[25]) / counts[25]

@@ -559,9 +559,10 @@ MODEL_FIELDS = {
 def test_a_config_is_rejected_or_runs_to_finite_traces(fields):
     # validate evaluates the model at the ends of its inputs, a CAM batch's
     # sum of I - 1 V2V SNRs included, so a config it passes reaches no
-    # overflow, warning or non-finite SNR in a trace.  The aggregates sum
-    # over counts set by --duration and --runs, which no config bounds, so
-    # they are not checked here
+    # overflow, warning or non-finite SNR in a trace; model.left_mean keeps
+    # the aggregates' means over counts no config bounds finite too.  A
+    # scheme none of whose traces holds an SNR has a nan mean SNR, and so
+    # nan scores, by definition (RunMetrics.mean_snr)
     config = dataclasses.replace(SimConfig(), **fields)
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
         warnings.simplefilter("error", RuntimeWarning)
@@ -575,9 +576,39 @@ def test_a_config_is_rejected_or_runs_to_finite_traces(fields):
         out = os.path.join(tmp, "out")
         assert main(["compare", "--config", cfg, "--runs", "2",
                      "--duration", "140", "--out", out]) == 0
+        sampled = set()
         for name in trace_files(out):
             text = read_bytes(os.path.join(out, "traces", name)).decode()
             assert "Infinity" not in text and "NaN" not in text, name
+            if '"snr":' in text:
+                sampled.add(name.split("_run")[0])
+        for scheme in SCHEMES:
+            assert math.isfinite(float(aggregate_field(
+                out, scheme, "normalized_reselections"))), scheme
+            for key in ("mean_snr", "normalized_snr", "robustness_likelihood"):
+                value = float(aggregate_field(out, scheme, key))
+                assert (math.isfinite(value) if scheme in sampled
+                        else math.isnan(value)), (scheme, key, value)
+
+
+def test_compare_whose_run_means_overflow_a_sum_has_finite_aggregates(tmp_path):
+    # every run's mean SNR is 1.0047545726038328e+307: its plain sum over
+    # 20 runs overflows, the mean model.left_mean takes is that value
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text("num_uavs = 1\nnum_vehicles = 3\nv2v_loss_const = 4e302\n"
+                   "v2v_loss_exp = 0\nshadow_std_db = 0\n"
+                   "uav_coverage_radius = 10000\n")
+    out = str(tmp_path / "loud")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["compare", "--config", str(cfg), "--runs", "20",
+                     "--out", out]) == 0
+    for scheme in SCHEMES:
+        assert float(aggregate_field(out, scheme, "mean_snr")) \
+            == 1.0047545726038328e+307
+        for key in ("normalized_snr", "robustness_likelihood"):
+            value = float(aggregate_field(out, scheme, key))
+            assert math.isfinite(value) and value > 0.0, (scheme, key)
 
 
 def test_a_failing_metrics_keeps_the_stale_aggregate(tmp_path, capsys):
@@ -761,7 +792,7 @@ def test_sweep_point_names_keep_every_digit(tmp_path, monkeypatch):
         return {s: [({"config": config.digest(), "seed": "1"}, rm)]
                 for s in schemes}
 
-    monkeypatch.setattr(cli, "_run_experiment", no_simulation)
+    monkeypatch.setattr(cli, "run_experiment", no_simulation)
     out = str(tmp_path / "long")
     assert main(["sweep", "--var", "duration", "--values", "1000000,1000001",
                  "--scheme", "proposed", "--out", out]) == 0

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from uavclust import engine, metrics, trace
 from uavclust.config import SimConfig, validate
-from uavclust.model import left_sum
+from uavclust.model import left_mean, left_sum
 from uavclust.seeding import run_seeds
 from uavclust.trace import SimEvent
 
@@ -103,6 +104,29 @@ def test_aggregate_mean_totals():
     assert agg.mean_per_cluster[1] == pytest.approx(1.5)
     with pytest.raises(ValueError):
         metrics.aggregate([])
+
+
+HALF_MAX = sys.float_info.max / 2
+
+
+# terms above 2**1020 make about a third of the drawn sums overflow
+@given(st.lists(st.floats(-HALF_MAX, HALF_MAX) | st.floats(2.0 ** 1020, HALF_MAX)
+                | st.floats(-HALF_MAX, -2.0 ** 1020), min_size=1, max_size=64))
+@settings(deadline=None, max_examples=500)
+def test_left_mean_is_the_plain_mean_wherever_that_is_finite(values):
+    mean, plain = left_mean(values), left_sum(values) / len(values)
+    assert math.isfinite(mean)
+    if math.isfinite(plain):
+        assert mean.hex() == plain.hex()  # bit for bit, sign of zero too
+
+
+def test_left_mean_of_an_overflowing_sum():
+    big = 1.0047545726038328e+307
+    assert math.isinf(left_sum([big] * 20))
+    assert left_mean([big] * 20) == big
+    # a non-finite term is its own mean: no rescaling hides it
+    assert left_mean([big] * 19 + [math.inf]) == math.inf
+    assert math.isnan(left_mean([math.inf, -math.inf]))
 
 
 def test_aggregate_traces_rejects_mixed_configs():

@@ -23,7 +23,6 @@ import glob
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import engine, metrics, trace
@@ -107,6 +106,7 @@ def run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
     run metrics per run index, scored in memory by the tasks.  A block
     holds ceil(runs / workers) run indices, at most engine.BLOCK_ROWS
     fleet rows and at least one run.  out_dir is reset first (_reset_out).
+    A pool process that dies raises ChildProcessError.
     """
     _reset_out(out_dir, config)
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
@@ -118,14 +118,20 @@ def run_experiment(config: SimConfig, schemes: Sequence[str], runs: int,
              for k in range(0, runs, size)]
     pooled = [task for k, task in enumerate(tasks) if k % workers]
     if pooled:
+        # imported here, so that a run without a pool loads none
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         # this process runs every workers-th block, from the first,
         # while at most workers - 1 pool processes share the others
-        with ProcessPoolExecutor(
-                max_workers=min(workers - 1, len(pooled))) as pool:
-            theirs = pool.map(_execute_block, pooled)
-            mine = iter([_execute_block(task) for task in tasks[::workers]])
-            blocks = [next(theirs if k % workers else mine)
-                      for k in range(len(tasks))]
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=min(workers - 1, len(pooled))) as pool:
+                theirs = pool.map(_execute_block, pooled)
+                mine = iter([_execute_block(task)
+                             for task in tasks[::workers]])
+                blocks = [next(theirs if k % workers else mine)
+                          for k in range(len(tasks))]
+        except BrokenExecutor as exc:  # a pool process died
+            raise ChildProcessError(str(exc)) from exc
     else:
         blocks = [_execute_block(task) for task in tasks]
     scored = [by_scheme for block in blocks for by_scheme in block]

@@ -1,5 +1,8 @@
 """tools/ab_calls.py: its cells and verdicts, its alternation, its set-up
-measure and its parity check, on hand-made timings and outputs."""
+and peak-RSS measures and its parity check, on hand-made timings,
+outputs and trees."""
+import json
+import os
 import pathlib
 import sys
 import types
@@ -179,3 +182,66 @@ def test_parity_ignores_headers_and_config_digests_but_not_a_body_byte(
         "equal")
     assert AB_CALLS.parity(bench, {"parent": parent, "change": other}) == (
         "differ: trace bodies")
+
+
+def fake_tree(root, last_line):
+    """A tree whose perfbench/run.py writes its arguments to ran.json in
+    its cwd and prints a first line, then last_line, to stdout."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "with open('ran.json', 'w') as fh:\n"
+        "    json.dump(sys.argv, fh)\n"
+        "print('set-up done')\n"
+        f"print({last_line!r})\n")
+    return str(root)
+
+
+def test_rss_mode_reads_each_side_own_perfbench_in_a_fresh_process(
+        tmp_path):
+    line = ('{{"correct": true, "attempted": 30, "failed": 0, "metrics": '
+            '{{"peak_rss_mb": {{"value": {}, "unit": "MB"}}}}}}')
+    trees = {"parent": fake_tree(tmp_path / "p", line.format(43.5)),
+             "change": fake_tree(tmp_path / "c", line.format(41.75))}
+    wl = types.SimpleNamespace(name="paper_default")
+    measure = AB_CALLS.rss_measure(wl, 7, trees)
+    assert measure("parent") == 43.5
+    assert measure("change") == 41.75
+    for side in ("p", "c"):
+        ran = json.loads((tmp_path / side / "ran.json").read_text())
+        assert ran == [os.path.join("perfbench", "run.py"), "--workload",
+                       "paper_default", "--seed", "7", "--seconds", "1"]
+
+
+def test_rss_mode_refuses_a_run_that_is_not_correct_or_fails(tmp_path):
+    wrong = ('{"correct": false, "attempted": 30, "failed": 5, "metrics": '
+             '{"peak_rss_mb": {"value": 40.0, "unit": "MB"}}}')
+    trees = {"parent": fake_tree(tmp_path / "p", wrong),
+             "change": str(tmp_path / "empty")}
+    (tmp_path / "empty").mkdir()
+    wl = types.SimpleNamespace(name="dense_road")
+    measure = AB_CALLS.rss_measure(wl, 1, trees)
+    with pytest.raises(RuntimeError, match="parent: .* is not correct: "
+                                           "5 of 30 operations failed"):
+        measure("parent")
+    # the change tree has no perfbench/run.py
+    with pytest.raises(RuntimeError, match="change: .* exited with 2"):
+        measure("change")
+
+
+def test_rss_mode_reports_the_run_own_peak_not_this_process(tmp_path):
+    # this process's peak grows past 64 MB; a run started straight from
+    # it would report at least that, whatever its own use
+    held = bytearray(64 << 20)
+    for k in range(0, len(held), 4096):
+        held[k] = 1
+    run = tmp_path / "t" / "perfbench" / "run.py"
+    run.parent.mkdir(parents=True)
+    run.write_text(
+        "import json, resource\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+        "                  'metrics': {'peak_rss_mb': {'value': peak}}}))\n")
+    measure = AB_CALLS.rss_measure(types.SimpleNamespace(name="wl"), 1,
+                                   {"parent": str(tmp_path / "t")})
+    assert 0 < measure("parent") < 64

@@ -1,9 +1,15 @@
 """CLI driver: seed plans, output layout and reproducibility."""
+import concurrent.futures
 import dataclasses
+import functools
+import json
 import math
+import multiprocessing
 import operator
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -127,7 +133,7 @@ def test_one_run_runs_in_process(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started for one run index")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(base + ["--out", pooled, "--workers", "2"]) == 0
     names = trace_files(serial)
     assert names == trace_files(pooled) and len(names) == len(SCHEMES)
@@ -150,13 +156,14 @@ def test_calling_process_runs_every_workers_th_block_beside_a_smaller_pool(
         blocks.append(plans)
         return real(config, plans)
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(engine, "run_block", recorded)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     base = ["compare", "--runs", str(runs), "--vehicles", str(vehicles),
             "--duration", "140"]
     serial, pooled = str(tmp_path / "w1"), str(tmp_path / "pooled")
@@ -178,12 +185,13 @@ def test_pool_starts_no_more_processes_than_blocks_sent_to_it(
     # process runs the first, and a pool of 2, not 3, the other two
     started = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     base = ["compare", "--runs", "5", "--vehicles", "12", "--duration", "140"]
     serial, pooled = str(tmp_path / "w1"), str(tmp_path / "w4")
     assert main(base + ["--out", serial, "--workers", "1"]) == 0
@@ -515,6 +523,57 @@ def test_a_memory_error_exits_with_one_error_line(tmp_path, capsys,
     assert main(["compare", "--runs", "1", "--duration", "70",
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+EXECUTE_BLOCK = cli._execute_block
+
+
+def execute_or_die(caller, task):
+    """cli._execute_block in the process caller; a pool process, which
+    is forked from it, dies at once instead, as if killed."""
+    if os.getpid() != caller:
+        os._exit(3)
+    return EXECUTE_BLOCK(task)
+
+
+def test_a_dying_pool_process_exits_with_one_error_line(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli, "_execute_block",
+                        functools.partial(execute_or_die, os.getpid()))
+    assert main(["compare", "--runs", "2", "--duration", "70",
+                 "--workers", "2", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
+# run in a fresh interpreter: prints the pool modules loaded after a
+# one-worker compare and a metrics, then after a two-worker compare
+POOL_MODULES = """
+import json, sys
+from uavclust.cli import main
+out = sys.argv[1]
+base = ["compare", "--runs", "2", "--duration", "70", "--out", out]
+names = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
+loaded = []
+assert main(base + ["--workers", "1"]) == 0
+assert main(["metrics", "--out", out]) == 0
+loaded.append([name for name in names if name in sys.modules])
+assert main(base + ["--workers", "2"]) == 0
+loaded.append([name for name in names if name in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_pooled_run_loads_the_process_pool(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_MODULES, str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True)
+    unpooled, pooled = json.loads(done.stdout.splitlines()[-1])
+    assert unpooled == []
+    assert "concurrent.futures.process" in pooled
 
 
 def test_a_subnormal_noise_power_runs_to_finite_aggregates(tmp_path):

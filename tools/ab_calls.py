@@ -15,7 +15,10 @@ side's src/ at the head of sys.path (under PYTHONDONTWRITEBYTECODE=1 each
 compiles src/), then runs_per_s, the timed ``cli.main`` call on the
 side's last set-up, with its modules back in sys.modules so a process
 pool forks its code.  Calls that alternate share other tenants' load,
-which separate processes do not.  peak_rss_mb is left to the benchmark.
+which separate processes do not.  peak_rss_mb, a process's own peak,
+alternates the same way between fresh interpreters, each running its
+side's perfbench/run.py --seconds 1 with the side's tree as cwd
+(started through LAUNCHER).
 
 Each (workload, metric) cell holds each side's median and quartiles
 (inclusive method), the pairs the change won (ties count for neither),
@@ -52,7 +55,7 @@ from typing import Callable, Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-MEASURED = ("runs_per_s", "setup_s")  # peak_rss_mb is the benchmark's own
+MEASURED = ("runs_per_s", "setup_s", "peak_rss_mb")
 
 
 def parent_tree(commit: str, dest: str) -> None:
@@ -230,9 +233,41 @@ def call_measure(bench, wl, seed: int, trees: Dict[str, str],
     return measure
 
 
+# Linux keeps a process's peak RSS across exec, so a process started
+# from this one, which holds both trees' modules, would report at least
+# this one's peak.  A small interpreter in between starts each run.
+LAUNCHER = ("import subprocess, sys; "
+            "sys.exit(subprocess.run(sys.argv[1:]).returncode)")
+
+
+def rss_measure(wl, seed: int,
+                trees: Dict[str, str]) -> Callable[[str], float]:
+    """measure(side): the peak_rss_mb that the side's own
+    perfbench/run.py reports for the workload at --seconds 1, run in a
+    fresh interpreter (through LAUNCHER) with the side's tree as cwd.
+    A run that fails or is not correct is refused."""
+    def measure(side: str) -> float:
+        command = [sys.executable, os.path.join("perfbench", "run.py"),
+                   "--workload", wl.name, "--seed", str(seed),
+                   "--seconds", "1"]
+        done = subprocess.run([sys.executable, "-c", LAUNCHER] + command,
+                              cwd=trees[side], capture_output=True,
+                              text=True)
+        shown = f"{side}: {' '.join(command[1:])}"
+        if done.returncode != 0:
+            raise RuntimeError(f"{shown} exited with {done.returncode}: "
+                               f"{done.stderr[-2000:]}")
+        result = json.loads(done.stdout.splitlines()[-1])
+        if not result["correct"]:
+            raise RuntimeError(f"{shown} is not correct: {result['failed']} "
+                               f"of {result['attempted']} operations failed")
+        return result["metrics"]["peak_rss_mb"]["value"]
+    return measure
+
+
 def ab_workload(bench, wl, trees: Dict[str, str], args, metrics: Dict,
                 pins: Dict) -> Dict[str, object]:
-    """The report entry of one workload: its two cells, the parity of
+    """The report entry of one workload: its cells, the parity of
     the two sides' outputs and the change's trace digest."""
     prepared: Dict[str, object] = {}
     setup_s = alternate(set_up_measure(bench, wl, trees, args.seed,
@@ -242,7 +277,9 @@ def ab_workload(bench, wl, trees: Dict[str, str], args, metrics: Dict,
     ops = wl.runs * len(bench.checks.SCHEMES)
     values = {"runs_per_s": {side: [ops / w for w in walls[side]]
                              for side in SIDES},
-              "setup_s": setup_s}
+              "setup_s": setup_s,
+              "peak_rss_mb": alternate(rss_measure(wl, args.seed, trees),
+                                       args.pairs)}
     entry = {name: summarize(values[name], spec["better"], spec["bound"])
              for name, spec in metrics.items()}
     out_dirs = {side: prepared[side][0].out_dir for side in SIDES}
@@ -300,8 +337,8 @@ def main(argv=None) -> int:
         "measured_tree": measured_tree(trees["change"]),
         "pairs": args.pairs,
         "seed": args.seed,
-        "peak_rss_mb": "not measured: one process cannot give each side "
-                       "its own peak",
+        "peak_rss_mb": "each side's perfbench/run.py --seconds 1, one "
+                       "fresh interpreter per run",
         "workloads": {},
     }
     sys.path[0] = os.path.join(trees["change"], "src")
